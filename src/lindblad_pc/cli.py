@@ -143,6 +143,7 @@ def _parse_rho0(spec, d):
     import numpy as np
 
     from .model import jump_operator, phase_state
+    from .modelfile import _parse_operator
 
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -152,70 +153,71 @@ def _parse_rho0(spec, d):
         values = [float(x) for x in rest.split(",")]
         if len(values) != d:
             raise ValueError(f"diag: expected {d} entries, got {len(values)}")
-        rho = np.diag(values).astype(complex)
-    elif kind == "pure":
+        return np.diag(values).astype(complex)
+    if kind == "pure":
         k = int(rest)
         if not (1 <= k <= d):
             raise ValueError(f"pure: level {k} outside 1..{d}")
-        rho = jump_operator(d, k, k)
-    elif kind == "phase":
+        return jump_operator(d, k, k)
+    if kind == "phase":
         levels_part, _, phases_part = rest.partition(";")
         levels = [int(x) for x in levels_part.split(",") if x]
         phases = [float(x) for x in phases_part.split(",")] if phases_part else None
-        rho = phase_state(d, levels, phases)
-    elif kind == "file":
+        return phase_state(d, levels, phases)
+    if kind == "file":
         with open(rest, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "matrix" in doc:
-            rho = np.array([[complex(*e) if isinstance(e, list) else complex(e)
-                             for e in row] for row in doc["matrix"]])
-        elif "diagonal" in doc:
-            rho = np.diag([float(x) for x in doc["diagonal"]]).astype(complex)
-        else:
-            raise ValueError("state file needs a 'matrix' or 'diagonal' field")
-        if rho.shape != (d, d):
-            raise ValueError(f"state file has shape {rho.shape}, expected {d}x{d}")
-    else:
-        raise ValueError(f"unknown --rho0 kind {kind!r}")
+            return _parse_operator(json.load(fh), d, "state file")
+    raise ValueError(f"unknown --rho0 kind {kind!r}")
 
+
+def _resolve_rho0(args, d, initial_state):
+    """The initial state from --rho0, else from the model file, with unit trace."""
+    import numpy as np
+
+    if args.rho0:
+        rho = _parse_rho0(args.rho0, d)
+    elif initial_state is not None:
+        rho = np.asarray(initial_state, dtype=complex)
+    else:
+        raise ValueError("no initial state: pass --rho0 or put one in the model file")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > 1e-3:
+    if not abs(trace - 1.0) <= 1e-3:  # written so that a NaN trace fails too
         raise ValueError(f"initial state trace is {trace.real:.6g}, expected 1")
     return rho / trace.real
 
 
-def _resolve_rho0(args, d, initial_state):
+def _prepare(args):
+    """The prologue of solve and verify: load and assemble the model,
+    resolve rho0, check the grid and run the admissibility gate.
+
+    Returns (g, rho0, grid, exit code or None when propagation may proceed).
+    """
     import numpy as np
 
-    if getattr(args, "rho0", None):
-        return _parse_rho0(args.rho0, d)
-    if initial_state is not None:
-        trace = complex(np.trace(initial_state))
-        if abs(trace - 1.0) > 1e-3:
-            raise ValueError("model file initial state trace is not 1")
-        return np.asarray(initial_state, dtype=complex) / trace.real
-    raise ValueError("no initial state: pass --rho0 or put one in the model file")
-
-
-def _admissibility_gate(g, rho0, params, force, tol):
-    """Returns None when propagation may proceed, else an exit code."""
     from .commutativity import admissible, excluded_coordinate, partial_subspace
+    from .model import assemble
+
+    model, params, initial_state = _load_model(args)
+    g = assemble(model)
+    rho0 = _resolve_rho0(args, model.dim, initial_state)
+    if args.steps < 2 or args.t_max <= 0:
+        raise ValueError("--steps must be >= 2 and --t-max positive")
+    grid = np.linspace(0.0, args.t_max, args.steps)
 
     subspace = partial_subspace(g, _sample_times(params))
-    ok = admissible(rho0, subspace, tol)
-    if ok or force:
-        if not ok:
-            print("warning: initial state is outside the admissible subspace; "
-                  "the closed form is not a solution (--force given)",
-                  file=sys.stderr)
-        return None
+    if admissible(rho0, subspace, tol=1e-8):
+        return g, rho0, grid, None
+    if args.force:
+        print("warning: initial state is outside the admissible subspace; "
+              "the closed form is not a solution (--force given)", file=sys.stderr)
+        return g, rho0, grid, None
     _, level = excluded_coordinate(subspace)
     detail = (f"admissible states satisfy rho_{level}{level} = 0"
               if level is not None else
               f"the admissible subspace has dimension {subspace.rank}")
     print(f"error: initial state is inadmissible: {detail}; "
           "rerun with --force to propagate anyway", file=sys.stderr)
-    return EXIT_INADMISSIBLE
+    return g, rho0, grid, EXIT_INADMISSIBLE
 
 
 def cmd_classify(args):
@@ -267,23 +269,12 @@ def _csv_lines(series):
 
 
 def cmd_solve(args):
-    import numpy as np
-
-    from .model import assemble
     from .observables import observable_series
     from .solver import propagate_closed_form
 
-    model, params, initial_state = _load_model(args)
-    g = assemble(model)
-    rho0 = _resolve_rho0(args, model.dim, initial_state)
-
-    failure = _admissibility_gate(g, rho0, params, args.force, tol=1e-8)
+    g, rho0, grid, failure = _prepare(args)
     if failure is not None:
         return failure
-
-    if args.steps < 2 or args.t_max <= 0:
-        raise ValueError("--steps must be >= 2 and --t-max positive")
-    grid = np.linspace(0.0, args.t_max, args.steps)
     trajectory = propagate_closed_form(g, rho0, grid)
 
     pairs = []
@@ -292,32 +283,22 @@ def cmd_solve(args):
         pairs.append((int(i), int(j)))
     series = observable_series(trajectory, pairs)
 
+    text = "".join(line + "\n" for line in _csv_lines(series))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            for line in _csv_lines(series):
-                fh.write(line + "\n")
+            fh.write(text)
     else:
-        for line in _csv_lines(series):
-            sys.stdout.write(line + "\n")
+        sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_verify(args):
-    import numpy as np
-
     from .linalg import vec
-    from .model import assemble
     from .solver import compare, fedorov_residual, ode_oracle, propagate_closed_form
 
-    model, params, initial_state = _load_model(args)
-    g = assemble(model)
-    rho0 = _resolve_rho0(args, model.dim, initial_state)
-
-    failure = _admissibility_gate(g, rho0, params, args.force, tol=1e-8)
+    g, rho0, grid, failure = _prepare(args)
     if failure is not None:
         return failure
-
-    grid = np.linspace(0.0, args.t_max, args.steps)
     closed = propagate_closed_form(g, rho0, grid)
     oracle = ode_oracle(g, rho0, grid)
     distance = compare(closed, oracle)
@@ -339,18 +320,16 @@ def run(argv):
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return EXIT_PARSE if exc.code else EXIT_OK
 
-    from .errors import (ExprSyntaxError, ModelFileError, NonFiniteError,
-                         NotADensityMatrixError, StepSizeUnderflowError,
-                         UnboundParameterError, UnknownModelError)
+    from .errors import IndexOutOfRangeError, StepSizeUnderflowError
 
+    # Base classes only: every other LindbladError, and json.JSONDecodeError,
+    # subclasses ValueError or ArithmeticError.
     try:
         return args.func(args)
-    except (ExprSyntaxError, UnboundParameterError, UnknownModelError,
-            ModelFileError, NotADensityMatrixError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, IndexOutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NonFiniteError, StepSizeUnderflowError, ArithmeticError) as exc:
+    except (ArithmeticError, StepSizeUnderflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

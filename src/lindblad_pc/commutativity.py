@@ -15,7 +15,9 @@ M is computed as the kernel of a positive semidefinite operator
     C_n(t) = [L(t), B(t)^n] / ||B(t)^n||,
 
 because the kernel of a sum of PSD terms R^dag R is exactly the
-intersection of the individual kernels. Summing Gamma over several sample
+intersection of the individual kernels. `_commutator_chain` is the one
+routine that builds the normalized C_n; both Gamma and the dense
+re-check in `classify` iterate it. Summing Gamma over several sample
 times intersects the per-time subspaces; the power chain is truncated at
 the numerically determined degree of the minimal polynomial of B (higher
 powers are linear combinations of lower ones and add no constraints).
@@ -26,6 +28,7 @@ unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +44,6 @@ __all__ = [
     "admissible", "classify", "CommutativityReport", "excluded_coordinate",
 ]
 
-RESIDUAL_BOUND = 1e-8
 ADMISSIBLE_TOL = 1e-8
 
 _STRUCTURED_TIMES = (0.1, 0.5, 1.0, 2.0, math.pi, 5.0, 8.0)
@@ -74,26 +76,20 @@ def functional_commutativity(g, times=None, tol=DEFAULT_REL_TOL):
     {L_H, L_k} of the decomposition commute pairwise (a commuting
     decomposition characterizes functionally commutative families), and
     the sampled generators commute pairwise. Commutator norms are
-    compared against `tol` relative to the operand norms.
+    compared against `tol` relative to the operand norms. The sampled
+    check is skipped when the components already fail.
     """
-    pairwise, sampled = _functional_checks(g, times, tol)
-    return pairwise and sampled
-
-
-def _functional_checks(g, times=None, tol=DEFAULT_REL_TOL):
     if times is None:
         times = default_sample_times()
     if len(times) < 2:
         raise ValueError("need at least two sample times")
     components = [g.drift] + [p.matrix for p in g.parts]
-    pairwise = all(
-        _rel_commutator(components[i], components[j]) <= tol
-        for i in range(len(components)) for j in range(i + 1, len(components)))
-    sampled_mats = [generator_at(g, t) for t in times]
-    sampled = all(
-        _rel_commutator(sampled_mats[i], sampled_mats[j]) <= tol
-        for i in range(len(sampled_mats)) for j in range(i + 1, len(sampled_mats)))
-    return pairwise, sampled
+    return (_commute_pairwise(components, tol)
+            and _commute_pairwise([generator_at(g, t) for t in times], tol))
+
+
+def _commute_pairwise(mats, tol):
+    return all(_rel_commutator(a, b) <= tol for a, b in itertools.combinations(mats, 2))
 
 
 def integral_commutativity(g, times=None, tol=DEFAULT_REL_TOL):
@@ -105,21 +101,26 @@ def integral_commutativity(g, times=None, tol=DEFAULT_REL_TOL):
         for t in times)
 
 
+def _commutator_chain(g, t, power_cap):
+    """Yield C_n = [L(t), B(t)^n] / ||B(t)^n|| for n = 1..power_cap,
+    skipping the powers of B(t) that vanish."""
+    gen = generator_at(g, t)
+    b = integral_at(g, t)
+    power = np.eye(g.mu, dtype=complex)
+    for _ in range(power_cap):
+        power = power @ b
+        norm = np.linalg.norm(power)
+        if norm != 0.0:
+            yield (gen @ power - power @ gen) / norm
+
+
 def gamma_operator(g, t, power_cap):
     """The PSD operator whose kernel is the partially commutative
     subspace at time t; see the module docstring."""
     if power_cap < 1:
         raise ValueError("power_cap must be at least 1")
-    gen = generator_at(g, t)
-    b = integral_at(g, t)
-    power = np.eye(g.mu, dtype=complex)
     total = np.zeros((g.mu, g.mu), dtype=complex)
-    for _ in range(power_cap):
-        power = power @ b
-        norm = np.linalg.norm(power)
-        if norm == 0.0:
-            continue
-        c = (gen @ power - power @ gen) / norm
+    for c in _commutator_chain(g, t, power_cap):
         total += c.conj().T @ c
     return 0.5 * (total + total.conj().T)
 
@@ -132,12 +133,8 @@ def _power_cap(g, times, rel_tol):
     return max(1, min(g.mu - 1, degree - 1))
 
 
-def partial_subspace(g, times=None, rel_tol=DEFAULT_REL_TOL):
-    """Basis of M, the subspace of admissible initial vectors.
-
-    Gamma(t) is accumulated over the sample times (at least three
-    distinct positive ones) and the kernel of the sum is returned.
-    """
+def _subspace(g, times, rel_tol):
+    """(M, power cap): the kernel of Gamma summed over the sample times."""
     if times is None:
         times = default_sample_times()
     _check_subspace_times(times)
@@ -145,7 +142,16 @@ def partial_subspace(g, times=None, rel_tol=DEFAULT_REL_TOL):
     total = np.zeros((g.mu, g.mu), dtype=complex)
     for t in times:
         total += gamma_operator(g, t, cap)
-    return null_space(total, rel_tol)
+    return null_space(total, rel_tol), cap
+
+
+def partial_subspace(g, times=None, rel_tol=DEFAULT_REL_TOL):
+    """Basis of M, the subspace of admissible initial vectors.
+
+    Gamma(t) is accumulated over the sample times (at least three
+    distinct positive ones) and the kernel of the sum is returned.
+    """
+    return _subspace(g, times, rel_tol)[0]
 
 
 def _check_subspace_times(times):
@@ -240,26 +246,12 @@ def classify(g, times=None, rel_tol=DEFAULT_REL_TOL):
     times = sorted(float(t) for t in times)
     functional = functional_commutativity(g, times, rel_tol)
     integral = integral_commutativity(g, times, rel_tol)
-    _check_subspace_times(times)
-    cap = _power_cap(g, times, rel_tol)
-    total = np.zeros((g.mu, g.mu), dtype=complex)
-    for t in times:
-        total += gamma_operator(g, t, cap)
-    subspace = null_space(total, rel_tol)
+    subspace, cap = _subspace(g, times, rel_tol)
 
-    dense = np.linspace(min(times), max(times), 10 * len(times))
     residual_max = 0.0
     if subspace.rank > 0:
-        for t in dense:
-            gen = generator_at(g, t)
-            b = integral_at(g, t)
-            power = np.eye(g.mu, dtype=complex)
-            for _ in range(cap):
-                power = power @ b
-                norm = np.linalg.norm(power)
-                if norm == 0.0:
-                    continue
-                c = (gen @ power - power @ gen) / norm
+        for t in np.linspace(min(times), max(times), 10 * len(times)):
+            for c in _commutator_chain(g, t, cap):
                 residual_max = max(
                     residual_max,
                     float(np.linalg.norm(c @ subspace.basis, axis=0).max()))

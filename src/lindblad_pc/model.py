@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as _expr
-from .errors import UnknownModelError
+from .errors import NonFiniteError, UnknownModelError
 from .expr import Antiderivative, RateExpr, antiderivative, eval_expr, parse_rate_expr
 from .linalg import kron
 
@@ -32,8 +32,8 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 
-# Built-in rates are required to be nonnegative on the working interval;
-# they are sampled here before the model is accepted.
+# Rates are required to be finite and nonnegative on the working interval;
+# they are sampled there before a model is accepted.
 RATE_SAMPLE_INTERVAL = (0.0, 20.0)
 RATE_SAMPLE_COUNT = 81
 
@@ -82,17 +82,21 @@ class LindbladModel:
             v = np.asarray(jump.operator, dtype=complex)
             if v.shape != (self.dim, self.dim):
                 raise ValueError(f"jump operator {k} has shape {v.shape}")
+            _check_rate(jump.rate)
         return self
 
 
-def _check_rates_nonnegative(model):
-    ts = np.linspace(*RATE_SAMPLE_INTERVAL, RATE_SAMPLE_COUNT)
-    for jump in model.jumps:
-        for t in ts:
-            if eval_expr(jump.rate, t) < -1e-12:
-                raise ValueError(
-                    f"rate {_expr.format_expr(jump.rate)!r} is negative at t={t:g}; "
-                    "only nonnegative rates are supported")
+def _check_rate(rate):
+    for t in np.linspace(*RATE_SAMPLE_INTERVAL, RATE_SAMPLE_COUNT):
+        try:
+            value = eval_expr(rate, t)
+        except NonFiniteError:
+            raise ValueError(f"rate {_expr.format_expr(rate)!r} is not finite "
+                             f"at t={t:g}") from None
+        if value < -1e-12:
+            raise ValueError(
+                f"rate {_expr.format_expr(rate)!r} is negative at t={t:g}; "
+                "only nonnegative rates are supported")
 
 
 def dissipator_matrix(v):
@@ -276,6 +280,4 @@ def builtin(name, params=None):
     except KeyError:
         raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(builtin_names())}") from None
-    model = build(params).validate()
-    _check_rates_nonnegative(model)
-    return model
+    return build(params).validate()

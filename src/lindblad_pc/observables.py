@@ -40,17 +40,23 @@ def _spectra(trajectory):
     return eigs / sums[:, None]
 
 
+def _purity(eigs):
+    return np.sum(eigs * eigs, axis=1)
+
+
+def _entropy(eigs):
+    terms = np.where(eigs > 0.0, eigs * np.log(np.where(eigs > 0.0, eigs, 1.0)), 0.0)
+    return -np.sum(terms, axis=1)
+
+
 def purity(trajectory):
     """pi(t) = Tr rho^2(t), from the same spectra the entropy uses."""
-    eigs = _spectra(trajectory)
-    return np.sum(eigs * eigs, axis=1)
+    return _purity(_spectra(trajectory))
 
 
 def entropy(trajectory):
     """Von Neumann entropy S(t) = -sum lambda ln lambda, with 0 ln 0 = 0."""
-    eigs = _spectra(trajectory)
-    terms = np.where(eigs > 0.0, eigs * np.log(np.where(eigs > 0.0, eigs, 1.0)), 0.0)
-    return -np.sum(terms, axis=1)
+    return _entropy(_spectra(trajectory))
 
 
 def coherence(trajectory, i, j):
@@ -75,11 +81,10 @@ class ObservableSeries:
 def observable_series(trajectory, coherences=()):
     """Bundle populations, purity, entropy and the requested coherences."""
     eigs = _spectra(trajectory)
-    terms = np.where(eigs > 0.0, eigs * np.log(np.where(eigs > 0.0, eigs, 1.0)), 0.0)
     return ObservableSeries(
         times=trajectory.times.copy(),
         populations=populations(trajectory),
-        purity=np.sum(eigs * eigs, axis=1),
-        entropy=-np.sum(terms, axis=1),
+        purity=_purity(eigs),
+        entropy=_entropy(eigs),
         coherences={(i, j): coherence(trajectory, i, j) for i, j in coherences},
     )

@@ -1,0 +1,147 @@
+"""The CLI's exit-code contract, driven in-process through `cli.main`.
+
+Exit codes: 0 success, 2 input error, 3 numeric failure, 4 inadmissible
+initial state without --force, 5 verification failure. Every failure
+ends in a one-line message on stderr and never in a traceback.
+"""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from lindblad_pc import cli
+
+from conftest import MODEL_NAMES, MODEL_PARAMS
+
+# (rank of M, excluded level, power cap) at the suite's parameter sets.
+CLASSIFICATION = {
+    "v3": (9, None, 8),
+    "cascade3": (8, 3, 8),
+    "lambda3": (8, 2, 7),
+    "cascade4": (15, 4, 11),
+}
+
+ADMISSIBLE_SPEC = {
+    "v3": "diag:0.5,0,0.5",
+    "cascade3": "phase:1,2;0.7",
+    "lambda3": "phase:1,3;2.5",
+    "cascade4": "diag:0,0.5,0.5,0",
+}
+
+SHORT_GRID = ("--t-max", "5", "--steps", "51")
+
+
+def builtin_args(name):
+    params = ",".join(f"{k}={v}" for k, v in MODEL_PARAMS[name].items())
+    return ["--builtin", name, "--params", params]
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_classify_json(capsys, name):
+    code, out, err = run(capsys, "classify", *builtin_args(name), "--json")
+    assert (code, err) == (cli.EXIT_OK, "")
+    report = json.loads(out)
+    rank, level, cap = CLASSIFICATION[name]
+    assert report["partial_rank"] == rank
+    assert report["excluded_level"] == level
+    assert report["power_cap"] == cap
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_solve_writes_one_row_per_step(capsys, tmp_path, name):
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, "solve", *builtin_args(name),
+                         "--rho0", ADMISSIBLE_SPEC[name], *SHORT_GRID,
+                         "--coherences", "1,2", "--out", str(path))
+    assert (code, out, err) == (cli.EXIT_OK, "", "")
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    d = int(name[-1])
+    assert header[:d + 1] == ["t"] + [f"p_{i}" for i in range(1, d + 1)]
+    assert header[-2:] == ["re_12", "im_12"]
+    values = np.array(rows, dtype=float)
+    assert values.shape == (51, len(header))
+    np.testing.assert_allclose(values[:, 1:d + 1].sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_verify_admissible_state_passes(capsys, name):
+    code, out, err = run(capsys, "verify", *builtin_args(name),
+                         "--rho0", ADMISSIBLE_SPEC[name], *SHORT_GRID)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.splitlines()[-1] == "verdict: PASS"
+
+
+@pytest.mark.parametrize("name", ["cascade3", "lambda3", "cascade4"])
+def test_inadmissible_state_is_refused_unless_forced(capsys, name):
+    level = CLASSIFICATION[name][1]
+    args = ["verify", *builtin_args(name), "--rho0", f"pure:{level}", *SHORT_GRID]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (cli.EXIT_INADMISSIBLE, "")
+    assert err == (f"error: initial state is inadmissible: admissible states satisfy "
+                   f"rho_{level}{level} = 0; rerun with --force to propagate anyway\n")
+
+    code, out, err = run(capsys, *args, "--force")
+    assert code == cli.EXIT_VERIFY
+    assert out.splitlines()[-1] == "verdict: FAIL"
+    assert err.startswith("warning: initial state is outside the admissible subspace")
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def model_file(path, rate):
+    return write_json(path, {"dimension": 3,
+                             "jumps": [{"from": 3, "to": 2, "rate": rate}]})
+
+
+# Each case once ended in a traceback, a leaked warning or an unexplained
+# verdict; the argv builders take a scratch directory.
+DEFECTS = {
+    "verify-one-step": (
+        lambda tmp: ["verify", "--builtin", "cascade3", "--rho0", "pure:1",
+                     "--steps", "1"],
+        "--steps must be >= 2"),
+    "coherence-out-of-range": (
+        lambda tmp: ["solve", "--builtin", "cascade3", "--rho0", "pure:1",
+                     "--coherences", "1,7"],
+        "levels (1, 7) outside 1..3"),
+    "state-file-bad-entry": (
+        lambda tmp: ["solve", "--builtin", "cascade3", "--rho0", "file:" + write_json(
+            tmp / "rho.json", {"matrix": [[[1, 0, 0], 0, 0], [0, 0, 0], [0, 0, 0]]})],
+        "state file: matrix entries"),
+    "state-file-bad-diagonal": (
+        lambda tmp: ["solve", "--builtin", "cascade3", "--rho0",
+                     "file:" + write_json(tmp / "rho.json", {"diagonal": 5})],
+        "state file: diagonal"),
+    "state-nan-trace": (
+        lambda tmp: ["solve", "--builtin", "v3", "--rho0", "diag:nan,0.5,0.5"],
+        "initial state trace is nan"),
+    "model-file-negative-rate": (
+        lambda tmp: ["verify", model_file(tmp / "m.json", "-1"), "--rho0", "pure:1"],
+        "rate '-1' is negative"),
+    "model-file-overflowing-rate": (
+        lambda tmp: ["verify", model_file(tmp / "m.json", "exp(50*t)"),
+                     "--rho0", "pure:1"],
+        "rate 'exp(50*t)' is not finite"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(DEFECTS))
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case):
+    argv, message = DEFECTS[case]
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -6,10 +6,13 @@ from lindblad_pc import (
     admissible,
     assemble,
     classify,
+    commutator,
     default_sample_times,
     excluded_coordinate,
     functional_commutativity,
     gamma_operator,
+    generator_at,
+    integral_at,
     integral_commutativity,
     jump_operator,
     null_space,
@@ -117,6 +120,19 @@ class TestGammaOperator:
             assert np.abs(gam - gam.conj().T).max() <= 1e-14
             eigs = np.linalg.eigvalsh(gam)
             assert eigs.min() >= -1e-12 * max(np.abs(eigs).max(), 1e-300)
+
+    @pytest.mark.parametrize("cap", [1, 3, 6])
+    def test_sums_every_power_of_the_chain(self, cap):
+        g = make_generator("cascade4")
+        t = 1.7
+        gen, b = generator_at(g, t), integral_at(g, t)
+        expected = np.zeros((g.mu, g.mu), dtype=complex)
+        for n in range(1, cap + 1):
+            power = np.linalg.matrix_power(b, n)
+            c = commutator(gen, power) / np.linalg.norm(power)
+            expected += c.conj().T @ c
+        gam = gamma_operator(g, t, cap)
+        assert np.abs(gam - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestPartialSubspace:

@@ -11,12 +11,13 @@ from lindblad_pc import (
     integral_at,
     jump_operator,
     kron,
+    loads_model,
     parse_rate_expr,
     phase_state,
     unvec,
     vec,
 )
-from lindblad_pc.errors import UnknownModelError
+from lindblad_pc.errors import ModelFileError, UnknownModelError
 
 from conftest import make_generator
 
@@ -191,6 +192,11 @@ class TestBuiltin:
     def test_lambda3_rejects_negative_rate(self):
         with pytest.raises(ValueError):
             builtin("lambda3", {"f1": "t-5", "f2": "exp(-t)"})
+
+    def test_model_file_rejects_negative_rate(self):
+        doc = '{"dimension": 3, "jumps": [{"from": 3, "to": 2, "rate": "t-5"}]}'
+        with pytest.raises(ModelFileError, match="negative"):
+            loads_model(doc)
 
 
 class TestPhaseState:
