@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 EXIT_OK = 0
@@ -29,18 +29,6 @@ EXIT_VERIFY = 5
 DEFAULT_T_MAX = 20.0
 DEFAULT_STEPS = 400
 DEFAULT_VERIFY_TOL = 1e-6
-
-THREADS_ENV = "LINDBLAD_PC_THREADS"
-
-
-def _apply_thread_cap():
-    """Honor LINDBLAD_PC_THREADS by capping BLAS pools before numpy loads."""
-    cap = os.environ.get(THREADS_ENV)
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -121,6 +109,9 @@ def _load_model(args):
     params = _parse_params(args.params)
     if (args.model is None) == (args.builtin is None):
         raise ValueError("select a model with either a file path or --builtin")
+    if args.model is not None and args.params:
+        raise ValueError("--params applies to built-in models only; "
+                         "model files bind their own \"params\"")
     if args.builtin is not None:
         model = builtin(args.builtin, params)
         initial_state = None
@@ -186,11 +177,27 @@ def _resolve_rho0(args, d, initial_state):
     return rho / trace.real
 
 
-def _prepare(args):
-    """The prologue of solve and verify: load and assemble the model,
-    resolve rho0, check the grid and run the admissibility gate.
+def _coherence_pairs(items, d):
+    """Parse --coherences entries "i,j" into 1-based level pairs within 1..d."""
+    from .errors import IndexOutOfRangeError
 
-    Returns (g, rho0, grid, exit code or None when propagation may proceed).
+    pairs = []
+    for item in items:
+        i, _, j = item.partition(",")
+        i, j = int(i), int(j)
+        if not (1 <= i <= d and 1 <= j <= d):
+            raise IndexOutOfRangeError(f"levels ({i}, {j}) outside 1..{d}")
+        pairs.append((i, j))
+    return pairs
+
+
+def _prepare(args, coherences=()):
+    """The prologue of solve and verify: load the model, resolve rho0,
+    check the grid and the coherence pairs, validate the rates over the
+    grid's horizon, assemble, and run the admissibility gate.
+
+    Returns (g, rho0, grid, coherence pairs, exit code or None when
+    propagation may proceed).
     """
     import numpy as np
 
@@ -198,26 +205,27 @@ def _prepare(args):
     from .model import assemble
 
     model, params, initial_state = _load_model(args)
-    g = assemble(model)
     rho0 = _resolve_rho0(args, model.dim, initial_state)
-    if args.steps < 2 or args.t_max <= 0:
-        raise ValueError("--steps must be >= 2 and --t-max positive")
+    if args.steps < 2 or not 0 < args.t_max < math.inf:
+        raise ValueError("--steps must be >= 2 and --t-max positive and finite")
     grid = np.linspace(0.0, args.t_max, args.steps)
+    pairs = _coherence_pairs(coherences, model.dim)
+    g = assemble(model.validate(args.t_max))
 
     subspace = partial_subspace(g, _sample_times(params))
     if admissible(rho0, subspace, tol=1e-8):
-        return g, rho0, grid, None
+        return g, rho0, grid, pairs, None
     if args.force:
         print("warning: initial state is outside the admissible subspace; "
               "the closed form is not a solution (--force given)", file=sys.stderr)
-        return g, rho0, grid, None
+        return g, rho0, grid, pairs, None
     _, level = excluded_coordinate(subspace)
     detail = (f"admissible states satisfy rho_{level}{level} = 0"
               if level is not None else
               f"the admissible subspace has dimension {subspace.rank}")
     print(f"error: initial state is inadmissible: {detail}; "
           "rerun with --force to propagate anyway", file=sys.stderr)
-    return g, rho0, grid, EXIT_INADMISSIBLE
+    return g, rho0, grid, pairs, EXIT_INADMISSIBLE
 
 
 def cmd_classify(args):
@@ -272,15 +280,10 @@ def cmd_solve(args):
     from .observables import observable_series
     from .solver import propagate_closed_form
 
-    g, rho0, grid, failure = _prepare(args)
+    g, rho0, grid, pairs, failure = _prepare(args, args.coherences)
     if failure is not None:
         return failure
     trajectory = propagate_closed_form(g, rho0, grid)
-
-    pairs = []
-    for item in args.coherences:
-        i, _, j = item.partition(",")
-        pairs.append((int(i), int(j)))
     series = observable_series(trajectory, pairs)
 
     text = "".join(line + "\n" for line in _csv_lines(series))
@@ -296,7 +299,7 @@ def cmd_verify(args):
     from .linalg import vec
     from .solver import compare, fedorov_residual, ode_oracle, propagate_closed_form
 
-    g, rho0, grid, failure = _prepare(args)
+    g, rho0, grid, _, failure = _prepare(args)
     if failure is not None:
         return failure
     closed = propagate_closed_form(g, rho0, grid)
@@ -335,7 +338,6 @@ def run(argv):
 
 
 def main(argv=None):
-    _apply_thread_cap()
     if argv is None:
         argv = sys.argv[1:]
     return run(argv)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotADensityMatrixError
+from .errors import NonFiniteError, NotADensityMatrixError
 from .linalg import DEFAULT_REL_TOL, SubspaceBasis, minimal_poly_degree, null_space
 from .model import generator_at, integral_at
 
@@ -103,15 +103,21 @@ def integral_commutativity(g, times=None, tol=DEFAULT_REL_TOL):
 
 def _commutator_chain(g, t, power_cap):
     """Yield C_n = [L(t), B(t)^n] / ||B(t)^n|| for n = 1..power_cap,
-    skipping the powers of B(t) that vanish."""
+    skipping the powers of B(t) that vanish. Raises NonFiniteError once
+    a power of B(t), its norm or C_n overflows."""
     gen = generator_at(g, t)
     b = integral_at(g, t)
     power = np.eye(g.mu, dtype=complex)
-    for _ in range(power_cap):
-        power = power @ b
-        norm = np.linalg.norm(power)
-        if norm != 0.0:
-            yield (gen @ power - power @ gen) / norm
+    for n in range(1, power_cap + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ b
+            norm = np.linalg.norm(power)
+            if norm == 0.0:
+                continue
+            c = (gen @ power - power @ gen) / norm
+        if not (np.isfinite(norm) and np.all(np.isfinite(c))):
+            raise NonFiniteError(f"[L(t), B(t)^{n}] overflows at t={t:g}")
+        yield c
 
 
 def gamma_operator(g, t, power_cap):

@@ -17,7 +17,7 @@ import scipy.linalg
 from .errors import DimensionMismatchError, NonFiniteError
 
 __all__ = [
-    "kron", "vec", "unvec", "commutator", "expm", "null_space",
+    "kron", "vec", "unvec", "commutator", "expm", "expm_frechet", "null_space",
     "minimal_poly_degree", "SubspaceBasis", "DEFAULT_REL_TOL",
 ]
 
@@ -81,6 +81,18 @@ def expm(a):
     return scipy.linalg.expm(a)
 
 
+def expm_frechet(a, e):
+    """exp(A) and its Frechet derivative at A in the direction E,
+    returned as the pair (exp(A), L(A, E)) (Al-Mohy & Higham, 2009)."""
+    a = _as_square(a)
+    e = _as_square(e)
+    if a.shape != e.shape:
+        raise DimensionMismatchError(f"expm_frechet of {a.shape} along {e.shape}")
+    _require_finite(a, "expm_frechet input")
+    _require_finite(e, "expm_frechet direction")
+    return scipy.linalg.expm_frechet(a, e)
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of a subspace of C^dim, one basis vector per column."""
@@ -140,8 +152,11 @@ def minimal_poly_degree(a, rel_tol=DEFAULT_REL_TOL):
     power = np.eye(n, dtype=complex)
     vecs = [vec(power) / np.sqrt(n)]
     for m in range(1, n + 1):
-        power = power @ a
-        norm = np.linalg.norm(power)
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ a
+            norm = np.linalg.norm(power)
+        if not np.isfinite(norm):
+            raise NonFiniteError(f"minimal_poly_degree input overflows at power {m}")
         if norm == 0.0:
             return m  # A^m = 0 lies in every span
         vecs.append(vec(power) / norm)

@@ -32,9 +32,11 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 
-# Rates are required to be finite and nonnegative on the working interval;
-# they are sampled there before a model is accepted.
-RATE_SAMPLE_INTERVAL = (0.0, 20.0)
+# Rates are required to be finite and nonnegative on [0, max(RATE_HORIZON,
+# t_max)], where t_max is the horizon a run propagates to; they are sampled
+# there, RATE_SAMPLE_COUNT points per RATE_HORIZON time units, before a
+# model is accepted.
+RATE_HORIZON = 20.0
 RATE_SAMPLE_COUNT = 81
 
 
@@ -72,7 +74,9 @@ class LindbladModel:
     hamiltonian: np.ndarray
     jumps: list[Jump] = field(default_factory=list)
 
-    def validate(self):
+    def validate(self, t_max=RATE_HORIZON):
+        """Check the shapes, that H is Hermitian, and that every rate is
+        finite and nonnegative on [0, max(RATE_HORIZON, t_max)]."""
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.shape != (self.dim, self.dim):
             raise ValueError(f"Hamiltonian shape {h.shape} for dimension {self.dim}")
@@ -82,12 +86,15 @@ class LindbladModel:
             v = np.asarray(jump.operator, dtype=complex)
             if v.shape != (self.dim, self.dim):
                 raise ValueError(f"jump operator {k} has shape {v.shape}")
-            _check_rate(jump.rate)
+            _check_rate(jump.rate, t_max)
         return self
 
 
-def _check_rate(rate):
-    for t in np.linspace(*RATE_SAMPLE_INTERVAL, RATE_SAMPLE_COUNT):
+def _check_rate(rate, t_max):
+    horizon = max(RATE_HORIZON, t_max)
+    count = math.ceil((RATE_SAMPLE_COUNT - 1) * horizon / RATE_HORIZON) + 1
+    for k in range(count):  # not np.linspace: a long horizon needs no array
+        t = horizon * k / (count - 1)
         try:
             value = eval_expr(rate, t)
         except NonFiniteError:

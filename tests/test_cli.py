@@ -134,6 +134,14 @@ DEFECTS = {
         lambda tmp: ["verify", model_file(tmp / "m.json", "exp(50*t)"),
                      "--rho0", "pure:1"],
         "rate 'exp(50*t)' is not finite"),
+    "model-file-rate-negative-beyond-20": (
+        lambda tmp: ["verify", model_file(tmp / "m.json", "25-t"),
+                     "--rho0", "pure:2", "--t-max", "40"],
+        "rate '25 - t' is negative at t=25.25"),
+    "params-with-model-file": (
+        lambda tmp: ["classify", model_file(tmp / "m.json", "1"),
+                     "--params", "omega=7,bogus=3", "--json"],
+        "model files bind their own"),
 }
 
 
@@ -145,3 +153,23 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case):
     assert (code, out) == (cli.EXIT_PARSE, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_coherences_are_checked_before_propagating(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("propagated before checking --coherences")
+
+    monkeypatch.setattr("lindblad_pc.solver.propagate_closed_form", refuse)
+    code, out, err = run(capsys, "solve", "--builtin", "cascade3", "--rho0", "pure:1",
+                         "--steps", "20000", "--coherences", "1,7")
+    assert (code, out, err) == (cli.EXIT_PARSE, "", "error: levels (1, 7) outside 1..3\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["classify"], ["solve", "--rho0", "pure:1"]])
+def test_overflowing_chain_exits_3_with_one_line(capsys, tmp_path, command):
+    path = model_file(tmp_path / "m.json", "exp(30*t)")
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert (code, out) == (cli.EXIT_NUMERIC, "")
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert "overflows" in err

@@ -14,6 +14,7 @@ from lindblad_pc import (
     vec,
 )
 from lindblad_pc.errors import DimensionMismatchError, NonFiniteError
+from lindblad_pc.linalg import expm_frechet
 
 
 def random_complex(rng, *shape):
@@ -121,6 +122,41 @@ class TestExpm:
             expm(bad)
 
 
+class TestExpmFrechet:
+    def test_commuting_direction_gives_e_times_exp(self):
+        # for E commuting with A, L(A, E) = E exp(A)
+        rng = np.random.default_rng(8)
+        a = random_complex(rng, 4, 4)
+        a /= np.linalg.norm(a)
+        e = 0.5 * a + 2.0 * np.eye(4)
+        exp_a, frechet = expm_frechet(a, e)
+        assert np.abs(exp_a - expm(a)).max() <= 1e-13
+        assert np.abs(frechet - e @ expm(a)).max() <= 1e-13
+
+    def test_matches_central_difference(self):
+        rng = np.random.default_rng(9)
+        h = 1e-5
+        for _ in range(5):
+            a = random_complex(rng, 4, 4)
+            e = random_complex(rng, 4, 4)
+            a /= np.linalg.norm(a)
+            e /= np.linalg.norm(e)
+            diff = (expm(a + h * e) - expm(a - h * e)) / (2 * h)
+            assert np.abs(expm_frechet(a, e)[1] - diff).max() <= 1e-8
+
+    def test_rejects_non_finite_input_and_direction(self):
+        bad = np.zeros((2, 2))
+        bad[0, 0] = np.inf
+        with pytest.raises(NonFiniteError):
+            expm_frechet(bad, np.eye(2))
+        with pytest.raises(NonFiniteError):
+            expm_frechet(np.eye(2), bad)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionMismatchError):
+            expm_frechet(np.eye(2), np.eye(3))
+
+
 class TestNullSpace:
     def test_zero_matrix_gives_full_space(self):
         sub = null_space(np.zeros((4, 4)))
@@ -170,6 +206,11 @@ class TestMinimalPolyDegree:
         g = assemble(builtin("cascade3", {"eps": 0.0}))
         for t in (0.5, 1.0, 2.0):
             assert minimal_poly_degree(integral_at(g, t)) == 6
+
+    def test_overflowing_power_raises_without_warning(self):
+        with np.errstate(all="raise"):
+            with pytest.raises(NonFiniteError, match="overflows at power 2"):
+                minimal_poly_degree(np.full((3, 3), 1e100))
 
     def test_scale_invariance(self):
         g = assemble(builtin("cascade3", {"eps": 0.0}))

@@ -199,6 +199,14 @@ class TestBuiltin:
             loads_model(doc)
 
 
+    def test_rates_are_checked_up_to_the_requested_horizon(self):
+        doc = '{"dimension": 3, "jumps": [{"from": 3, "to": 2, "rate": "25-t"}]}'
+        model, _ = loads_model(doc)
+        assert model.validate(25.0) is model
+        with pytest.raises(ValueError, match=r"negative at t=25\.25"):
+            model.validate(40.0)
+
+
 class TestPhaseState:
     def test_pair_entries(self):
         phi = 0.9

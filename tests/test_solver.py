@@ -8,6 +8,7 @@ from lindblad_pc import (
     expm,
     fedorov_residual,
     generator_at,
+    integral_at,
     jump_operator,
     ode_oracle,
     parse_rate_expr,
@@ -90,7 +91,39 @@ class TestOracle:
         assert max(np.abs(tr.states[i] - rho0).max() for i in range(GRID.size)) <= 1e-9
 
 
+def central_difference_residual(g, alpha, grid):
+    """The flow residual with d/dt exp(B(t)) alpha taken by central
+    differences (h = 1e-5 times the grid step), skipping t < h; an
+    independent reference for the exact derivative."""
+    h = 1e-5 * float(np.median(np.diff(grid)))
+
+    def flow(t):
+        return expm(integral_at(g, t)) @ alpha
+
+    worst = 0.0
+    for t in grid[grid >= h]:
+        derivative = (flow(t + h) - flow(t - h)) / (2.0 * h)
+        residual = derivative - generator_at(g, t) @ flow(t)
+        worst = max(worst, float(np.linalg.norm(residual)))
+    return worst / float(np.linalg.norm(alpha))
+
+
 class TestFedorovResidual:
+    def test_matches_central_difference_on_negative_control(self):
+        g = make_generator("cascade3")
+        alpha = vec(diag_state(0.0, 0.0, 1.0))
+        grid = np.linspace(0.0, 20.0, 400)
+        exact = fedorov_residual(g, alpha, grid)
+        assert exact == pytest.approx(central_difference_residual(g, alpha, grid),
+                                      rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["cascade3", "cascade4"])
+    def test_near_machine_precision_on_admissible_states(self, name):
+        g = make_generator(name)
+        grid = np.linspace(0.0, 20.0, 400)
+        for rho0 in admissible_bank(name):
+            assert fedorov_residual(g, vec(rho0), grid) <= 1e-13
+
     def test_small_on_admissible_vector(self):
         g = make_generator("cascade3")
         alpha = vec(diag_state(0.5, 0.5, 0.0))
