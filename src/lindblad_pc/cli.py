@@ -20,15 +20,18 @@ import json
 import math
 import sys
 
+from .model import HORIZON
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_INADMISSIBLE = 4
 EXIT_VERIFY = 5
 
-DEFAULT_T_MAX = 20.0
 DEFAULT_STEPS = 400
 DEFAULT_VERIFY_TOL = 1e-6
+T_MAX_HELP = (f"end of the time grid (default {HORIZON:g}); rates and sample "
+              f"times are checked on the window [0, max({HORIZON:g}, t-max)]")
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -60,7 +63,7 @@ def build_parser():
     solve.add_argument("--rho0", metavar="SPEC",
                        help="initial state: diag:a,b,... | pure:k | "
                             "phase:levels[;phases] | file:PATH")
-    solve.add_argument("--t-max", type=float, default=DEFAULT_T_MAX)
+    solve.add_argument("--t-max", type=float, default=HORIZON, help=T_MAX_HELP)
     solve.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                        help="number of grid points including t=0 (default 400)")
     solve.add_argument("--coherences", nargs="*", default=[], metavar="I,J",
@@ -73,7 +76,7 @@ def build_parser():
     verify = sub.add_parser("verify", help="closed form vs ODE oracle")
     add_model_arguments(verify)
     verify.add_argument("--rho0", metavar="SPEC", required=True)
-    verify.add_argument("--t-max", type=float, default=DEFAULT_T_MAX)
+    verify.add_argument("--t-max", type=float, default=HORIZON, help=T_MAX_HELP)
     verify.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     verify.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL,
                         help="acceptance threshold (default 1e-6)")
@@ -102,32 +105,23 @@ def _parse_params(chunks):
 
 
 def _load_model(args):
-    """Resolve the model selection; returns (model, params, initial_state)."""
+    """Resolve the model selection; returns (model, initial_state)."""
     from . import modelfile
     from .model import builtin
 
-    params = _parse_params(args.params)
     if (args.model is None) == (args.builtin is None):
         raise ValueError("select a model with either a file path or --builtin")
     if args.model is not None and args.params:
         raise ValueError("--params applies to built-in models only; "
                          "model files bind their own \"params\"")
     if args.builtin is not None:
-        model = builtin(args.builtin, params)
+        model = builtin(args.builtin, _parse_params(args.params))
         initial_state = None
     else:
         model, initial_state = modelfile.load_model(args.model)
     if args.emit_model:
         modelfile.dump_model(model, args.emit_model, initial_state)
-    return model, params, initial_state
-
-
-def _sample_times(params):
-    from .commutativity import default_sample_times
-
-    omega = params.get("omega")
-    scale = 1.0 / omega if isinstance(omega, float) and omega > 0 else 1.0
-    return default_sample_times(scale)
+    return model, initial_state
 
 
 def _parse_rho0(spec, d):
@@ -193,26 +187,28 @@ def _coherence_pairs(items, d):
 
 def _prepare(args, coherences=()):
     """The prologue of solve and verify: load the model, resolve rho0,
-    check the grid and the coherence pairs, validate the rates over the
-    grid's horizon, assemble, and run the admissibility gate.
+    check the grid and the coherence pairs, assemble (which validates the
+    rates on the run's time window), and run the admissibility gate with
+    sample times spanning that window.
 
     Returns (g, rho0, grid, coherence pairs, exit code or None when
     propagation may proceed).
     """
     import numpy as np
 
-    from .commutativity import admissible, excluded_coordinate, partial_subspace
+    from .commutativity import (
+        admissible, default_sample_times, excluded_coordinate, partial_subspace)
     from .model import assemble
 
-    model, params, initial_state = _load_model(args)
+    model, initial_state = _load_model(args)
     rho0 = _resolve_rho0(args, model.dim, initial_state)
     if args.steps < 2 or not 0 < args.t_max < math.inf:
         raise ValueError("--steps must be >= 2 and --t-max positive and finite")
     grid = np.linspace(0.0, args.t_max, args.steps)
     pairs = _coherence_pairs(coherences, model.dim)
-    g = assemble(model.validate(args.t_max))
+    g = assemble(model, args.t_max)
 
-    subspace = partial_subspace(g, _sample_times(params))
+    subspace = partial_subspace(g, default_sample_times(args.t_max))
     if admissible(rho0, subspace, tol=1e-8):
         return g, rho0, grid, pairs, None
     if args.force:
@@ -232,9 +228,9 @@ def cmd_classify(args):
     from .commutativity import classify
     from .model import assemble
 
-    model, params, _ = _load_model(args)
+    model, _ = _load_model(args)
     g = assemble(model)
-    report = classify(g, _sample_times(params), rel_tol=args.tol)
+    report = classify(g, rel_tol=args.tol)
     if args.as_json:
         print(json.dumps({
             "functional": report.functional,

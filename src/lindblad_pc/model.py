@@ -32,12 +32,16 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 
-# Rates are required to be finite and nonnegative on [0, max(RATE_HORIZON,
-# t_max)], where t_max is the horizon a run propagates to; they are sampled
-# there, RATE_SAMPLE_COUNT points per RATE_HORIZON time units, before a
-# model is accepted.
-RATE_HORIZON = 20.0
+# A run to t_max has the time window [0, max(HORIZON, t_max)]. Rates must
+# be finite and nonnegative there (sampled at RATE_SAMPLE_COUNT points per
+# HORIZON time units), and the commutativity sample times span it.
+HORIZON = 20.0
 RATE_SAMPLE_COUNT = 81
+
+
+def time_window(t_max):
+    """The end of the time window of a run to t_max."""
+    return max(HORIZON, t_max)
 
 
 def jump_operator(d, target, source):
@@ -74,9 +78,9 @@ class LindbladModel:
     hamiltonian: np.ndarray
     jumps: list[Jump] = field(default_factory=list)
 
-    def validate(self, t_max=RATE_HORIZON):
+    def validate(self, t_max=HORIZON):
         """Check the shapes, that H is Hermitian, and that every rate is
-        finite and nonnegative on [0, max(RATE_HORIZON, t_max)]."""
+        finite and nonnegative on [0, max(HORIZON, t_max)]."""
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.shape != (self.dim, self.dim):
             raise ValueError(f"Hamiltonian shape {h.shape} for dimension {self.dim}")
@@ -91,10 +95,10 @@ class LindbladModel:
 
 
 def _check_rate(rate, t_max):
-    horizon = max(RATE_HORIZON, t_max)
-    count = math.ceil((RATE_SAMPLE_COUNT - 1) * horizon / RATE_HORIZON) + 1
-    for k in range(count):  # not np.linspace: a long horizon needs no array
-        t = horizon * k / (count - 1)
+    window = time_window(t_max)
+    count = math.ceil((RATE_SAMPLE_COUNT - 1) * window / HORIZON) + 1
+    for k in range(count):  # not np.linspace: a long window needs no array
+        t = window * k / (count - 1)
         try:
             value = eval_expr(rate, t)
         except NonFiniteError:
@@ -142,9 +146,9 @@ class GeneratorDecomposition:
         return self.dim * self.dim
 
 
-def assemble(model):
-    """Build the vectorized generator decomposition of a model."""
-    model.validate()
+def assemble(model, t_max=HORIZON):
+    """Build the vectorized generator decomposition for a run to t_max."""
+    model.validate(t_max)
     d = model.dim
     h = np.asarray(model.hamiltonian, dtype=complex)
     eye = np.eye(d, dtype=complex)

@@ -20,7 +20,7 @@ CLASSIFICATION = {
     "v3": (9, None, 8),
     "cascade3": (8, 3, 8),
     "lambda3": (8, 2, 7),
-    "cascade4": (15, 4, 11),
+    "cascade4": (15, 4, 12),
 }
 
 ADMISSIBLE_SPEC = {
@@ -168,8 +168,30 @@ def test_coherences_are_checked_before_propagating(capsys, monkeypatch):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", [["classify"], ["solve", "--rho0", "pure:1"]])
 def test_overflowing_chain_exits_3_with_one_line(capsys, tmp_path, command):
-    path = model_file(tmp_path / "m.json", "exp(30*t)")
-    code, out, err = run(capsys, command[0], path, *command[1:])
+    for rate in ("exp(30*t)", "1e200"):
+        path = model_file(tmp_path / "m.json", rate)
+        code, out, err = run(capsys, command[0], path, *command[1:])
+        assert (code, out) == (cli.EXIT_NUMERIC, ""), rate
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert "overflows" in err
+
+
+def test_oracle_work_is_bounded(capsys, tmp_path):
+    path = model_file(tmp_path / "m.json", "exp(2*t)")
+    code, out, err = run(capsys, "verify", path, "--rho0", "pure:3", "--force")
     assert (code, out) == (cli.EXIT_NUMERIC, "")
-    assert err.startswith("numeric failure: ") and err.count("\n") == 1
-    assert "overflows" in err
+    assert err.startswith("numeric failure: ODE oracle gave up after ")
+    assert err.count("\n") == 1
+    assert "right-hand-side evaluations at t=" in err
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_emitted_model_classifies_like_the_builtin(capsys, tmp_path, name):
+    path = str(tmp_path / "model.json")
+    params = ",".join(f"{k}={v}" for k, v in {**MODEL_PARAMS[name], "omega": 3}.items())
+    code, builtin_out, err = run(capsys, "classify", "--builtin", name,
+                                 "--params", params, "--json", "--emit-model", path)
+    assert (code, err) == (cli.EXIT_OK, "")
+    code, file_out, err = run(capsys, "classify", path, "--json")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert file_out == builtin_out

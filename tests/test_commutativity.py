@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lindblad_pc import (
     LindbladModel,
@@ -15,6 +16,7 @@ from lindblad_pc import (
     integral_at,
     integral_commutativity,
     jump_operator,
+    minimal_poly_degree,
     null_space,
     partial_subspace,
     parse_rate_expr,
@@ -44,15 +46,18 @@ class TestDefaultSampleTimes:
     def test_deterministic(self):
         assert default_sample_times() == default_sample_times()
 
-    def test_scaling(self):
-        base = default_sample_times(1.0)
-        scaled = default_sample_times(0.5)
-        assert scaled == [t * 0.5 for t in base]
-
     def test_enough_positive_points(self):
         times = default_sample_times()
         assert len(times) == 12
         assert all(t > 0 for t in times)
+
+    @given(st.floats(min_value=1e-3, max_value=1e6))
+    def test_span_the_window_of_the_run(self, t_max):
+        times = default_sample_times(t_max)
+        assert times == default_sample_times(t_max)
+        assert len(set(times)) == 12
+        assert min(times) > 0
+        assert max(times) == max(20.0, t_max)
 
 
 class TestFunctionalCommutativity:
@@ -67,10 +72,6 @@ class TestFunctionalCommutativity:
 
     def test_single_jump_family_commutes(self):
         assert functional_commutativity(single_jump_model()) is True
-
-    def test_requires_two_times(self):
-        with pytest.raises(ValueError):
-            functional_commutativity(make_generator("v3"), times=[1.0])
 
 
 class TestIntegralCommutativity:
@@ -154,6 +155,13 @@ class TestPartialSubspace:
     def test_needs_three_positive_times(self):
         with pytest.raises(ValueError):
             partial_subspace(make_generator("cascade3"), times=[0.0, 1.0, 1.0])
+
+    def test_long_window_keeps_the_early_constraints(self):
+        # These rates act only early; sample times spread over the window of
+        # a run to 1e5 alone miss the constraint and return the full space.
+        g = make_generator("lambda3", {"f1": "t*exp(-t)", "f2": "1/(1 + t^2)"})
+        sub = partial_subspace(g, default_sample_times(1e5))
+        assert excluded_coordinate(sub) == (5, 2)
 
     def test_more_times_never_enlarge_subspace(self):
         g = make_generator("cascade3")
@@ -244,6 +252,14 @@ class TestClassify:
         assert report.excluded_coordinate == 16
         assert report.excluded_level == 4
         assert report.residual_max <= 1e-8
+
+    @pytest.mark.parametrize("name", ["v3", "cascade3", "lambda3", "cascade4"])
+    def test_power_cap_is_the_largest_degree_over_the_sample_times(self, name):
+        g = make_generator(name)
+        report = classify(g)
+        degree = max(minimal_poly_degree(integral_at(g, t))
+                     for t in report.sample_times)
+        assert report.power_cap == min(g.mu - 1, degree - 1)
 
     def test_implication_chain(self):
         # functional implies integral implies full rank on these samples
