@@ -20,7 +20,9 @@ import json
 import math
 import sys
 
-from .model import HORIZON
+import numpy as np
+
+from . import commutativity, errors, linalg, model, modelfile, observables, solver
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -30,8 +32,8 @@ EXIT_VERIFY = 5
 
 DEFAULT_STEPS = 400
 DEFAULT_VERIFY_TOL = 1e-6
-T_MAX_HELP = (f"end of the time grid (default {HORIZON:g}); rates and sample "
-              f"times are checked on the window [0, max({HORIZON:g}, t-max)]")
+T_MAX_HELP = (f"end of the time grid (default {model.HORIZON:g}); rates and sample "
+              f"times are checked on the window [0, max({model.HORIZON:g}, t-max)]")
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -52,8 +54,6 @@ def build_parser():
 
     classify = sub.add_parser("classify", help="commutativity classification")
     add_model_arguments(classify)
-    classify.add_argument("--tol", type=float, default=1e-10,
-                          help="relative rank/commutator tolerance (default 1e-10)")
     classify.add_argument("--json", action="store_true", dest="as_json",
                           help="machine-readable output")
     classify.set_defaults(func=cmd_classify)
@@ -63,7 +63,7 @@ def build_parser():
     solve.add_argument("--rho0", metavar="SPEC",
                        help="initial state: diag:a,b,... | pure:k | "
                             "phase:levels[;phases] | file:PATH")
-    solve.add_argument("--t-max", type=float, default=HORIZON, help=T_MAX_HELP)
+    solve.add_argument("--t-max", type=float, default=model.HORIZON, help=T_MAX_HELP)
     solve.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                        help="number of grid points including t=0 (default 400)")
     solve.add_argument("--coherences", nargs="*", default=[], metavar="I,J",
@@ -76,7 +76,7 @@ def build_parser():
     verify = sub.add_parser("verify", help="closed form vs ODE oracle")
     add_model_arguments(verify)
     verify.add_argument("--rho0", metavar="SPEC", required=True)
-    verify.add_argument("--t-max", type=float, default=HORIZON, help=T_MAX_HELP)
+    verify.add_argument("--t-max", type=float, default=model.HORIZON, help=T_MAX_HELP)
     verify.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     verify.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL,
                         help="acceptance threshold (default 1e-6)")
@@ -106,30 +106,22 @@ def _parse_params(chunks):
 
 def _load_model(args):
     """Resolve the model selection; returns (model, initial_state)."""
-    from . import modelfile
-    from .model import builtin
-
     if (args.model is None) == (args.builtin is None):
         raise ValueError("select a model with either a file path or --builtin")
     if args.model is not None and args.params:
         raise ValueError("--params applies to built-in models only; "
                          "model files bind their own \"params\"")
     if args.builtin is not None:
-        model = builtin(args.builtin, _parse_params(args.params))
+        loaded = model.builtin(args.builtin, _parse_params(args.params))
         initial_state = None
     else:
-        model, initial_state = modelfile.load_model(args.model)
+        loaded, initial_state = modelfile.load_model(args.model)
     if args.emit_model:
-        modelfile.dump_model(model, args.emit_model, initial_state)
-    return model, initial_state
+        modelfile.dump_model(loaded, args.emit_model, initial_state)
+    return loaded, initial_state
 
 
 def _parse_rho0(spec, d):
-    import numpy as np
-
-    from .model import jump_operator, phase_state
-    from .modelfile import _parse_operator
-
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"--rho0 spec needs a kind prefix, got {spec!r}")
@@ -143,22 +135,20 @@ def _parse_rho0(spec, d):
         k = int(rest)
         if not (1 <= k <= d):
             raise ValueError(f"pure: level {k} outside 1..{d}")
-        return jump_operator(d, k, k)
+        return model.jump_operator(d, k, k)
     if kind == "phase":
         levels_part, _, phases_part = rest.partition(";")
         levels = [int(x) for x in levels_part.split(",") if x]
         phases = [float(x) for x in phases_part.split(",")] if phases_part else None
-        return phase_state(d, levels, phases)
+        return model.phase_state(d, levels, phases)
     if kind == "file":
         with open(rest, encoding="utf-8") as fh:
-            return _parse_operator(json.load(fh), d, "state file")
+            return modelfile._parse_operator(json.load(fh), d, "state file")
     raise ValueError(f"unknown --rho0 kind {kind!r}")
 
 
 def _resolve_rho0(args, d, initial_state):
     """The initial state from --rho0, else from the model file, with unit trace."""
-    import numpy as np
-
     if args.rho0:
         rho = _parse_rho0(args.rho0, d)
     elif initial_state is not None:
@@ -173,14 +163,12 @@ def _resolve_rho0(args, d, initial_state):
 
 def _coherence_pairs(items, d):
     """Parse --coherences entries "i,j" into 1-based level pairs within 1..d."""
-    from .errors import IndexOutOfRangeError
-
     pairs = []
     for item in items:
         i, _, j = item.partition(",")
         i, j = int(i), int(j)
         if not (1 <= i <= d and 1 <= j <= d):
-            raise IndexOutOfRangeError(f"levels ({i}, {j}) outside 1..{d}")
+            raise errors.IndexOutOfRangeError(f"levels ({i}, {j}) outside 1..{d}")
         pairs.append((i, j))
     return pairs
 
@@ -194,28 +182,22 @@ def _prepare(args, coherences=()):
     Returns (g, rho0, grid, coherence pairs, exit code or None when
     propagation may proceed).
     """
-    import numpy as np
-
-    from .commutativity import (
-        admissible, default_sample_times, excluded_coordinate, partial_subspace)
-    from .model import assemble
-
-    model, initial_state = _load_model(args)
-    rho0 = _resolve_rho0(args, model.dim, initial_state)
+    loaded, initial_state = _load_model(args)
+    rho0 = _resolve_rho0(args, loaded.dim, initial_state)
     if args.steps < 2 or not 0 < args.t_max < math.inf:
         raise ValueError("--steps must be >= 2 and --t-max positive and finite")
     grid = np.linspace(0.0, args.t_max, args.steps)
-    pairs = _coherence_pairs(coherences, model.dim)
-    g = assemble(model, args.t_max)
+    pairs = _coherence_pairs(coherences, loaded.dim)
+    g = model.assemble(loaded, args.t_max)
 
-    subspace = partial_subspace(g, default_sample_times(args.t_max))
-    if admissible(rho0, subspace, tol=1e-8):
+    subspace = commutativity.partial_subspace(g, args.t_max)
+    if commutativity.admissible(rho0, subspace):
         return g, rho0, grid, pairs, None
     if args.force:
         print("warning: initial state is outside the admissible subspace; "
               "the closed form is not a solution (--force given)", file=sys.stderr)
         return g, rho0, grid, pairs, None
-    _, level = excluded_coordinate(subspace)
+    _, level = commutativity.excluded_coordinate(subspace)
     detail = (f"admissible states satisfy rho_{level}{level} = 0"
               if level is not None else
               f"the admissible subspace has dimension {subspace.rank}")
@@ -225,12 +207,8 @@ def _prepare(args, coherences=()):
 
 
 def cmd_classify(args):
-    from .commutativity import classify
-    from .model import assemble
-
-    model, _ = _load_model(args)
-    g = assemble(model)
-    report = classify(g, rel_tol=args.tol)
+    loaded, _ = _load_model(args)
+    report = commutativity.classify(model.assemble(loaded))
     if args.as_json:
         print(json.dumps({
             "functional": report.functional,
@@ -273,14 +251,11 @@ def _csv_lines(series):
 
 
 def cmd_solve(args):
-    from .observables import observable_series
-    from .solver import propagate_closed_form
-
     g, rho0, grid, pairs, failure = _prepare(args, args.coherences)
     if failure is not None:
         return failure
-    trajectory = propagate_closed_form(g, rho0, grid)
-    series = observable_series(trajectory, pairs)
+    trajectory = solver.propagate_closed_form(g, rho0, grid)
+    series = observables.observable_series(trajectory, pairs)
 
     text = "".join(line + "\n" for line in _csv_lines(series))
     if args.out:
@@ -292,16 +267,13 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    from .linalg import vec
-    from .solver import compare, fedorov_residual, ode_oracle, propagate_closed_form
-
     g, rho0, grid, _, failure = _prepare(args)
     if failure is not None:
         return failure
-    closed = propagate_closed_form(g, rho0, grid)
-    oracle = ode_oracle(g, rho0, grid)
-    distance = compare(closed, oracle)
-    residual = fedorov_residual(g, vec(rho0), grid)
+    closed = solver.propagate_closed_form(g, rho0, grid)
+    oracle = solver.ode_oracle(g, rho0, grid)
+    distance = solver.compare(closed, oracle)
+    residual = solver.fedorov_residual(g, linalg.vec(rho0), grid)
 
     print(f"max trace distance: {distance:.3e}")
     print(f"fedorov residual: {residual:.3e}")
@@ -319,16 +291,14 @@ def run(argv):
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return EXIT_PARSE if exc.code else EXIT_OK
 
-    from .errors import IndexOutOfRangeError, StepSizeUnderflowError
-
     # Base classes only: every other LindbladError, and json.JSONDecodeError,
     # subclasses ValueError or ArithmeticError.
     try:
         return args.func(args)
-    except (ValueError, OSError, IndexOutOfRangeError) as exc:
+    except (ValueError, OSError, errors.IndexOutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ArithmeticError, StepSizeUnderflowError) as exc:
+    except (ArithmeticError, errors.StepSizeUnderflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 ADMISSIBLE_TOL = 1e-8
+# Largest entry of (complement projector - a coordinate projector) that
+# still counts as that single excluded coordinate.
+EXCLUDED_TOL = 1e-6
 
 # Six fixed sample times in (0, HORIZON / 2], where decaying rates act (a
 # long window that scaled them too lost those constraints), five seeded
@@ -77,30 +80,25 @@ def _rel_commutator(a, b):
     return 0.0 if num == 0.0 else num / den
 
 
-def functional_commutativity(g, tol=DEFAULT_REL_TOL):
+def functional_commutativity(g):
     """Whether L(t) and L(s) commute for all pairs of times.
 
     Decided by the sufficient check that the constant components
     {L_H, L_k} of the decomposition commute pairwise, with commutator
-    norms compared against `tol` relative to the operand norms:
+    norms compared against DEFAULT_REL_TOL relative to the operand norms:
     [sum a_i A_i, sum b_j A_j] = sum a_i b_j [A_i, A_j] then vanishes
     for all coefficients, so no sampled times are needed.
     """
     components = [g.drift] + [p.matrix for p in g.parts]
-    return _commute_pairwise(components, tol)
+    return all(_rel_commutator(a, b) <= DEFAULT_REL_TOL
+               for a, b in itertools.combinations(components, 2))
 
 
-def _commute_pairwise(mats, tol):
-    return all(_rel_commutator(a, b) <= tol for a, b in itertools.combinations(mats, 2))
-
-
-def integral_commutativity(g, times=None, tol=DEFAULT_REL_TOL):
-    """Whether [L(t), B(t)] vanishes at every sampled time."""
-    if times is None:
-        times = default_sample_times()
+def integral_commutativity(g):
+    """Whether [L(t), B(t)] vanishes at every default sample time."""
     return all(
-        _rel_commutator(generator_at(g, t), integral_at(g, t)) <= tol
-        for t in times)
+        _rel_commutator(generator_at(g, t), integral_at(g, t)) <= DEFAULT_REL_TOL
+        for t in default_sample_times())
 
 
 def _commutator_chain(g, t, power_cap):
@@ -133,54 +131,44 @@ def gamma_operator(g, t, power_cap):
     return 0.5 * (total + total.conj().T)
 
 
-def _power_cap(g, times, rel_tol):
+def _power_cap(g, times):
     """Highest power of B worth including: the largest minimal-polynomial
     degree of B over the sample times bounds the useful chain length."""
-    degree = max(minimal_poly_degree(integral_at(g, t), rel_tol) for t in times)
+    degree = max(minimal_poly_degree(integral_at(g, t)) for t in times)
     return max(1, min(g.mu - 1, degree - 1))
 
 
-def _subspace(g, times, rel_tol):
+def _subspace(g, times):
     """(M, power cap): the kernel of Gamma summed over the sample times."""
-    if times is None:
-        times = default_sample_times()
-    _check_subspace_times(times)
-    cap = _power_cap(g, times, rel_tol)
+    cap = _power_cap(g, times)
     total = np.zeros((g.mu, g.mu), dtype=complex)
     for t in times:
         total += gamma_operator(g, t, cap)
-    return null_space(total, rel_tol), cap
+    return null_space(total), cap
 
 
-def partial_subspace(g, times=None, rel_tol=DEFAULT_REL_TOL):
-    """Basis of M, the subspace of admissible initial vectors.
-
-    Gamma(t) is accumulated over the sample times (at least three
-    distinct positive ones) and the kernel of the sum is returned.
+def partial_subspace(g, t_max=HORIZON):
+    """Basis of M, the subspace of admissible initial vectors of a run
+    to t_max: the kernel of Gamma(t) summed over default_sample_times(t_max).
     """
-    return _subspace(g, times, rel_tol)[0]
+    return _subspace(g, default_sample_times(t_max))[0]
 
 
-def _check_subspace_times(times):
-    positive = {float(t) for t in times if t > 0}
-    if len(positive) < 3:
-        raise ValueError("need at least three distinct positive sample times")
-
-
-def admissible(rho0, subspace, tol=ADMISSIBLE_TOL):
+def admissible(rho0, subspace):
     """Whether the density matrix rho0 vectorizes into the subspace.
 
     Raises :class:`NotADensityMatrixError` when rho0 fails Hermiticity,
-    unit trace, or positivity within `tol`.
+    unit trace, or positivity within ADMISSIBLE_TOL.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    if np.max(np.abs(rho0 - rho0.conj().T)) > tol:
+    if np.max(np.abs(rho0 - rho0.conj().T)) > ADMISSIBLE_TOL:
         raise NotADensityMatrixError("not Hermitian")
-    if abs(np.trace(rho0).real - 1.0) > tol or abs(np.trace(rho0).imag) > tol:
+    trace = np.trace(rho0)
+    if abs(trace.real - 1.0) > ADMISSIBLE_TOL or abs(trace.imag) > ADMISSIBLE_TOL:
         raise NotADensityMatrixError("trace is not 1")
-    if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -tol:
+    if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -ADMISSIBLE_TOL:
         raise NotADensityMatrixError("not positive semidefinite")
-    return subspace.residual(rho0.reshape(-1, order="F")) <= tol
+    return subspace.residual(rho0.reshape(-1, order="F")) <= ADMISSIBLE_TOL
 
 
 @dataclass
@@ -217,7 +205,7 @@ class CommutativityReport:
         return desc
 
 
-def excluded_coordinate(subspace, tol=1e-6):
+def excluded_coordinate(subspace):
     """Detect a complement spanned by one coordinate vector.
 
     Returns (coordinate, level) 1-based; level is None off the diagonal.
@@ -232,28 +220,26 @@ def excluded_coordinate(subspace, tol=1e-6):
     j = int(np.argmax(np.real(np.diagonal(complement))))
     target = np.zeros((mu, mu), dtype=complex)
     target[j, j] = 1.0
-    if np.max(np.abs(complement - target)) > tol:
+    if np.max(np.abs(complement - target)) > EXCLUDED_TOL:
         return None, None
     d = math.isqrt(mu)
     row, col = j % d, j // d
     return j + 1, (row + 1 if row == col else None)
 
 
-def classify(g, times=None, rel_tol=DEFAULT_REL_TOL):
+def classify(g):
     """Run all three criteria and verify the reported subspace.
 
-    After computing M from the sample times, the defining property
+    After computing M from the default sample times, the defining property
     [L(t), B(t)^n] alpha = 0 is re-checked for every basis vector on a
     ten-fold denser time grid; `residual_max` records the largest
     ||[L(t), B^n(t)] b_i|| / ||B^n(t)|| seen there. This is a numerical
     verification over grids, not a proof for all t.
     """
-    if times is None:
-        times = default_sample_times()
-    times = sorted(float(t) for t in times)
-    functional = functional_commutativity(g, rel_tol)
-    integral = integral_commutativity(g, times, rel_tol)
-    subspace, cap = _subspace(g, times, rel_tol)
+    times = default_sample_times()
+    functional = functional_commutativity(g)
+    integral = integral_commutativity(g)
+    subspace, cap = _subspace(g, times)
 
     residual_max = 0.0
     if subspace.rank > 0:
@@ -270,7 +256,7 @@ def classify(g, times=None, rel_tol=DEFAULT_REL_TOL):
         partial_rank=subspace.rank,
         subspace=subspace,
         power_cap=cap,
-        sample_times=list(times),
+        sample_times=times,
         residual_max=residual_max,
         excluded_coordinate=coordinate,
         excluded_level=level,

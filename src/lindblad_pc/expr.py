@@ -4,8 +4,8 @@ Relaxation rates enter the generator as scalar functions of time, so
 integrating the full generator matrix reduces to integrating scalars.
 This module parses a small expression grammar into an immutable AST,
 evaluates it, and produces antiderivatives: in closed form when the
-expression matches a table of elementary patterns, otherwise through a
-cached adaptive-Simpson cumulative integral.
+expression matches a table of elementary patterns, otherwise through an
+adaptive-Simpson integral tabulated once on fixed nodes of a run's window.
 
 Grammar (whitespace insensitive)::
 
@@ -21,10 +21,8 @@ expression depends on `t` alone.
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
-import threading
 from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, NonFiniteError, UnboundParameterError
@@ -417,41 +415,42 @@ class ClosedFormAntiderivative(Antiderivative):
 class QuadratureAntiderivative(Antiderivative):
     """Cumulative integral of `f` from 0 by adaptive Simpson quadrature.
 
-    Evaluations are cached as checkpoints, so sweeping an increasing time
-    grid integrates each short segment once (amortized O(1) per point).
-    The cache is lock-protected; concurrent reads after construction are
-    safe.
+    The window [0, window] is cut into CELLS cells, and the integral up to
+    each node is computed once, at construction. value(t) adds the
+    integral from a node next to t (an end node outside the window), so
+    it depends on t and the window alone, never on earlier queries.
+    Raises NonFiniteError when the integral is not finite.
     """
 
     # Requested per-unit-length tolerance; keeps accumulated error well
     # inside the documented |value(t) - integral| <= 1e-10 * (1 + t).
     ABS_TOL = 1e-12
+    CELLS = 256
 
-    def __init__(self, integrand):
+    def __init__(self, integrand, window):
         self.integrand = integrand
-        self._lock = threading.Lock()
-        self._ts = [0.0]
-        self._vals = [0.0]
+        # Node k at window * (k / CELLS)^2: cells widen with t, so a rate that
+        # acts early in a long window (t*exp(-t) on [0, 1e5]) spans many cells.
+        self._times = tuple(window * (k / self.CELLS) ** 2
+                            for k in range(self.CELLS + 1))
+        values = [0.0]
+        for t0, t1 in zip(self._times, self._times[1:]):
+            values.append(self._extend(t0, values[-1], t1))
+        self._values = tuple(values)
+
+    def _extend(self, t0, v0, t):
+        """v0, the integral up to t0, plus the integral from t0 to t."""
+        eps = self.ABS_TOL * max(abs(t - t0), 1e-3)
+        v = v0 + _adaptive_simpson(lambda x: eval_expr(self.integrand, x), t0, t, eps)
+        if not math.isfinite(v):
+            raise NonFiniteError(f"quadrature diverged on [{t0}, {t}]")
+        return v
 
     def value(self, t):
         t = float(t)
-        f = lambda x: eval_expr(self.integrand, x)
-        with self._lock:
-            i = bisect.bisect_left(self._ts, t)
-            if i < len(self._ts) and self._ts[i] == t:
-                return self._vals[i]
-            # integrate from the nearest cached checkpoint
-            candidates = [j for j in (i - 1, i) if 0 <= j < len(self._ts)]
-            j = min(candidates, key=lambda k: abs(t - self._ts[k]))
-            t0, v0 = self._ts[j], self._vals[j]
-            eps = self.ABS_TOL * max(abs(t - t0), 1e-3)
-            v = v0 + _adaptive_simpson(f, t0, t, eps)
-            if not math.isfinite(v):
-                raise NonFiniteError(f"quadrature diverged on [{t0}, {t}]")
-            k = bisect.bisect_left(self._ts, t)
-            self._ts.insert(k, t)
-            self._vals.insert(k, v)
-            return v
+        window = self._times[-1]
+        k = round(self.CELLS * math.sqrt(min(max(t, 0.0), window) / window))
+        return self._extend(self._times[k], self._values[k], t)
 
 
 def _adaptive_simpson(f, a, b, eps):
@@ -482,19 +481,19 @@ class _NoClosedForm(Exception):
     pass
 
 
-def antiderivative(f):
+def antiderivative(f, window):
     """Antidifferentiate `f`, normalized so the result vanishes at t = 0.
 
     A closed form is returned when `f` is a sum of constant multiples of:
     constants, t^n, sin(a*t+b), cos(a*t+b), sin(a*t)^2, cos(a*t)^2, and
     exp(a*t+b). Anything else (including the patterns above with
     |a| < 1e-6, where the 1/a prefactor is ill-conditioned) falls back to
-    cached adaptive quadrature, which is total.
+    adaptive quadrature on fixed nodes of [0, window], which is total.
     """
     try:
         terms = [_term_antiderivative(sign, term) for sign, term in _terms(f)]
     except _NoClosedForm:
-        return QuadratureAntiderivative(f)
+        return QuadratureAntiderivative(f, window)
     total = terms[0]
     for term in terms[1:]:
         total = _add(total, term)

@@ -152,11 +152,14 @@ def assemble(model, t_max=HORIZON):
     d = model.dim
     h = np.asarray(model.hamiltonian, dtype=complex)
     eye = np.eye(d, dtype=complex)
-    drift = 1j * (kron(h.T, eye) - kron(eye, h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = 1j * (kron(h.T, eye) - kron(eye, h))
+        matrices = [dissipator_matrix(jump.operator) for jump in model.jumps]
+    if not all(np.all(np.isfinite(m)) for m in (drift, *matrices)):
+        raise NonFiniteError("the drift or a dissipator matrix overflows")
     parts = tuple(
-        GeneratorPart(dissipator_matrix(jump.operator), jump.rate,
-                      antiderivative(jump.rate))
-        for jump in model.jumps)
+        GeneratorPart(m, jump.rate, antiderivative(jump.rate, time_window(t_max)))
+        for m, jump in zip(matrices, model.jumps))
     return GeneratorDecomposition(dim=d, drift=drift, parts=parts)
 
 

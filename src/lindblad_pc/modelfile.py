@@ -14,12 +14,15 @@ Schema::
     }
 
 Matrices are lists of rows; each entry is [re, im] (a bare number is
-accepted as a real entry). Levels are 1-based.
+accepted as a real entry). Levels are 1-based. Numbers must be finite,
+and the dimension and levels JSON integers; true and false are not
+numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -29,14 +32,27 @@ from .model import Jump, LindbladModel, jump_operator
 
 __all__ = ["load_model", "loads_model", "model_to_dict", "dump_model"]
 
+# The generator of a d-level model is a d^2 x d^2 complex matrix, 16 MiB
+# at d = 32; a larger dimension is refused before anything is allocated.
+MAX_DIMENSION = 32
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_integer(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
 
 def _parse_entry(entry, where):
-    if isinstance(entry, (int, float)):
+    if _is_real(entry):
         return complex(entry)
     if (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and all(isinstance(x, (int, float)) for x in entry)):
+            and all(_is_real(x) for x in entry)):
         return complex(entry[0], entry[1])
-    raise ModelFileError(f"{where}: matrix entries must be numbers or [re, im] pairs")
+    raise ModelFileError(
+        f"{where}: matrix entries must be finite numbers or [re, im] pairs")
 
 
 def _parse_matrix(obj, d, where):
@@ -58,8 +74,9 @@ def _parse_operator(obj, d, where):
         diag = obj["diagonal"]
         if not isinstance(diag, list) or len(diag) != d:
             raise ModelFileError(f"{where}: diagonal must list {d} reals")
-        if not all(isinstance(x, (int, float)) for x in diag):
-            raise ModelFileError(f"{where}: diagonal entries must be real numbers")
+        if not all(_is_real(x) for x in diag):
+            raise ModelFileError(
+                f"{where}: diagonal entries must be finite real numbers")
         return np.diag([float(x) for x in diag]).astype(complex)
     if "matrix" in obj:
         return _parse_matrix(obj["matrix"], d, where)
@@ -84,16 +101,18 @@ def load_model(path):
 def _from_dict(doc):
     if not isinstance(doc, dict):
         raise ModelFileError("top level must be a JSON object")
-    try:
-        d = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError):
-        raise ModelFileError("missing or invalid 'dimension'") from None
-    if d < 2:
-        raise ModelFileError("dimension must be at least 2")
+    d = doc.get("dimension")
+    if not _is_integer(d):
+        raise ModelFileError("missing or invalid 'dimension': expected an integer")
+    if not 2 <= d <= MAX_DIMENSION:
+        raise ModelFileError(f"dimension must lie in 2..{MAX_DIMENSION}, got {d}")
 
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ModelFileError("'params' must be an object")
+    for name, value in params.items():
+        if not _is_real(value):
+            raise ModelFileError(f"params: {name!r} must be a finite number")
 
     hamiltonian = _parse_operator(doc.get("hamiltonian", {"diagonal": [0.0] * d}),
                                   d, "hamiltonian")
@@ -105,10 +124,9 @@ def _from_dict(doc):
             raise ModelFileError(f"{where}: needs a 'rate' expression string")
         rate = parse_rate_expr(str(spec["rate"]), params)
         if "from" in spec or "to" in spec:
-            try:
-                source, target = int(spec["from"]), int(spec["to"])
-            except (KeyError, TypeError, ValueError):
-                raise ModelFileError(f"{where}: 'from' and 'to' must be levels") from None
+            source, target = spec.get("from"), spec.get("to")
+            if not (_is_integer(source) and _is_integer(target)):
+                raise ModelFileError(f"{where}: 'from' and 'to' must be integer levels")
             if not (1 <= source <= d and 1 <= target <= d):
                 raise ModelFileError(f"{where}: levels must lie in 1..{d}")
             jumps.append(Jump(jump_operator(d, target, source), rate, source, target))

@@ -76,10 +76,10 @@ def propagate_closed_form(g, rho0, grid):
     return Trajectory(times=grid, states=states, method="closed-form")
 
 
-def ode_oracle(g, rho0, grid, tol=ORACLE_TOL):
+def ode_oracle(g, rho0, grid):
     """Integrate vec(rho)' = L(t) vec(rho) with an adaptive RK45 pair.
 
-    Local error is kept at `tol`; the solution is evaluated on the grid
+    Local error is kept at ORACLE_TOL; the solution is evaluated on the grid
     points through the integrator's dense output. Raises
     StepSizeUnderflowError, with the time reached, once the integrator
     asks for more than ORACLE_MAX_RHS_CALLS evaluations of the right-hand
@@ -101,7 +101,7 @@ def ode_oracle(g, rho0, grid, tol=ORACLE_TOL):
 
     result = solve_ivp(
         rhs, (grid[0], grid[-1]), v0, method="RK45",
-        rtol=tol, atol=tol, t_eval=grid)
+        rtol=ORACLE_TOL, atol=ORACLE_TOL, t_eval=grid)
     if not result.success:
         raise StepSizeUnderflowError(result.message)
     states = np.empty((grid.size, d, d), dtype=complex)

@@ -105,6 +105,15 @@ def model_file(path, rate):
                              "jumps": [{"from": 3, "to": 2, "rate": rate}]})
 
 
+def model_doc(path, **fields):
+    """A 3-level model file with one 3 -> 2 jump, `fields` replaced."""
+    return write_json(path, {"dimension": 3,
+                             "jumps": [{"from": 3, "to": 2, "rate": "1"}], **fields})
+
+
+INF, NAN = float("inf"), float("nan")  # json writes Infinity and NaN
+
+
 # Each case once ended in a traceback, a leaked warning or an unexplained
 # verdict; the argv builders take a scratch directory.
 DEFECTS = {
@@ -142,6 +151,40 @@ DEFECTS = {
         lambda tmp: ["classify", model_file(tmp / "m.json", "1"),
                      "--params", "omega=7,bogus=3", "--json"],
         "model files bind their own"),
+    "model-file-null-param": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json", params={"w": None}, jumps=[
+            {"from": 3, "to": 2, "rate": "w"}])],
+        "params: 'w' must be a finite number"),
+    "model-file-list-param": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json", params={"w": [1]}, jumps=[
+            {"from": 3, "to": 2, "rate": "w"}])],
+        "params: 'w' must be a finite number"),
+    "model-file-infinite-jump-entry": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json", jumps=[
+            {"matrix": [[0, INF, 0], [0, 0, 0], [0, 0, 0]], "rate": "1"}])],
+        "jumps[0]: matrix entries must be finite"),
+    "model-file-infinite-hamiltonian": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json", hamiltonian={
+            "matrix": [[INF, 0, 0], [0, 0, 0], [0, 0, 0]]})],
+        "hamiltonian: matrix entries must be finite"),
+    "model-file-nan-hamiltonian": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json",
+                                           hamiltonian={"diagonal": [NAN, 0, 0]})],
+        "hamiltonian: diagonal entries must be finite"),
+    "model-file-fractional-dimension": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json", dimension=2.7, jumps=[])],
+        "invalid 'dimension'"),
+    "model-file-fractional-level": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json", jumps=[
+            {"from": 1.5, "to": 2, "rate": "1"}])],
+        "'from' and 'to' must be integer levels"),
+    "model-file-boolean-entry": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json", jumps=[
+            {"matrix": [[0, 0, 0], [True, 0, 0], [0, 0, 0]], "rate": "1"}])],
+        "jumps[0]: matrix entries must be finite"),
+    "model-file-huge-dimension": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json", dimension=10**9)],
+        "dimension must lie in 2..32"),
 }
 
 
@@ -174,6 +217,17 @@ def test_overflowing_chain_exits_3_with_one_line(capsys, tmp_path, command):
         assert (code, out) == (cli.EXIT_NUMERIC, ""), rate
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
         assert "overflows" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fields", [
+    {"hamiltonian": {"diagonal": [1e308, -1e308, 0]}},
+    {"jumps": [{"matrix": [[0, 1e200, 0], [0, 0, 0], [0, 0, 0]], "rate": "1"}]},
+], ids=["hamiltonian", "jump"])
+def test_overflowing_generator_exits_3_with_one_line(capsys, tmp_path, fields):
+    code, out, err = run(capsys, "classify", model_doc(tmp_path / "m.json", **fields))
+    assert (code, out) == (cli.EXIT_NUMERIC, "")
+    assert err == "numeric failure: the drift or a dissipator matrix overflows\n"
 
 
 def test_oracle_work_is_bounded(capsys, tmp_path):

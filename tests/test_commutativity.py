@@ -37,6 +37,17 @@ def constant_rate_cascade():
     return assemble(LindbladModel(3, np.diag([-1.0, 0.0, 1.0]).astype(complex), jumps))
 
 
+def late_rate_cascade(t_max):
+    """A cascade whose 2 -> 1 rate is below 1e-18 up to t = 20 and reaches
+    1 at t = 40, so M depends on the window of the run."""
+    jumps = [
+        Jump(jump_operator(3, 2, 3), parse_rate_expr("1", {}), 3, 2),
+        Jump(jump_operator(3, 1, 2), parse_rate_expr("(t/40)^60", {}), 2, 1),
+    ]
+    model = LindbladModel(3, np.diag([-1.0, 0.0, 1.0]).astype(complex), jumps)
+    return assemble(model, t_max)
+
+
 def single_jump_model():
     jumps = [Jump(jump_operator(3, 2, 3), parse_rate_expr("sin(t)^2", {}), 3, 2)]
     return assemble(LindbladModel(3, np.zeros((3, 3), dtype=complex), jumps))
@@ -152,22 +163,24 @@ class TestPartialSubspace:
         coord, level = excluded_coordinate(sub)
         assert (coord, level) == (16, 4)
 
-    def test_needs_three_positive_times(self):
-        with pytest.raises(ValueError):
-            partial_subspace(make_generator("cascade3"), times=[0.0, 1.0, 1.0])
-
     def test_long_window_keeps_the_early_constraints(self):
         # These rates act only early; sample times spread over the window of
         # a run to 1e5 alone miss the constraint and return the full space.
         g = make_generator("lambda3", {"f1": "t*exp(-t)", "f2": "1/(1 + t^2)"})
-        sub = partial_subspace(g, default_sample_times(1e5))
+        sub = partial_subspace(g, 1e5)
         assert excluded_coordinate(sub) == (5, 2)
 
-    def test_more_times_never_enlarge_subspace(self):
-        g = make_generator("cascade3")
-        few = partial_subspace(g, times=[0.4, 1.1, 2.3])
-        more = partial_subspace(g, times=[0.4, 1.1, 2.3, 3.7, 5.9, 8.1])
-        assert more.rank <= few.rank
+    @pytest.mark.parametrize("t_max, rank", [(20.0, 9), (40.0, 8)])
+    def test_is_the_kernel_of_gamma_summed_over_the_sample_times(self, t_max, rank):
+        g = late_rate_cascade(t_max)
+        times = default_sample_times(t_max)
+        degree = max(minimal_poly_degree(integral_at(g, t)) for t in times)
+        cap = min(g.mu - 1, degree - 1)
+        total = sum(gamma_operator(g, t, cap) for t in times)
+        expected = null_space(total)
+        sub = partial_subspace(g, t_max)
+        assert sub.rank == expected.rank == rank
+        assert np.abs(sub.projector() - expected.projector()).max() <= 1e-12
 
 
 class TestKernelSumLemma:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lindblad_pc import (
     ClosedFormAntiderivative,
@@ -12,6 +13,9 @@ from lindblad_pc import (
     parse_rate_expr,
 )
 from lindblad_pc.errors import ExprSyntaxError, NonFiniteError, UnboundParameterError
+
+# The time window of a run to the default t_max.
+WINDOW = 20.0
 
 
 class TestParse:
@@ -65,26 +69,26 @@ class TestEval:
 class TestAntiderivative:
     def test_sin_squared(self):
         for w in (1.0, 3.0):
-            F = antiderivative(parse_rate_expr("sin(w*t)^2", {"w": w}))
+            F = antiderivative(parse_rate_expr("sin(w*t)^2", {"w": w}), WINDOW)
             assert F.is_closed_form
             for t in np.linspace(0.0, 20.0, 101):
                 expected = t / 2 - math.sin(2 * w * t) / (4 * w)
                 assert F.value(t) == pytest.approx(expected, abs=1e-13)
 
     def test_cos_squared(self):
-        F = antiderivative(parse_rate_expr("cos(2*t)^2", {}))
+        F = antiderivative(parse_rate_expr("cos(2*t)^2", {}), WINDOW)
         assert F.is_closed_form
         for t in np.linspace(0.0, 10.0, 41):
             assert F.value(t) == pytest.approx(t / 2 + math.sin(4 * t) / 8, abs=1e-13)
 
     def test_constant(self):
-        F = antiderivative(parse_rate_expr("2.5", {}))
+        F = antiderivative(parse_rate_expr("2.5", {}), WINDOW)
         assert F.is_closed_form
         assert F.value(3.0) == 7.5
 
     def test_exponential_matches_analytic_form(self):
         w = 2.0
-        F = antiderivative(parse_rate_expr("exp(-w*t)", {"w": w}))
+        F = antiderivative(parse_rate_expr("exp(-w*t)", {"w": w}), WINDOW)
         assert F.is_closed_form
         rng = np.random.default_rng(0)
         for t in rng.uniform(0.0, 10.0, 100):
@@ -94,7 +98,7 @@ class TestAntiderivative:
         texts = ["sin(3*t)^2", "cos(0.7*t)^2", "exp(-1.3*t)", "t^3", "4.0",
                  "sin(2*t+1)", "cos(t-0.5)", "2*exp(0.5*t)-1"]
         for text in texts:
-            F = antiderivative(parse_rate_expr(text, {}))
+            F = antiderivative(parse_rate_expr(text, {}), WINDOW)
             assert F.is_closed_form, text
             assert F.value(0.0) == 0.0, text
 
@@ -106,7 +110,7 @@ class TestAntiderivative:
         h = 1e-6
         for text in texts:
             f = parse_rate_expr(text, {})
-            F = antiderivative(f)
+            F = antiderivative(f, WINDOW)
             for t in rng.uniform(0.0, 20.0, 200):
                 approx = (F.value(t + h) - F.value(t - h)) / (2 * h)
                 assert abs(approx - eval_expr(f, t)) <= 1e-5, text
@@ -119,7 +123,7 @@ class TestAntiderivative:
         h = 1e-6
         for text in texts:
             f = parse_rate_expr(text, {})
-            F = antiderivative(f)
+            F = antiderivative(f, WINDOW)
             for t in rng.uniform(0.0, 20.0, 200):
                 value = eval_expr(f, t)
                 approx = (F.value(t + h) - F.value(t - h)) / (2 * h)
@@ -127,13 +131,13 @@ class TestAntiderivative:
 
     def test_quadrature_fallback_for_unknown_pattern(self):
         f = parse_rate_expr("sin(t)*cos(t)", {})
-        F = antiderivative(f)
+        F = antiderivative(f, WINDOW)
         assert isinstance(F, QuadratureAntiderivative)
         for t in np.linspace(0.0, 20.0, 81):
             assert F.value(t) == pytest.approx(math.sin(t) ** 2 / 2, abs=1e-9)
 
     def test_quadrature_fallback_for_tiny_frequency(self):
-        F = antiderivative(parse_rate_expr("sin(w*t)^2", {"w": 1e-8}))
+        F = antiderivative(parse_rate_expr("sin(w*t)^2", {"w": 1e-8}), WINDOW)
         assert isinstance(F, QuadratureAntiderivative)
         assert F.value(0.0) == 0.0
         # sin(w t)^2 ~ (w t)^2 for tiny w
@@ -141,18 +145,32 @@ class TestAntiderivative:
 
     def test_quadrature_agrees_with_closed_form(self):
         f = parse_rate_expr("sin(t)^2", {})
-        quad = QuadratureAntiderivative(f)
-        closed = antiderivative(f)
+        quad = QuadratureAntiderivative(f, WINDOW)
+        closed = antiderivative(f, WINDOW)
         assert isinstance(closed, ClosedFormAntiderivative)
         for t in np.linspace(0.0, 20.0, 101):
             assert abs(quad.value(t) - closed.value(t)) <= 1e-9
 
     def test_quadrature_handles_decreasing_and_negative_times(self):
         f = parse_rate_expr("cos(t)", {})
-        F = QuadratureAntiderivative(f)
+        F = QuadratureAntiderivative(f, WINDOW)
         assert F.value(5.0) == pytest.approx(math.sin(5.0), abs=1e-10)
         assert F.value(2.0) == pytest.approx(math.sin(2.0), abs=1e-10)
         assert F.value(-1.5) == pytest.approx(math.sin(-1.5), abs=1e-10)
+
+    def test_quadrature_resolves_an_early_rate_in_a_long_window(self):
+        # int_0^t x exp(-x) dx = 1 - (1 + t) exp(-t)
+        F = QuadratureAntiderivative(parse_rate_expr("t*exp(-t)", {}), 1e5)
+        for t in (0.5, 3.0, 40.0, 5e4, 1e5):
+            assert F.value(t) == pytest.approx(1 - (1 + t) * math.exp(-t), abs=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(min_value=-5.0, max_value=45.0), min_size=1, max_size=6))
+    def test_quadrature_value_does_not_depend_on_earlier_queries(self, times):
+        f = parse_rate_expr("exp(-t)*sin(3*t)^2", {})
+        queried = QuadratureAntiderivative(f, 40.0)
+        values = [queried.value(t) for t in times]
+        assert values == [QuadratureAntiderivative(f, 40.0).value(t) for t in times]
 
 
 class TestFormat:

@@ -61,6 +61,21 @@ class TestClosedForm:
             assert np.abs(tr.states[:, 0, 0].real - (1 - xi)).max() <= 1e-12
             assert np.abs(tr.states[:, 2, 2]).max() <= 1e-12
 
+    def test_earlier_queries_leave_a_quadrature_solution_unchanged(self):
+        # a cascade whose rates only quadrature integrates, run to 40
+        model = LindbladModel(3, np.diag([-0.5, 0.0, 0.5]).astype(complex), [
+            Jump(jump_operator(3, 1, 2), parse_rate_expr("1/(1 + 1.1*t^2)", {}), 2, 1),
+            Jump(jump_operator(3, 2, 3), parse_rate_expr("t*exp(-0.9*t)", {}), 3, 2),
+        ])
+        rho0 = phase_state(3, [1, 2], [1.2])
+        grid = np.linspace(0.0, 40.0, 301)
+        fresh = propagate_closed_form(assemble(model, 40.0), rho0, grid)
+        queried = assemble(model, 40.0)
+        for t in (3.3, 17.0, 33.0, 0.05, 39.9):
+            integral_at(queried, t)
+        again = propagate_closed_form(queried, rho0, grid)
+        assert np.array_equal(fresh.states, again.states)
+
     def test_grid_must_start_at_zero(self):
         g = make_generator("v3")
         with pytest.raises(ValueError):
