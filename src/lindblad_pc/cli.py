@@ -11,13 +11,26 @@ Three subcommands over a model (a JSON file or a built-in name):
 
 Exit codes: 0 success, 2 input/parse error, 3 numeric failure,
 4 inadmissible initial state without --force, 5 verification failure.
+
+The CLI runs numpy's BLAS on one thread: :func:`main` sets the pool of
+the OpenBLAS that the numpy wheel bundles to one thread before it does
+anything else. On a 2-CPU x86-64 host, from d = 7 on, the default pool
+of two threads made the closed form on 100 time points take 1.1-1.7 s
+(0.04 s with one thread at d = 8) and the flow residual 2 s (0.09 s).
+Two threads help only the Gamma kernel, from d = 11 on, by at most 1.5x
+at d = 16, where one thread still wins on the closed form and the
+residual. The setting belongs to the CLI process: code that imports the
+package keeps its own pool, and where numpy has no bundled OpenBLAS the
+pool is left alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -303,7 +316,30 @@ def run(argv):
         return EXIT_NUMERIC
 
 
+def _use_one_blas_thread():
+    """Set numpy's bundled OpenBLAS (the numpy wheel's numpy.libs, 64-bit
+    interface) to one thread; do nothing where there is none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs) if "openblas" in n)
+    except OSError:
+        return
+    for name in names:
+        try:
+            # RTLD_NOLOAD: only the library numpy has already loaded.
+            lib = ctypes.CDLL(os.path.join(libs, name),
+                              mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            setter = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+        return
+
+
 def main(argv=None):
+    _use_one_blas_thread()
     if argv is None:
         argv = sys.argv[1:]
     return run(argv)

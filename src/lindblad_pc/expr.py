@@ -419,13 +419,20 @@ class QuadratureAntiderivative(Antiderivative):
     each node is computed once, at construction. value(t) adds the
     integral from a node next to t (an end node outside the window), so
     it depends on t and the window alone, never on earlier queries.
-    Raises NonFiniteError when the integral is not finite.
+    Raises NonFiniteError when the integral is not finite, or when one
+    cell or query needs more than MAX_EVALUATIONS evaluations of `f`.
     """
 
     # Requested per-unit-length tolerance; keeps accumulated error well
     # inside the documented |value(t) - integral| <= 1e-10 * (1 + t).
     ABS_TOL = 1e-12
     CELLS = 256
+    # The most integrand evaluations one cell, or one query, may take. The
+    # benchmark's quadrature rates take at most 1.3e3 on a 1e5 window. A
+    # rate that is finite but huge (exp(t^2/3) on [0, 20]) keeps the error
+    # test failing on rounding alone and would recurse to depth 48 on
+    # every branch.
+    MAX_EVALUATIONS = 100_000
 
     def __init__(self, integrand, window):
         self.integrand = integrand
@@ -441,7 +448,18 @@ class QuadratureAntiderivative(Antiderivative):
     def _extend(self, t0, v0, t):
         """v0, the integral up to t0, plus the integral from t0 to t."""
         eps = self.ABS_TOL * max(abs(t - t0), 1e-3)
-        v = v0 + _adaptive_simpson(lambda x: eval_expr(self.integrand, x), t0, t, eps)
+        evaluations = 0
+
+        def f(x):
+            nonlocal evaluations
+            evaluations += 1
+            if evaluations > self.MAX_EVALUATIONS:
+                raise NonFiniteError(
+                    f"quadrature did not converge on [{t0}, {t}] within "
+                    f"{self.MAX_EVALUATIONS} evaluations of the rate")
+            return eval_expr(self.integrand, x)
+
+        v = v0 + _adaptive_simpson(f, t0, t, eps)
         if not math.isfinite(v):
             raise NonFiniteError(f"quadrature diverged on [{t0}, {t}]")
         return v

@@ -10,6 +10,11 @@ cross-check rather than a tautology. The flow ("Fedorov") residual
 certifies the closed form directly: it inserts exp(B(t)) alpha into the
 master equation, with the time derivative taken exactly from the Frechet
 derivative of the matrix exponential.
+
+Only :func:`ode_oracle` uses `scipy.integrate`, and it imports it when
+called: `solve` and the admissibility gate never integrate, and
+scipy.integrate was the most expensive import of the package (about
+0.12 s under `python -X importtime` on a 2-CPU x86-64 host).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import GridMismatchError, NonFiniteError, StepSizeUnderflowError
 from .linalg import expm, expm_frechet, unvec, vec
@@ -85,6 +89,8 @@ def ode_oracle(g, rho0, grid):
     asks for more than ORACLE_MAX_RHS_CALLS evaluations of the right-hand
     side (a stiff or fast-growing rate).
     """
+    from scipy.integrate import solve_ivp  # on first use: see the module docstring
+
     grid = _check_grid(grid)
     d = g.dim
     v0 = vec(np.asarray(rho0, dtype=complex))

@@ -239,6 +239,16 @@ def test_oracle_work_is_bounded(capsys, tmp_path):
     assert "right-hand-side evaluations at t=" in err
 
 
+def test_quadrature_work_is_bounded(capsys, tmp_path):
+    # exp(t^2/3) is at most e^133 on [0, 20], so the rate check passes.
+    path = model_file(tmp_path / "m.json", "exp(t^2/3)")
+    code, out, err = run(capsys, "classify", path)
+    assert (code, out) == (cli.EXIT_NUMERIC, "")
+    assert err.startswith("numeric failure: quadrature did not converge on [")
+    assert err.endswith(" within 100000 evaluations of the rate\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_emitted_model_classifies_like_the_builtin(capsys, tmp_path, name):
     path = str(tmp_path / "model.json")

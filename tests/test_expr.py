@@ -164,6 +164,12 @@ class TestAntiderivative:
         for t in (0.5, 3.0, 40.0, 5e4, 1e5):
             assert F.value(t) == pytest.approx(1 - (1 + t) * math.exp(-t), abs=1e-10)
 
+    def test_quadrature_work_is_bounded(self):
+        # Finite on the window, but far too large for the absolute tolerance:
+        # without a cap each cell recurses to depth 48 on every branch.
+        with pytest.raises(NonFiniteError, match="within 100000 evaluations"):
+            QuadratureAntiderivative(parse_rate_expr("exp(t^2)", {}), 40.0)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=-5.0, max_value=45.0), min_size=1, max_size=6))
     def test_quadrature_value_does_not_depend_on_earlier_queries(self, times):
