@@ -14,14 +14,18 @@ Exit codes: 0 success, 2 input/parse error, 3 numeric failure,
 
 The CLI runs numpy's BLAS on one thread: :func:`main` sets the pool of
 the OpenBLAS that the numpy wheel bundles to one thread before it does
-anything else. On a 2-CPU x86-64 host, from d = 7 on, the default pool
-of two threads made the closed form on 100 time points take 1.1-1.7 s
-(0.04 s with one thread at d = 8) and the flow residual 2 s (0.09 s).
-Two threads help only the Gamma kernel, from d = 11 on, by at most 1.5x
-at d = 16, where one thread still wins on the closed form and the
-residual. The setting belongs to the CLI process: code that imports the
-package keeps its own pool, and where numpy has no bundled OpenBLAS the
-pool is left alone.
+anything else. On a 2-CPU x86-64 host, the default pool of two threads
+made the closed form on 100 time points take 1.1-2.0 s at d = 7..13
+(0.04-0.06 s with one thread at d = 8) and the flow residual about 2 s
+at d = 8 (0.1 s). Two threads help only the Gamma kernel, from d = 11 on, by
+1.5-1.9x at d = 16, where one thread still wins on the closed form and
+the residual. The cap reaches the OpenBLAS of the numpy wheels for Linux
+(numpy.libs): ``scipy_openblas`` from numpy 2.0 on, ``openblas64_``
+before; with any other numpy build the pool is left alone. The setting
+holds for the rest of the process that calls :func:`main`, so an
+in-process caller (a test, a tracer) keeps one BLAS thread afterwards;
+code that imports the package and never calls :func:`main` keeps its
+own pool.
 """
 
 from __future__ import annotations
@@ -316,9 +320,14 @@ def run(argv):
         return EXIT_NUMERIC
 
 
+# Thread-count setters of the OpenBLAS that numpy's Linux wheels bundle
+# (64-bit interface, suffixed symbols): numpy >= 2.0, then numpy 1.x.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+
+
 def _use_one_blas_thread():
-    """Set numpy's bundled OpenBLAS (the numpy wheel's numpy.libs, 64-bit
-    interface) to one thread; do nothing where there is none."""
+    """Set numpy's bundled OpenBLAS (in numpy.libs) to one thread; do
+    nothing where there is none."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
         names = sorted(n for n in os.listdir(libs) if "openblas" in n)
@@ -329,13 +338,15 @@ def _use_one_blas_thread():
             # RTLD_NOLOAD: only the library numpy has already loaded.
             lib = ctypes.CDLL(os.path.join(libs, name),
                               mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-            setter = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
+        except OSError:
             continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
-        return
+        for symbol in _BLAS_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
 
 
 def main(argv=None):

@@ -86,7 +86,8 @@ def test_admitted_verify_loads_scipy_integrate():
 
 def _skip_unless_capping_can_show(before):
     if before is None:
-        pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter")
+        pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter "
+                    "the run record knows (scipy_openblas, numpy >= 2.0)")
     if before == 1:
         pytest.skip("numpy's OpenBLAS pool already has one thread")
 

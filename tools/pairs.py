@@ -2,8 +2,10 @@
 
     python tools/pairs.py DIR [--out BENCH.json]
 
-DIR holds the stdout of `perfbench/run.py --workload all --seed SEED
---seconds 56` as parent-SEED.out and change-SEED.out, one pair per seed.
+DIR holds the stdout of `perfbench/run.py --workload all --seed SEED`
+as parent-SEED.out and change-SEED.out, one pair per seed. That output
+does not name the run's settings (--seconds and the like), so the
+summary records only the seeds, read from the file names.
 For each workload and end-to-end metric of BENCHMARK.json this prints,
 and stores under "benchmark_pairs" in --out, each side's median and
 quartiles, the ratio of the medians (change / parent), how many pairs
@@ -38,8 +40,7 @@ def summarize(directory):
     seeds = sorted(int(p.stem.split("-")[1]) for p in directory.glob("parent-*.out"))
     runs = {side: [_last_json(directory / f"{side}-{seed}.out") for seed in seeds]
             for side in ("parent", "change")}
-    out = {"command": "python3 perfbench/run.py --workload all --seed SEED --seconds 56",
-           "seeds": seeds,
+    out = {"seeds": seeds,
            "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
            "metrics": {}}
     for workload in spec["workloads"]:

@@ -1,13 +1,13 @@
 """Cost of each lindblad_pc stage against the number of levels d.
 
-    python tools/scaling.py --src parent=../parent/src --src change=src \\
-        --out BENCH.json [--dims 3-16] [--pools default,one,cli]
+    python tools/scaling.py --parent ../parent/src [--change src] \\
+        [--out BENCH.json]
 
-For each package source directory (LABEL=PATH) and each BLAS pool
-setting, one fresh interpreter times the stages in-process on the
-generated d-level cascades of the benchmark
+For the package source directories of a parent and a change, and for
+each BLAS pool setting in RUNS, one fresh interpreter times the stages
+in-process on the generated d-level cascades of the benchmark
 (`perfbench.workloads.cascade_model`, mu = d^2, rates sin^2, exp and
-cos^2 in turn):
+cos^2 in turn), d = 3..16:
 
     assemble       model.assemble
     power_cap      the largest minimal-polynomial degree of B over the
@@ -24,13 +24,14 @@ The pool settings:
              are removed from the environment)
     one      OPENBLAS_NUM_THREADS=1: every OpenBLAS pool at one thread
     cli      the pool as `lindblad_pc.cli.main` leaves it (called once
-             with --help before timing)
+             with --help before timing); run for the change only, since
+             the parent's cli.main leaves the pool at its default
 
 One warm-up pass at d = 3 takes the imports and first-call costs. Each
 stage then runs up to REPEATS times while its samples stay within
 BUDGET_S, and the median, minimum and maximum are kept. The processes
 run one at a time. The OpenBLAS thread counts a process ends with are
-stored next to its table; the JSON names sources by label, never by path.
+stored next to its table; the JSON names sources by role, never by path.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RATES = ("sin({w}*t)^2", "exp(-{a}*t)", "cos({w}*t)^2")
 STAGES = ("assemble", "power_cap", "gamma_svd", "closed_form", "flow_residual", "oracle")
-POOLS = ("default", "one", "cli")
+DIMS = range(3, 17)
+RUNS = (("parent", "default"), ("parent", "one"),
+        ("change", "default"), ("change", "one"), ("change", "cli"))
 GRID_POINTS = 100
 REPEATS = 5
 BUDGET_S = 1.0
@@ -108,7 +111,7 @@ def _stages(d):
     return out
 
 
-def worker(pool, dims):
+def worker(pool):
     """Time every stage at each d in this process; print one JSON line."""
     if pool == "cli":
         import lindblad_pc.cli
@@ -116,18 +119,13 @@ def worker(pool, dims):
         with contextlib.redirect_stdout(io.StringIO()):
             lindblad_pc.cli.main(["--help"])
     _stages(3)  # warm-up
-    table = {str(d): _stages(d) for d in dims}
+    table = {str(d): _stages(d) for d in DIMS}
     from perfbench.runrecord import blas_threads
 
     print(json.dumps({"blas_threads": blas_threads(), "stages": table}))
 
 
-def _parse_dims(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
-def _run_worker(src, pool, dims):
+def _run_worker(src, pool):
     env = dict(os.environ)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(name, None)
@@ -135,40 +133,38 @@ def _run_worker(src, pool, dims):
         env["OPENBLAS_NUM_THREADS"] = "1"
     env["PYTHONPATH"] = os.pathsep.join([str(Path(src).resolve()), str(ROOT)])
     done = subprocess.run(
-        [sys.executable, __file__, "--worker", pool, "--dims", f"{dims[0]}-{dims[-1]}"],
+        [sys.executable, __file__, "--worker", pool],
         capture_output=True, text=True, env=env, cwd=ROOT, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", action="append", default=[], metavar="LABEL=PATH",
-                        help="a package source directory and its label (repeatable)")
-    parser.add_argument("--dims", default="3-16", help="range of d (default 3-16)")
-    parser.add_argument("--pools", default=",".join(POOLS),
-                        help="comma-separated pool settings (default all)")
+    parser.add_argument("--parent", help="the parent's package source directory")
+    parser.add_argument("--change", default=str(ROOT / "src"),
+                        help="the change's package source directory "
+                             "(default: src of this checkout)")
     parser.add_argument("--out", help="JSON file to write the table into "
                                       "(its other keys are kept); default stdout")
-    parser.add_argument("--worker", choices=POOLS, help=argparse.SUPPRESS)
+    parser.add_argument("--worker", choices={pool for _, pool in RUNS},
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    dims = _parse_dims(args.dims)
     if args.worker:
-        worker(args.worker, dims)
+        worker(args.worker)
         return 0
+    if not args.parent:
+        parser.error("--parent is required")
 
-    sources = [s.partition("=")[::2] for s in args.src]
+    sources = {"parent": args.parent, "change": args.change}
     runs = []
-    for pool in args.pools.split(","):
-        for label, src in sources:
-            print(f"{label} {pool} ...", file=sys.stderr, flush=True)
-            runs.append({"src": label, "pool": pool, **_run_worker(src, pool, dims)})
+    for role, pool in RUNS:
+        print(f"{role} {pool} ...", file=sys.stderr, flush=True)
+        runs.append({"src": role, "pool": pool, **_run_worker(sources[role], pool)})
     import numpy
     import scipy
 
     table = {
-        "command": "python tools/scaling.py " + " ".join(
-            [f"--src {label}=..." for label, _ in sources]
-            + [f"--dims {args.dims}", f"--pools {args.pools}"]),
+        "command": "python tools/scaling.py --parent PARENT_SRC --change CHANGE_SRC",
         "host": {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy.__version__,
                  "scipy": scipy.__version__},
