@@ -14,18 +14,22 @@ Exit codes: 0 success, 2 input/parse error, 3 numeric failure,
 
 The CLI runs numpy's BLAS on one thread: :func:`main` sets the pool of
 the OpenBLAS that the numpy wheel bundles to one thread before it does
-anything else. On a 2-CPU x86-64 host, the default pool of two threads
-made the closed form on 100 time points take 1.1-2.0 s at d = 7..13
-(0.04-0.06 s with one thread at d = 8) and the flow residual about 2 s
-at d = 8 (0.1 s). Two threads help only the Gamma kernel, from d = 11 on, by
-1.5-1.9x at d = 16, where one thread still wins on the closed form and
-the residual. The cap reaches the OpenBLAS of the numpy wheels for Linux
-(numpy.libs): ``scipy_openblas`` from numpy 2.0 on, ``openblas64_``
-before; with any other numpy build the pool is left alone. The setting
-holds for the rest of the process that calls :func:`main`, so an
-in-process caller (a test, a tracer) keeps one BLAS thread afterwards;
-code that imports the package and never calls :func:`main` keeps its
-own pool.
+anything else. Measured on a 2-CPU x86-64 host (`tools/scaling.py`,
+generated d-level cascades, 100 time points), the default pool of two
+threads makes the blocked closed form take 0.006-0.089 s at d = 7..16,
+against 0.003-0.005 s with one thread, and the flow residual
+0.007-0.048 s against 0.004-0.010 s. At d = 24 and 32 (a one-off run of
+the same stages) two threads take 0.017 and 0.025 s for the closed
+form, against 0.008 and 0.014 s, and 0.033 and 0.048 s for the
+residual, against 0.013 and 0.022 s. Two threads help only the dense
+Gamma kernel and power cap, from d = 11 or 12 on (at d = 16, 0.72 s
+against 0.99 s and 1.00 s against 1.08 s). The cap reaches the OpenBLAS
+of the numpy wheels for Linux (numpy.libs): ``scipy_openblas`` from
+numpy 2.0 on, ``openblas64_`` before; with any other numpy build the
+pool is left alone. The setting holds for the rest of the process that
+calls :func:`main`, so an in-process caller (a test, a tracer) keeps one
+BLAS thread afterwards; code that imports the package and never calls
+:func:`main` keeps its own pool.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ EXIT_VERIFY = 5
 
 DEFAULT_STEPS = 400
 DEFAULT_VERIFY_TOL = 1e-6
-T_MAX_HELP = (f"end of the time grid (default {model.HORIZON:g}); rates and sample "
-              f"times are checked on the window [0, max({model.HORIZON:g}, t-max)]")
+T_MAX_HELP = (f"end of the time grid (default {model.HORIZON:g}, at most "
+              f"{model.MAX_T_MAX:g}); rates and sample times are checked on the "
+              f"window [0, max({model.HORIZON:g}, t-max)]")
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -203,6 +208,8 @@ def _prepare(args, coherences=()):
     rho0 = _resolve_rho0(args, loaded.dim, initial_state)
     if args.steps < 2 or not 0 < args.t_max < math.inf:
         raise ValueError("--steps must be >= 2 and --t-max positive and finite")
+    if args.t_max > model.MAX_T_MAX:
+        raise ValueError(f"--t-max must be at most {model.MAX_T_MAX:g}")
     grid = np.linspace(0.0, args.t_max, args.steps)
     pairs = _coherence_pairs(coherences, loaded.dim)
     g = model.assemble(loaded, args.t_max)

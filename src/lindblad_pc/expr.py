@@ -25,6 +25,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ExprSyntaxError, NonFiniteError, UnboundParameterError
 
 __all__ = [
@@ -100,6 +102,8 @@ class Func(RateExpr):
 
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+# The same functions over arrays of times.
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +305,32 @@ def parse_rate_expr(text, params=None):
 
 
 def eval_expr(f, t):
-    """Evaluate `f` at time `t`. Raises :class:`NonFiniteError` if the
-    result (or any intermediate) overflows or divides by zero."""
+    """Evaluate `f` at time `t`, a float or a 1-d float array of times.
+
+    A scalar `t` gives a float through the `math` functions, an array
+    gives an array of the same shape through the numpy ufuncs. Raises
+    :class:`NonFiniteError` if the result is not finite, or if a function
+    overflows or a division is by zero, so `1/exp(1000)` raises either
+    way; an intermediate that underflows to zero is fine. The array form
+    is stricter in one case: any intermediate that overflows raises,
+    where Python float arithmetic goes on with inf. So
+    `1/(exp(t)*exp(t))` at t = 400 is 0.0 as a scalar and raises as an
+    array, and since the rate check evaluates arrays, a run whose window
+    reaches such a time is refused.
+    """
+    if isinstance(t, np.ndarray):
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            try:
+                v = _eval(f, t.astype(float), _UFUNCS)
+            except FloatingPointError as exc:
+                raise NonFiniteError(f"expression {exc} on t in "
+                                     f"[{t.min():g}, {t.max():g}]") from exc
+        v = np.broadcast_to(v, t.shape).astype(float)
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteError("expression evaluated to a non-finite value")
+        return v
     try:
-        v = _eval(f, float(t))
+        v = _eval(f, float(t), _FUNCTIONS)
     except (ZeroDivisionError, OverflowError) as exc:
         raise NonFiniteError(str(exc)) from exc
     if not math.isfinite(v):
@@ -312,25 +338,25 @@ def eval_expr(f, t):
     return v
 
 
-def _eval(f, t):
+def _eval(f, t, functions):
     if isinstance(f, Const):
         return f.value
     if isinstance(f, TimeVar):
         return t
     if isinstance(f, Neg):
-        return -_eval(f.arg, t)
+        return -_eval(f.arg, t, functions)
     if isinstance(f, Add):
-        return _eval(f.lhs, t) + _eval(f.rhs, t)
+        return _eval(f.lhs, t, functions) + _eval(f.rhs, t, functions)
     if isinstance(f, Sub):
-        return _eval(f.lhs, t) - _eval(f.rhs, t)
+        return _eval(f.lhs, t, functions) - _eval(f.rhs, t, functions)
     if isinstance(f, Mul):
-        return _eval(f.lhs, t) * _eval(f.rhs, t)
+        return _eval(f.lhs, t, functions) * _eval(f.rhs, t, functions)
     if isinstance(f, Div):
-        return _eval(f.lhs, t) / _eval(f.rhs, t)
+        return _eval(f.lhs, t, functions) / _eval(f.rhs, t, functions)
     if isinstance(f, Pow):
-        return _eval(f.base, t) ** f.exponent
+        return _eval(f.base, t, functions) ** f.exponent
     if isinstance(f, Func):
-        return _FUNCTIONS[f.name](_eval(f.arg, t))
+        return functions[f.name](_eval(f.arg, t, functions))
     raise TypeError(f"not a RateExpr node: {f!r}")
 
 
@@ -398,6 +424,10 @@ class Antiderivative:
     def value(self, t):
         raise NotImplementedError
 
+    def values(self, times):
+        """F at each time of a 1-d array."""
+        return np.array([self.value(t) for t in times], dtype=float)
+
     def __call__(self, t):
         return self.value(t)
 
@@ -410,6 +440,9 @@ class ClosedFormAntiderivative(Antiderivative):
 
     def value(self, t):
         return eval_expr(self.expr, t)
+
+    def values(self, times):
+        return eval_expr(self.expr, np.asarray(times, dtype=float))
 
 
 class QuadratureAntiderivative(Antiderivative):

@@ -6,6 +6,16 @@ vec(A X B) = (B^T kron A) vec(X) holds and under which the coordinate
 indices reported elsewhere in the package refer to matrix entries as
 coordinate = (col - 1) * d + row, 1-based.
 
+:func:`expm` and :func:`expm_frechet` take one matrix or a stack of
+them, shape (..., n, n), so that a generator block is exponentiated at a
+whole chunk of time points in one call. Up to FRECHET_DOUBLING_MAX, the
+Frechet derivative is the upper-right block of exp([[A, E], [0, A]])
+(Mathias 1996; Higham, *Functions of Matrices*, SIAM 2008, section
+3.2): one exponential of twice the size, which a stack takes as readily
+as a single matrix. Past that size the doubled matrix costs more than
+scipy's own expm_frechet (Al-Mohy and Higham 2009), which then takes
+the stack one slice at a time.
+
 Only :func:`expm` and :func:`expm_frechet` need scipy, and they import
 `scipy.linalg` when first called. Importing this module loads numpy
 alone, so a process that never exponentiates (classify, a refused
@@ -28,6 +38,13 @@ __all__ = [
 
 DEFAULT_REL_TOL = 1e-10
 
+# The largest n for which expm_frechet exponentiates the doubled 2n x 2n
+# matrix. Per slice, on one OpenBLAS thread of a 2-CPU x86-64 host, the
+# doubled form against scipy.linalg.expm_frechet takes 21 us against
+# 62 us at n = 6, 69 us against 78 us at n = 12, 122 us against 90 us at
+# n = 16 and 102 ms against 44 ms at n = 256.
+FRECHET_DOUBLING_MAX = 12
+
 # Singular values at or below this are treated as exact zeros even when
 # they dominate the spectrum (the whole matrix is numerically zero).
 ABSOLUTE_FLOOR = 1e-14
@@ -47,6 +64,14 @@ def _as_square(a):
     return a
 
 
+def _as_square_stack(a):
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(
+            f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
 def _require_finite(a, what):
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{what} contains non-finite entries")
@@ -63,11 +88,12 @@ def vec(m):
 
 
 def unvec(v, d):
-    """Inverse of :func:`vec` for a d x d matrix."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != d * d:
-        raise DimensionMismatchError(f"cannot reshape length {v.size} into {d}x{d}")
-    return v.reshape((d, d), order="F").copy()
+    """Inverse of :func:`vec`: a vector of length d*d to the d x d matrix,
+    or each row of a stack of them, shape (..., d*d), to (..., d, d)."""
+    v = np.atleast_1d(np.asarray(v, dtype=complex))
+    if v.shape[-1] != d * d:
+        raise DimensionMismatchError(f"cannot reshape length {v.shape[-1]} into {d}x{d}")
+    return np.swapaxes(v.reshape(*v.shape[:-1], d, d), -1, -2).copy()
 
 
 def commutator(a, b):
@@ -80,8 +106,9 @@ def commutator(a, b):
 
 
 def expm(a):
-    """Matrix exponential (scaling-and-squaring with a Pade core)."""
-    a = _as_square(a)
+    """Matrix exponential (scaling-and-squaring with a Pade core) of a
+    matrix or of each matrix of a stack, shape (..., n, n)."""
+    a = _as_square_stack(a)
     _require_finite(a, "expm input")
     import scipy.linalg  # on first use: see the module docstring
     return scipy.linalg.expm(a)
@@ -89,15 +116,30 @@ def expm(a):
 
 def expm_frechet(a, e):
     """exp(A) and its Frechet derivative at A in the direction E,
-    returned as the pair (exp(A), L(A, E)) (Al-Mohy & Higham, 2009)."""
-    a = _as_square(a)
-    e = _as_square(e)
+    returned as the pair (exp(A), L(A, E)), for matrices or stacks of
+    them of one shape (..., n, n). Up to n = FRECHET_DOUBLING_MAX both
+    come from exp([[A, E], [0, A]]) = [[exp(A), L(A, E)], [0, exp(A)]],
+    past it from scipy.linalg.expm_frechet slice by slice; see the
+    module docstring."""
+    a = _as_square_stack(a)
+    e = _as_square_stack(e)
     if a.shape != e.shape:
         raise DimensionMismatchError(f"expm_frechet of {a.shape} along {e.shape}")
     _require_finite(a, "expm_frechet input")
     _require_finite(e, "expm_frechet direction")
-    import scipy.linalg  # on first use: see the module docstring
-    return scipy.linalg.expm_frechet(a, e)
+    n = a.shape[-1]
+    if n > FRECHET_DOUBLING_MAX:
+        import scipy.linalg  # on first use: see the module docstring
+        exp_a, frechet = np.empty_like(a), np.empty_like(a)
+        for i in np.ndindex(a.shape[:-2]):
+            exp_a[i], frechet[i] = scipy.linalg.expm_frechet(a[i], e[i])
+        return exp_a, frechet
+    doubled = np.zeros((*a.shape[:-2], 2 * n, 2 * n), dtype=complex)
+    doubled[..., :n, :n] = a
+    doubled[..., :n, n:] = e
+    doubled[..., n:, n:] = a
+    exp_doubled = expm(doubled)
+    return exp_doubled[..., :n, :n], exp_doubled[..., :n, n:]
 
 
 @dataclass(frozen=True)

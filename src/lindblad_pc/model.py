@@ -10,6 +10,13 @@ with a constant drift L_H = i (H^T kron 1 - 1 kron H) and one constant
 dissipator matrix per jump. Because only the scalar rates depend on time,
 the exact integral B(t) = int_0^t L(tau) dtau is assembled from scalar
 antiderivatives; no matrix-valued quadrature is ever needed.
+
+The same split gives the generator's invariant coordinate blocks: the
+connected components of the union of the sparsity patterns of L_H and
+every L_k. L(t), B(t) and exp(B(t)) vanish between blocks at every t, so
+each block can be propagated on its own. A level-transition model with a
+diagonal H has one d x d block of populations and d^2 - d blocks of one
+coherence each; a fully coupled generator is a single block of size d^2.
 """
 
 from __future__ import annotations
@@ -34,9 +41,14 @@ HERMITICITY_TOL = 1e-12
 
 # A run to t_max has the time window [0, max(HORIZON, t_max)]. Rates must
 # be finite and nonnegative there (sampled at RATE_SAMPLE_COUNT points per
-# HORIZON time units), and the commutativity sample times span it.
+# HORIZON time units, RATE_CHUNK points per evaluation), and the
+# commutativity sample times span it.
 HORIZON = 20.0
 RATE_SAMPLE_COUNT = 81
+RATE_CHUNK = 65_536
+# The largest t_max the CLI accepts: the rate check of a run to 1e6 takes
+# 4e6 samples per rate.
+MAX_T_MAX = 1e6
 
 
 def time_window(t_max):
@@ -97,17 +109,36 @@ class LindbladModel:
 def _check_rate(rate, t_max):
     window = time_window(t_max)
     count = math.ceil((RATE_SAMPLE_COUNT - 1) * window / HORIZON) + 1
-    for k in range(count):  # not np.linspace: a long window needs no array
-        t = window * k / (count - 1)
+    for start in range(0, count, RATE_CHUNK):
+        times = window * np.arange(start, min(start + RATE_CHUNK, count)) / (count - 1)
         try:
-            value = eval_expr(rate, t)
+            values, non_finite = eval_expr(rate, times), None
         except NonFiniteError:
-            raise ValueError(f"rate {_expr.format_expr(rate)!r} is not finite "
-                             f"at t={t:g}") from None
-        if value < -1e-12:
+            non_finite = _first_non_finite(rate, times)
+            values = eval_expr(rate, times[:non_finite])
+        negative = np.flatnonzero(values < -1e-12)
+        if negative.size:
             raise ValueError(
-                f"rate {_expr.format_expr(rate)!r} is negative at t={t:g}; "
+                f"rate {_expr.format_expr(rate)!r} is negative at t={times[negative[0]]:g}; "
                 "only nonnegative rates are supported")
+        if non_finite is not None:
+            raise ValueError(f"rate {_expr.format_expr(rate)!r} is not finite "
+                             f"at t={times[non_finite]:g}")
+
+
+def _first_non_finite(rate, times):
+    """The index of the first of `times` at which `rate` does not
+    evaluate. A prefix of the array fails exactly when it holds such a
+    time, so bisect on it."""
+    good, bad = 0, times.size  # times[:good] evaluates, times[:bad] does not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            eval_expr(rate, times[:mid])
+            good = mid
+        except NonFiniteError:
+            bad = mid
+    return bad - 1
 
 
 def dissipator_matrix(v):
@@ -134,11 +165,14 @@ class GeneratorPart:
 
 @dataclass(frozen=True)
 class GeneratorDecomposition:
-    """Drift plus rate-weighted constant dissipators; see module docstring."""
+    """Drift plus rate-weighted constant dissipators, and the invariant
+    coordinate blocks they share; see module docstring."""
 
     dim: int
     drift: np.ndarray  # i (H^T kron 1 - 1 kron H)
     parts: tuple[GeneratorPart, ...]
+    # Sorted 0-based coordinates of each block, ordered by first coordinate.
+    blocks: tuple[np.ndarray, ...]
 
     @property
     def mu(self):
@@ -160,7 +194,32 @@ def assemble(model, t_max=HORIZON):
     parts = tuple(
         GeneratorPart(m, jump.rate, antiderivative(jump.rate, time_window(t_max)))
         for m, jump in zip(matrices, model.jumps))
-    return GeneratorDecomposition(dim=d, drift=drift, parts=parts)
+    return GeneratorDecomposition(dim=d, drift=drift, parts=parts,
+                                  blocks=_invariant_blocks([drift, *matrices]))
+
+
+def _invariant_blocks(matrices):
+    """Connected components of the union sparsity pattern of square
+    matrices of one size: each a sorted array of 0-based coordinates, in
+    the order of their first coordinates."""
+    linked = np.zeros(matrices[0].shape, dtype=bool)
+    for m in matrices:
+        linked |= m != 0
+    linked |= linked.T
+    unseen = np.ones(linked.shape[0], dtype=bool)
+    blocks = []
+    for start in range(linked.shape[0]):
+        if not unseen[start]:
+            continue
+        members = np.zeros_like(unseen)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():  # breadth-first, one layer of neighbours at a time
+            frontier = linked[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        blocks.append(np.flatnonzero(members))
+    return tuple(blocks)
 
 
 def generator_at(g, t):

@@ -7,6 +7,7 @@ ends in a one-line message on stderr and never in a traceback.
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -247,6 +248,23 @@ def test_quadrature_work_is_bounded(capsys, tmp_path):
     assert err.startswith("numeric failure: quadrature did not converge on [")
     assert err.endswith(" within 100000 evaluations of the rate\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t_max", ["1e9", "1e308"])
+def test_t_max_past_the_limit_exits_2_at_once(capsys, t_max):
+    # 1e9 would sample each rate 4e9 times; 1e308 overflowed the count
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--builtin", "v3", "--rho0", "diag:1,0,0",
+                         "--steps", "3", "--t-max", t_max)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (cli.EXIT_PARSE, "", "error: --t-max must be at most 1e+06\n")
+
+
+def test_long_window_within_the_limit_verifies(capsys):
+    code, out, err = run(capsys, "verify", "--builtin", "cascade4", "--t-max", "1e5",
+                         "--rho0", "diag:1,0,0,0")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.endswith("verdict: PASS\n")
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -65,6 +65,36 @@ class TestEval:
         with pytest.raises(NonFiniteError):
             eval_expr(parse_rate_expr("exp(t)", {}), 1e6)
 
+    @pytest.mark.parametrize("text", ["sin(1.3*t)^2 + 0.5", "t*exp(-t)/(1 + t^2)",
+                                      "-cos(t) - 2", "0.4", "t", "(2*t - 1)^3"])
+    def test_array_matches_scalar(self, text):
+        f = parse_rate_expr(text, {})
+        times = np.linspace(0.0, 30.0, 301)
+        values = eval_expr(f, times)
+        assert values.shape == times.shape and values.dtype == float
+        scalars = np.array([eval_expr(f, t) for t in times])
+        assert np.all(np.abs(values - scalars) <= 1e-15 * np.maximum(1.0, np.abs(scalars)))
+
+    @pytest.mark.parametrize("text, t", [("1/exp(t)", -1000.0), ("1/t", 0.0),
+                                         ("exp(t)", 1e6), ("t^400", 10.0),
+                                         ("(t - t)/(t - t)", 1.0)])
+    def test_array_raises_where_scalar_raises(self, text, t):
+        f = parse_rate_expr(text, {})
+        with pytest.raises(NonFiniteError):
+            eval_expr(f, t)
+        with pytest.raises(NonFiniteError):
+            eval_expr(f, np.array([0.5, t, 2.0]))
+
+    def test_array_raises_on_an_intermediate_overflow_the_scalar_passes(self):
+        f = parse_rate_expr("1/(exp(t)*exp(t))", {})
+        assert eval_expr(f, 400.0) == 0.0
+        with pytest.raises(NonFiniteError):
+            eval_expr(f, np.array([0.0, 400.0]))
+
+    def test_array_underflow_is_zero(self):
+        values = eval_expr(parse_rate_expr("exp(-t)", {}), np.array([0.0, 1000.0]))
+        assert values.tolist() == [1.0, 0.0]
+
 
 class TestAntiderivative:
     def test_sin_squared(self):

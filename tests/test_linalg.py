@@ -14,7 +14,7 @@ from lindblad_pc import (
     vec,
 )
 from lindblad_pc.errors import DimensionMismatchError, NonFiniteError
-from lindblad_pc.linalg import expm_frechet
+from lindblad_pc.linalg import FRECHET_DOUBLING_MAX, expm_frechet
 
 
 def random_complex(rng, *shape):
@@ -52,9 +52,19 @@ class TestVec:
         m = random_complex(rng, 3, 3)
         assert np.array_equal(unvec(vec(m), 3), m)
 
+    def test_unvec_of_a_stack_unvecs_each_row(self):
+        rng = np.random.default_rng(5)
+        rows = random_complex(rng, 2, 4, 9)
+        out = unvec(rows, 3)
+        assert out.shape == (2, 4, 3, 3)
+        for i in np.ndindex(2, 4):
+            assert np.array_equal(out[i], unvec(rows[i], 3))
+
     def test_unvec_rejects_bad_length(self):
         with pytest.raises(DimensionMismatchError):
             unvec(np.zeros(5), 2)
+        with pytest.raises(DimensionMismatchError):
+            unvec(np.zeros((4, 5)), 2)
 
     def test_column_lemma_on_random_triples(self):
         # vec(A B C) = (C^T kron A) vec(B)
@@ -155,6 +165,52 @@ class TestExpmFrechet:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionMismatchError):
             expm_frechet(np.eye(2), np.eye(3))
+
+
+class TestStacks:
+    def test_stacked_expm_matches_each_slice(self):
+        rng = np.random.default_rng(12)
+        stack = random_complex(rng, 3, 5, 4, 4)
+        out = expm(stack)
+        assert out.shape == stack.shape
+        for index in np.ndindex(3, 5):
+            assert np.abs(out[index] - expm(stack[index])).max() <= 1e-15
+
+    def test_stacked_expm_rejects_non_square_and_non_finite(self):
+        with pytest.raises(DimensionMismatchError):
+            expm(np.zeros((4, 2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            expm(np.zeros(4))
+        stack = np.zeros((4, 3, 3))
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            expm(stack)
+
+    # both sides of the switch from the doubled matrix to scipy's own
+    @pytest.mark.parametrize("n", [*range(1, 9), FRECHET_DOUBLING_MAX, FRECHET_DOUBLING_MAX + 1])
+    def test_stacked_frechet_matches_scipy(self, n):
+        import scipy.linalg
+
+        rng = np.random.default_rng(100 + n)
+        a = random_complex(rng, 2, 3, n, n) / np.sqrt(n)
+        e = random_complex(rng, 2, 3, n, n)
+        exp_a, frechet = expm_frechet(a, e)
+        assert exp_a.shape == frechet.shape == a.shape
+        for i in np.ndindex(2, 3):
+            ref_exp, ref_frechet = scipy.linalg.expm_frechet(a[i], e[i])
+            assert (np.linalg.norm(exp_a[i] - ref_exp)
+                    <= 1e-13 * np.linalg.norm(ref_exp))
+            assert (np.linalg.norm(frechet[i] - ref_frechet)
+                    <= 1e-13 * np.linalg.norm(ref_frechet))
+
+    def test_stacked_frechet_rejects_non_finite_slices(self):
+        a = np.zeros((3, 2, 2))
+        e = np.zeros((3, 2, 2))
+        e[1, 0, 1] = np.inf
+        with pytest.raises(NonFiniteError):
+            expm_frechet(a, e)
+        with pytest.raises(DimensionMismatchError):
+            expm_frechet(a, np.zeros((2, 2, 2)))
 
 
 class TestNullSpace:

@@ -206,6 +206,27 @@ class TestBuiltin:
         with pytest.raises(ValueError, match=r"negative at t=25\.25"):
             model.validate(40.0)
 
+    def test_a_negative_time_before_a_non_finite_one_is_named(self):
+        # the same chunk also holds t = 10, where the rate is not finite
+        doc = '{"dimension": 2, "jumps": [{"from": 2, "to": 1, "rate": "(1 - t)/(t - 10)"}]}'
+        with pytest.raises(ValueError, match=r"negative at t=0;"):
+            loads_model(doc)
+
+    @pytest.mark.parametrize("rate, message", [
+        ("70000 - t", r"negative at t=70000\.2;"),
+        ("1/(t - 60000)^2", r"not finite at t=60000$"),
+        ("exp(t - 99000)", r"not finite at t=99710$"),
+        # negative from 70000.25 on, and a division by zero at 80000 in the same chunk
+        ("(70000 - t)/(80000 - t)", r"negative at t=70000\.2;"),
+    ])
+    def test_first_bad_time_is_named_past_the_first_chunk(self, rate, message):
+        # 405k samples on a 1e5 window, so the bad time lies in a later chunk
+        doc = f'{{"dimension": 2, "jumps": [{{"from": 2, "to": 1, "rate": "{rate}"}}]}}'
+        model, _ = loads_model(doc)
+        assert model.validate(5e4) is model
+        with pytest.raises(ValueError, match=message):
+            model.validate(1e5)
+
 
 class TestPhaseState:
     def test_pair_entries(self):

@@ -167,6 +167,14 @@ class TestCompare:
     def test_orthogonal_pure_states(self):
         assert trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0)
 
+    def test_stacks_give_one_distance_per_pair(self):
+        g = make_generator("cascade3")
+        rho0 = diag_state(0, 0, 1)
+        closed = propagate_closed_form(g, rho0, GRID).states
+        oracle = ode_oracle(g, rho0, GRID).states
+        assert np.array_equal(trace_distance(closed, oracle),
+                              [trace_distance(a, b) for a, b in zip(closed, oracle)])
+
     def test_grid_mismatch(self):
         g = make_generator("v3")
         a = propagate_closed_form(g, diag_state(1, 0, 0), np.linspace(0, 5, 11))
