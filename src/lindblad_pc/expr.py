@@ -3,9 +3,10 @@
 Relaxation rates enter the generator as scalar functions of time, so
 integrating the full generator matrix reduces to integrating scalars.
 This module parses a small expression grammar into an immutable AST,
-evaluates it, and produces antiderivatives: in closed form when the
-expression matches a table of elementary patterns, otherwise through an
-adaptive-Simpson integral tabulated once on fixed nodes of a run's window.
+evaluates it at one time or at an array of times, and produces
+antiderivatives: in closed form when the expression matches a table of
+elementary patterns, otherwise through Gauss-Legendre quadrature that
+integrates all pieces of a run's window at once, in array evaluations.
 
 Grammar (whitespace insensitive)::
 
@@ -26,6 +27,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ExprSyntaxError, NonFiniteError, UnboundParameterError
 
@@ -40,14 +42,15 @@ __all__ = [
 # (e.g. sin(2at)/(4a) -> t/2); below this we integrate numerically.
 MIN_FREQUENCY = 1e-6
 
+# The most times one array evaluation of a rate takes: the rate check and
+# the quadrature evaluate in chunks of this many, which bounds their memory.
+RATE_CHUNK = 65_536
+
 
 class RateExpr:
     """Base class of rate-expression AST nodes. Nodes are immutable values."""
 
     __slots__ = ()
-
-    def __call__(self, t):
-        return eval_expr(self, t)
 
 
 @dataclass(frozen=True)
@@ -417,19 +420,9 @@ def _unsigned(v):
 # Antiderivatives
 
 class Antiderivative:
-    """F with F(0) = 0 and F' = f, evaluated through :meth:`value`."""
+    """F with F(0) = 0 and F' = f: value(t) at a time, values(times) at each."""
 
     is_closed_form = False
-
-    def value(self, t):
-        raise NotImplementedError
-
-    def values(self, times):
-        """F at each time of a 1-d array."""
-        return np.array([self.value(t) for t in times], dtype=float)
-
-    def __call__(self, t):
-        return self.value(t)
 
 
 @dataclass(frozen=True)
@@ -445,87 +438,85 @@ class ClosedFormAntiderivative(Antiderivative):
         return eval_expr(self.expr, np.asarray(times, dtype=float))
 
 
-class QuadratureAntiderivative(Antiderivative):
-    """Cumulative integral of `f` from 0 by adaptive Simpson quadrature.
+# (nodes, weights) of the 7- and 15-point Gauss-Legendre rules on [-1, 1].
+_G7, _G15 = leggauss(7), leggauss(15)
 
-    The window [0, window] is cut into CELLS cells, and the integral up to
-    each node is computed once, at construction. value(t) adds the
-    integral from a node next to t (an end node outside the window), so
-    it depends on t and the window alone, never on earlier queries.
-    Raises NonFiniteError when the integral is not finite, or when one
-    cell or query needs more than MAX_EVALUATIONS evaluations of `f`.
+
+class QuadratureAntiderivative(Antiderivative):
+    """Cumulative integral of `f` from 0 by batched Gauss-Legendre quadrature.
+
+    At construction, every pending piece of [0, window] (at first its CELLS
+    graded cells) is integrated at once by the 7- and 15-point rules; the
+    pieces where the two agree are kept, the rest halved and integrated
+    again. F(t) is the kept pieces before t plus the 15-point rule from the
+    start of t's piece (an end piece outside the window), so it depends on
+    t and the window alone, never on other queries. Raises NonFiniteError
+    when `f` is not finite on the window, or when one cell takes more than
+    MAX_EVALUATIONS evaluations.
     """
 
     # Requested per-unit-length tolerance; keeps accumulated error well
-    # inside the documented |value(t) - integral| <= 1e-10 * (1 + t).
+    # inside the documented |value(t) - integral| <= 1e-10 * (1 + t). Past
+    # t = 8192 the float spacing at a piece's end is larger and replaces it,
+    # since rounding the nodes' times keeps the two rules that far apart.
     ABS_TOL = 1e-12
     CELLS = 256
-    # The most integrand evaluations one cell, or one query, may take. The
-    # benchmark's quadrature rates take at most 1.3e3 on a 1e5 window. A
-    # rate that is finite but huge (exp(t^2/3) on [0, 20]) keeps the error
-    # test failing on rounding alone and would recurse to depth 48 on
-    # every branch.
+    # The most integrand evaluations the pieces of one cell may take. A rate
+    # that is finite but huge (exp(t^2/3) on [0, 20]) keeps the two rules
+    # apart on rounding alone, and a fast oscillation on a long window
+    # (sin(30*t)^2 on [0, 1e6]) needs more pieces than the cap allows.
     MAX_EVALUATIONS = 100_000
 
     def __init__(self, integrand, window):
         self.integrand = integrand
         # Node k at window * (k / CELLS)^2: cells widen with t, so a rate that
         # acts early in a long window (t*exp(-t) on [0, 1e5]) spans many cells.
-        self._times = tuple(window * (k / self.CELLS) ** 2
-                            for k in range(self.CELLS + 1))
-        values = [0.0]
-        for t0, t1 in zip(self._times, self._times[1:]):
-            values.append(self._extend(t0, values[-1], t1))
-        self._values = tuple(values)
-
-    def _extend(self, t0, v0, t):
-        """v0, the integral up to t0, plus the integral from t0 to t."""
-        eps = self.ABS_TOL * max(abs(t - t0), 1e-3)
-        evaluations = 0
-
-        def f(x):
-            nonlocal evaluations
-            evaluations += 1
-            if evaluations > self.MAX_EVALUATIONS:
+        edges = window * (np.arange(self.CELLS + 1) / self.CELLS) ** 2
+        cells, starts, widths = np.arange(self.CELLS), edges[:-1], np.diff(edges)
+        evaluations = np.zeros(self.CELLS, dtype=int)
+        kept = []
+        while cells.size:
+            evaluations += np.bincount(cells, minlength=self.CELLS) * (7 + 15)
+            over = np.flatnonzero(evaluations > self.MAX_EVALUATIONS)
+            if over.size:
+                k = over[0]
                 raise NonFiniteError(
-                    f"quadrature did not converge on [{t0}, {t}] within "
-                    f"{self.MAX_EVALUATIONS} evaluations of the rate")
-            return eval_expr(self.integrand, x)
+                    f"quadrature did not converge on [{edges[k]}, {edges[k + 1]}] "
+                    f"within {self.MAX_EVALUATIONS} evaluations of the rate")
+            fine = self._rule(_G15, starts, widths)
+            tol = widths * np.maximum(self.ABS_TOL, np.spacing(starts + widths))
+            done = np.abs(fine - self._rule(_G7, starts, widths)) <= tol
+            kept.append((starts[done], fine[done]))
+            cells, starts, half = cells[~done], starts[~done], widths[~done] / 2
+            cells, widths = np.tile(cells, 2), np.tile(half, 2)
+            starts = np.concatenate([starts, starts + half])
+        starts, integrals = (np.concatenate(a) for a in zip(*kept))
+        order = np.argsort(starts)
+        self._starts = starts[order]
+        self._before = np.concatenate([[0.0], np.cumsum(integrals[order])[:-1]])
 
-        v = v0 + _adaptive_simpson(f, t0, t, eps)
-        if not math.isfinite(v):
-            raise NonFiniteError(f"quadrature diverged on [{t0}, {t}]")
-        return v
+    def _rule(self, rule, starts, widths):
+        """`rule` over [start, start + width] for each pair, RATE_CHUNK
+        evaluations of the integrand at a time. A sum that overflows is
+        inf, so its piece never converges."""
+        nodes, weights = rule
+        out = np.empty(starts.size)
+        step = RATE_CHUNK // nodes.size
+        for i in range(0, starts.size, step):
+            a, h = starts[i:i + step, None], 0.5 * widths[i:i + step, None]
+            fx = eval_expr(self.integrand, (a + h * (1.0 + nodes)).ravel())
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[i:i + step] = h[:, 0] * (fx.reshape(h.size, -1) * weights).sum(axis=1)
+        return out
 
     def value(self, t):
-        t = float(t)
-        window = self._times[-1]
-        k = round(self.CELLS * math.sqrt(min(max(t, 0.0), window) / window))
-        return self._extend(self._times[k], self._values[k], t)
+        return self.values([t])[0]
 
-
-def _adaptive_simpson(f, a, b, eps):
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    c = 0.5 * (a + b)
-    fc = f(c)
-    whole = (b - a) * (fa + 4.0 * fc + fb) / 6.0
-    return _simpson_step(f, a, b, fa, fb, fc, whole, eps, 48)
-
-
-def _simpson_step(f, a, b, fa, fb, fc, whole, eps, depth):
-    c = 0.5 * (a + b)
-    d = 0.5 * (a + c)
-    e = 0.5 * (c + b)
-    fd, fe = f(d), f(e)
-    left = (c - a) * (fa + 4.0 * fd + fc) / 6.0
-    right = (b - c) * (fc + 4.0 * fe + fb) / 6.0
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * eps:
-        return left + right + err / 15.0
-    return (_simpson_step(f, a, c, fa, fc, fd, left, eps / 2.0, depth - 1)
-            + _simpson_step(f, c, b, fc, fb, fe, right, eps / 2.0, depth - 1))
+    def values(self, times):
+        times = np.asarray(times, dtype=float)
+        k = np.maximum(np.searchsorted(self._starts, times, side="right") - 1, 0)
+        starts = self._starts[k]
+        return self._before[k] + self._rule(_G15, starts, times - starts)
 
 
 class _NoClosedForm(Exception):
@@ -539,7 +530,10 @@ def antiderivative(f, window):
     constants, t^n, sin(a*t+b), cos(a*t+b), sin(a*t)^2, cos(a*t)^2, and
     exp(a*t+b). Anything else (including the patterns above with
     |a| < 1e-6, where the 1/a prefactor is ill-conditioned) falls back to
-    adaptive quadrature on fixed nodes of [0, window], which is total.
+    a :class:`QuadratureAntiderivative` on [0, window]. That one raises
+    :class:`NonFiniteError` when the rate or its integral is not finite
+    there, or when a cell of the window needs more than its
+    MAX_EVALUATIONS evaluations of the rate.
     """
     try:
         terms = [_term_antiderivative(sign, term) for sign, term in _terms(f)]

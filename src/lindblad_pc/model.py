@@ -41,11 +41,10 @@ HERMITICITY_TOL = 1e-12
 
 # A run to t_max has the time window [0, max(HORIZON, t_max)]. Rates must
 # be finite and nonnegative there (sampled at RATE_SAMPLE_COUNT points per
-# HORIZON time units, RATE_CHUNK points per evaluation), and the
+# HORIZON time units, expr.RATE_CHUNK points per evaluation), and the
 # commutativity sample times span it.
 HORIZON = 20.0
 RATE_SAMPLE_COUNT = 81
-RATE_CHUNK = 65_536
 # The largest t_max the CLI accepts: the rate check of a run to 1e6 takes
 # 4e6 samples per rate.
 MAX_T_MAX = 1e6
@@ -109,8 +108,8 @@ class LindbladModel:
 def _check_rate(rate, t_max):
     window = time_window(t_max)
     count = math.ceil((RATE_SAMPLE_COUNT - 1) * window / HORIZON) + 1
-    for start in range(0, count, RATE_CHUNK):
-        times = window * np.arange(start, min(start + RATE_CHUNK, count)) / (count - 1)
+    for start in range(0, count, _expr.RATE_CHUNK):
+        times = window * np.arange(start, min(start + _expr.RATE_CHUNK, count)) / (count - 1)
         try:
             values, non_finite = eval_expr(rate, times), None
         except NonFiniteError:

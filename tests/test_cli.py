@@ -250,6 +250,22 @@ def test_quadrature_work_is_bounded(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("t_max", ["1e4", "1e5"])
+def test_solve_integrates_a_periodic_rate_over_a_long_window(capsys, tmp_path, t_max):
+    # 3 -> 2 leaves level 2 alone, so p_2 = exp(-0.001 (t/8 - sin(4t)/32)),
+    # the integral of a rate with no closed-form antiderivative
+    path = write_json(tmp_path / "m.json", {"dimension": 3, "jumps": [
+        {"from": 3, "to": 2, "rate": "0.5"},
+        {"from": 2, "to": 1, "rate": "0.001*sin(t)^2*cos(t)^2"}]})
+    code, out, err = run(capsys, "solve", path, "--rho0", "diag:0,1,0",
+                         "--steps", "3", "--t-max", t_max)
+    assert (code, err) == (0, "")
+    for row in csv.DictReader(out.splitlines()):
+        t = float(row["t"])
+        exact = np.exp(-0.001 * (t / 8 - np.sin(4 * t) / 32))
+        assert abs(float(row["p_2"]) - exact) <= 1e-9
+
+
 @pytest.mark.parametrize("t_max", ["1e9", "1e308"])
 def test_t_max_past_the_limit_exits_2_at_once(capsys, t_max):
     # 1e9 would sample each rate 4e9 times; 1e308 overflowed the count

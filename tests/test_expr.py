@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lindblad_pc import (
     ClosedFormAntiderivative,
@@ -194,11 +195,54 @@ class TestAntiderivative:
         for t in (0.5, 3.0, 40.0, 5e4, 1e5):
             assert F.value(t) == pytest.approx(1 - (1 + t) * math.exp(-t), abs=1e-10)
 
+    @pytest.mark.parametrize("window", [1e3, 1e4, 1e5])
+    def test_quadrature_resolves_a_periodic_rate_over_a_long_window(self, window):
+        # An error test on a few equally spaced points aliases on cells that
+        # span whole periods; the integral is t/8 - sin(4t)/32.
+        F = QuadratureAntiderivative(parse_rate_expr("sin(t)^2*cos(t)^2", {}), window)
+        t = np.concatenate([np.linspace(0.0, window, 1001),
+                            np.random.default_rng(3).uniform(0.0, window, 1000)])
+        error = np.abs(F.values(t) - (t / 8 - np.sin(4 * t) / 32))
+        assert np.all(error <= 1e-10 * (1 + t))
+
     def test_quadrature_work_is_bounded(self):
-        # Finite on the window, but far too large for the absolute tolerance:
-        # without a cap each cell recurses to depth 48 on every branch.
-        with pytest.raises(NonFiniteError, match="within 100000 evaluations"):
+        # exp(t^2) overflows from t = 26.6 on, so the window is refused
+        with pytest.raises(NonFiniteError):
             QuadratureAntiderivative(parse_rate_expr("exp(t^2)", {}), 40.0)
+        # Finite on the window (at most e^133), but far too large for the
+        # absolute tolerance: the two rules differ on rounding alone.
+        with pytest.raises(NonFiniteError, match="within 100000 evaluations"):
+            QuadratureAntiderivative(parse_rate_expr("exp(t^2/3)", {}), 20.0)
+
+    def test_quadrature_memory_is_bounded(self):
+        # 2e7 periods on the window: each cell needs more pieces than the cap
+        # allows, and the up to 5e5 pieces of a round are evaluated in chunks
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteError):
+                QuadratureAntiderivative(parse_rate_expr("sin(30*t)^2*cos(30*t)^2", {}), 1e6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["sin(a*t)^2", "cos(a*t)^2", "exp(-a*t)", "a*(t/w)^2"]),
+           st.floats(min_value=0.25, max_value=2.0),
+           st.sampled_from([WINDOW, 40.0, 1e3, 1e5]),
+           st.floats(min_value=0.0, max_value=1.0))
+    @example("sin(a*t)^2", 0.4, 1e5, 0.5)
+    def test_quadrature_matches_the_closed_form(self, text, a, window, fraction):
+        # a*(t/w)^2 keeps the ramp at most 2 on the window: a rate that
+        # reaches 1e4 is past what the absolute tolerance can resolve. At
+        # a = 0.4 on 1e5 the rules stay ~1e-12 apart on the rounding of t.
+        f = parse_rate_expr(text, {"a": a, "w": window})
+        closed = antiderivative(f, window)
+        assert closed.is_closed_form
+        F = QuadratureAntiderivative(f, window)
+        assert F.value(0.0) == 0.0
+        t = np.append(np.linspace(0.0, window, 101), fraction * window)
+        assert np.all(np.abs(F.values(t) - closed.values(t)) <= 1e-12 * (1 + t))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=-5.0, max_value=45.0), min_size=1, max_size=6))
