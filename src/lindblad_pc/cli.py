@@ -12,6 +12,12 @@ Three subcommands over a model (a JSON file or a built-in name):
 Exit codes: 0 success, 2 input/parse error, 3 numeric failure,
 4 inadmissible initial state without --force, 5 verification failure.
 
+No subcommand loads scipy on the models of the benchmark: the matrix
+exponential and the ODE oracle are numpy code in the package. Only a
+`verify` whose generator has an invariant block larger than
+`linalg.FRECHET_DOUBLING_MAX` coordinates imports `scipy.linalg`, for the
+flow residual of that block.
+
 The CLI runs numpy's BLAS on one thread: :func:`main` sets the pool of
 the OpenBLAS that the numpy wheel bundles to one thread before it does
 anything else. Measured on a 2-CPU x86-64 host (`tools/scaling.py`,

@@ -445,14 +445,17 @@ _G7, _G15 = leggauss(7), leggauss(15)
 class QuadratureAntiderivative(Antiderivative):
     """Cumulative integral of `f` from 0 by batched Gauss-Legendre quadrature.
 
-    At construction, every pending piece of [0, window] (at first its CELLS
-    graded cells) is integrated at once by the 7- and 15-point rules; the
-    pieces where the two agree are kept, the rest halved and integrated
-    again. F(t) is the kept pieces before t plus the 15-point rule from the
-    start of t's piece (an end piece outside the window), so it depends on
-    t and the window alone, never on other queries. Raises NonFiniteError
-    when `f` is not finite on the window, or when one cell takes more than
-    MAX_EVALUATIONS evaluations.
+    The window [0, window] is cut into graded cells, CELLS of them or more
+    on a long window (see MAX_CELL_WIDTH). CELLS cells at a time, so that
+    the pieces pending at once never outnumber those of CELLS cells, every
+    pending piece of those cells (at first the cells themselves) is
+    integrated at once by the 7- and 15-point rules; the pieces where the
+    two agree are kept, the rest halved and integrated again. F(t) is the
+    kept pieces before t plus the 15-point rule from the start of t's piece
+    (an end piece outside the window), so it depends on t and the window
+    alone, never on other queries. Raises NonFiniteError when `f` is not
+    finite on the window, or when one cell takes more than MAX_EVALUATIONS
+    evaluations.
     """
 
     # Requested per-unit-length tolerance; keeps accumulated error well
@@ -461,6 +464,12 @@ class QuadratureAntiderivative(Antiderivative):
     # since rounding the nodes' times keeps the two rules that far apart.
     ABS_TOL = 1e-12
     CELLS = 256
+    # The widest cell of a long window. CELLS graded cells of [0, W] are at
+    # most 2 W / CELLS wide, so windows up to CELLS * MAX_CELL_WIDTH / 2
+    # (131072) keep CELLS cells and longer ones get more. On [0, 1e6] the
+    # last of 256 cells would be 7800 wide, and sin(t)^2 needs more than
+    # MAX_EVALUATIONS on a cell 4800 wide.
+    MAX_CELL_WIDTH = 1024
     # The most integrand evaluations the pieces of one cell may take. A rate
     # that is finite but huge (exp(t^2/3) on [0, 20]) keeps the two rules
     # apart on rounding alone, and a fast oscillation on a long window
@@ -469,14 +478,27 @@ class QuadratureAntiderivative(Antiderivative):
 
     def __init__(self, integrand, window):
         self.integrand = integrand
-        # Node k at window * (k / CELLS)^2: cells widen with t, so a rate that
+        # Node k at window * (k / count)^2: cells widen with t, so a rate that
         # acts early in a long window (t*exp(-t) on [0, 1e5]) spans many cells.
-        edges = window * (np.arange(self.CELLS + 1) / self.CELLS) ** 2
-        cells, starts, widths = np.arange(self.CELLS), edges[:-1], np.diff(edges)
-        evaluations = np.zeros(self.CELLS, dtype=int)
+        count = max(self.CELLS, math.ceil(2 * window / self.MAX_CELL_WIDTH))
+        edges = window * (np.arange(count + 1) / count) ** 2
+        kept = []
+        for first in range(0, count, self.CELLS):
+            kept += self._integrate_cells(edges[first:first + self.CELLS + 1])
+        starts, integrals = (np.concatenate(a) for a in zip(*kept))
+        order = np.argsort(starts)
+        self._starts = starts[order]
+        self._before = np.concatenate([[0.0], np.cumsum(integrals[order])[:-1]])
+
+    def _integrate_cells(self, edges):
+        """(starts, integrals) of the kept pieces of the cells between
+        consecutive `edges`, one pair per round of halving."""
+        count = edges.size - 1
+        cells, starts, widths = np.arange(count), edges[:-1], np.diff(edges)
+        evaluations = np.zeros(count, dtype=int)
         kept = []
         while cells.size:
-            evaluations += np.bincount(cells, minlength=self.CELLS) * (7 + 15)
+            evaluations += np.bincount(cells, minlength=count) * (7 + 15)
             over = np.flatnonzero(evaluations > self.MAX_EVALUATIONS)
             if over.size:
                 k = over[0]
@@ -490,10 +512,7 @@ class QuadratureAntiderivative(Antiderivative):
             cells, starts, half = cells[~done], starts[~done], widths[~done] / 2
             cells, widths = np.tile(cells, 2), np.tile(half, 2)
             starts = np.concatenate([starts, starts + half])
-        starts, integrals = (np.concatenate(a) for a in zip(*kept))
-        order = np.argsort(starts)
-        self._starts = starts[order]
-        self._before = np.concatenate([[0.0], np.cumsum(integrals[order])[:-1]])
+        return kept
 
     def _rule(self, rule, starts, widths):
         """`rule` over [start, start + width] for each pair, RATE_CHUNK

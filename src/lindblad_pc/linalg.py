@@ -8,19 +8,32 @@ coordinate = (col - 1) * d + row, 1-based.
 
 :func:`expm` and :func:`expm_frechet` take one matrix or a stack of
 them, shape (..., n, n), so that a generator block is exponentiated at a
-whole chunk of time points in one call. Up to FRECHET_DOUBLING_MAX, the
-Frechet derivative is the upper-right block of exp([[A, E], [0, A]])
-(Mathias 1996; Higham, *Functions of Matrices*, SIAM 2008, section
-3.2): one exponential of twice the size, which a stack takes as readily
-as a single matrix. Past that size the doubled matrix costs more than
-scipy's own expm_frechet (Al-Mohy and Higham 2009), which then takes
-the stack one slice at a time.
+whole chunk of time points in one call.
 
-Only :func:`expm` and :func:`expm_frechet` need scipy, and they import
-`scipy.linalg` when first called. Importing this module loads numpy
-alone, so a process that never exponentiates (classify, a refused
-state, an input error) does not pay for importing scipy.linalg, about
-0.1 s under `python -X importtime` on a 2-CPU x86-64 host.
+:func:`expm` is the scaling-and-squaring algorithm of Al-Mohy and Higham
+("A new scaling and squaring algorithm for the matrix exponential", SIAM
+J. Matrix Anal. Appl. 31 (2009) 970-989, Algorithm 5.1), with the Pade
+approximants of Higham (SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193),
+in numpy over a whole stack at once. Each slice gets its own Pade degree
+m in {3, 5, 7, 9, 13} and scaling s from exact 1-norms of its powers, so
+its result does not depend on the rest of the stack. A diagonal slice is
+np.exp of its diagonal, so exp(0) is exactly I. On a triangular slice the
+diagonal and first off-diagonal are set from their exact values after
+each squaring (their Code Fragment 2.1). Only the slices that still need
+a squaring take it, and a stack is worked through SLAB_BYTES at a time.
+
+Up to FRECHET_DOUBLING_MAX, the Frechet derivative is the upper-right
+block of exp([[A, E], [0, A]]) (Mathias 1996; Higham, *Functions of
+Matrices*, SIAM 2008, section 3.2): one exponential of twice the size,
+which a stack takes as readily as a single matrix. Past that size the
+doubled matrix costs more (see FRECHET_DOUBLING_MAX) than scipy's own
+expm_frechet (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 30 (2009)
+1639-1657), which then takes the stack one slice at a time.
+
+That branch is the package's only use of scipy: expm_frechet imports
+`scipy.linalg` when it first meets a slice larger than
+FRECHET_DOUBLING_MAX. Importing this module, and every other call, loads
+numpy alone.
 """
 
 from __future__ import annotations
@@ -39,11 +52,15 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-10
 
 # The largest n for which expm_frechet exponentiates the doubled 2n x 2n
-# matrix. Per slice, on one OpenBLAS thread of a 2-CPU x86-64 host, the
-# doubled form against scipy.linalg.expm_frechet takes 21 us against
-# 62 us at n = 6, 69 us against 78 us at n = 12, 122 us against 90 us at
-# n = 16 and 102 ms against 44 ms at n = 256.
-FRECHET_DOUBLING_MAX = 12
+# matrix. Per slice, on one OpenBLAS thread of a 2-CPU x86-64 host (stacks
+# of 256 random complex slices of 1-norm about 2), the doubled form against
+# scipy.linalg.expm_frechet takes 194-220 us against 210-300 us at n = 12,
+# 255-290 us against 270-330 us at n = 13..15, 330-450 us against
+# 280-380 us at n = 16 and 0.8-1.2 ms against 0.4-0.55 ms at n = 24. The
+# doubled form is kept up to n = 16 (a fully coupled 4-level model),
+# where it still spares a process the import of scipy.linalg: 0.27-0.33 s
+# under `python -X importtime`, more than the difference on a 400-point grid.
+FRECHET_DOUBLING_MAX = 16
 
 # Singular values at or below this are treated as exact zeros even when
 # they dominate the spectrum (the whole matrix is numerically zero).
@@ -106,12 +123,14 @@ def commutator(a, b):
 
 
 def expm(a):
-    """Matrix exponential (scaling-and-squaring with a Pade core) of a
-    matrix or of each matrix of a stack, shape (..., n, n)."""
+    """Matrix exponential of a matrix or of each matrix of a stack, shape
+    (..., n, n): see the module docstring. Raises NonFiniteError when a
+    result overflows or a Pade denominator is singular."""
     a = _as_square_stack(a)
     _require_finite(a, "expm input")
-    import scipy.linalg  # on first use: see the module docstring
-    return scipy.linalg.expm(a)
+    out = np.empty(a.shape, dtype=complex)
+    _expm_into(a, out)
+    return out
 
 
 def expm_frechet(a, e):
@@ -138,8 +157,194 @@ def expm_frechet(a, e):
     doubled[..., :n, :n] = a
     doubled[..., :n, n:] = e
     doubled[..., n:, n:] = a
-    exp_doubled = expm(doubled)
-    return exp_doubled[..., :n, :n], exp_doubled[..., :n, n:]
+    _expm_into(doubled, doubled)
+    return doubled[..., :n, :n], doubled[..., :n, n:]
+
+
+# Pade degree m -> theta_m, the largest 1-norm on which the [m/m] Pade
+# approximant of exp has a backward error below 2^-53, and |c_(2m+1)|,
+# the leading coefficient of that error's series (Al-Mohy and Higham
+# 2009, Table 3.1 and eq. (5.1)).
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068e0, 13: 4.25}
+_BACKWARD = {3: 1 / 100800, 5: 1 / 10059033600, 7: 1 / 4487938430976000,
+             9: 1 / 5914384781877411840000, 13: 1 / 113250775606021113483283660800000000}
+# Coefficients b_0..b_m of the numerator p_m(x) of the [m/m] Pade
+# approximant of exp; its denominator is p_m(-x) (Higham 2005, eq. (2.3)).
+_PADE = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240., 2162160.,
+        110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600.,
+         1187353796428800., 129060195264000., 10559470521600., 670442572800.,
+         33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.),
+}
+# Bytes of input per slab: expm works through a stack this much at a
+# time, so that its temporaries (16-21 times SLAB_BYTES at the peak,
+# measured at n = 6 and 64) do not grow with the stack.
+SLAB_BYTES = 2**18
+
+
+def _expm_into(a, out):
+    """Write exp of each slice of the stack `a` to `out`, slab by slab;
+    `out` may be `a` itself."""
+    n = a.shape[-1]
+    if a.size == 0:
+        return
+    flat, flat_out = a.reshape(-1, n, n), out.reshape(-1, n, n)
+    step = max(1, SLAB_BYTES // (16 * n * n))
+    for start in range(0, flat.shape[0], step):
+        flat_out[start:start + step] = _expm_slab(flat[start:start + step])
+
+
+def _expm_slab(a):
+    """exp of each slice of `a`, shape (k, n, n). A diagonal slice (a zero
+    one too) is np.exp of its diagonal; every other slice gets its own
+    Pade degree and scaling, so its result does not depend on the rest of
+    the stack."""
+    out = np.zeros_like(a)
+    n = a.shape[-1]
+    general = np.any(a[:, ~np.eye(n, dtype=bool)] != 0, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        np.einsum("kii->ki", out)[~general] = np.exp(np.einsum("kii->ki", a[~general]))
+        if general.any():
+            out[general] = _expm_general(a[general])
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("the matrix exponential overflows")
+    return out
+
+
+def _norm1(a):
+    """The 1-norm (largest column sum of moduli) of each slice."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _ell(a, norm, m):
+    """ell(A, m) of Al-Mohy and Higham (2009, eq. (5.3)) for each slice:
+    the squarings that degree m needs on top of theta_m, from the exact
+    1-norm of |A|^(2m+1), the largest entry of the row 1^T |A|^(2m+1). The
+    row is formed one row-times-matrix product at a time, with |A| divided
+    by its 1-norm so that no power overflows."""
+    unit = np.abs(a) / norm[:, None, None]
+    row = np.ones((a.shape[0], 1, a.shape[-1]))
+    for _ in range(2 * m + 1):
+        row = row @ unit
+    with np.errstate(divide="ignore"):  # |A|^(2m+1) = 0: ell is 0
+        log2_alpha = (np.log2(_BACKWARD[m]) + np.log2(row.max(axis=(1, 2)))
+                      + 2 * m * np.log2(norm))
+    return np.maximum(0.0, np.ceil((log2_alpha + 53) / (2 * m))).astype(int)
+
+
+def _expm_general(a):
+    """Algorithm 5.1 of Al-Mohy and Higham (2009), with exact 1-norms, on
+    each slice of `a`: pick the Pade degree m and the scaling s, evaluate
+    the [m/m] approximant at 2^-s A, and square the result s times."""
+    norm = _norm1(a)
+    powers = {2: a @ a}
+    powers[4] = powers[2] @ powers[2]
+    powers[6] = powers[4] @ powers[2]
+    d6 = _norm1(powers[6]) ** (1 / 6)
+    eta = np.maximum(_norm1(powers[4]) ** (1 / 4), d6)
+    degree = np.full(a.shape[0], 13)
+    scaling = np.zeros(a.shape[0], dtype=int)
+
+    def settle(m):
+        """Degree m for the undecided slices within theta_m with ell = 0."""
+        trial = np.flatnonzero((degree == 13) & (eta <= _THETA[m]))
+        if trial.size:
+            degree[trial[_ell(a[trial], norm[trial], m) == 0]] = m
+
+    settle(3)
+    settle(5)
+    if np.any(degree == 13):
+        powers[8] = powers[4] @ powers[4]
+        d8 = _norm1(powers[8]) ** (1 / 8)
+        eta = np.maximum(d6, d8)
+        settle(7)
+        settle(9)
+    rest = np.flatnonzero(degree == 13)
+    if rest.size:
+        d10 = _norm1(powers[4][rest] @ powers[6][rest]) ** (1 / 10)
+        least = np.minimum(eta[rest], np.maximum(d8[rest], d10))
+        if not np.all(np.isfinite(least)):  # a power of A overflows
+            raise NonFiniteError("the matrix exponential overflows")
+        with np.errstate(divide="ignore"):  # least = 0: no scaling
+            s = np.maximum(0.0, np.ceil(np.log2(least / _THETA[13]))).astype(int)
+        scale = 2.0 ** -s
+        scaling[rest] = s + _ell(a[rest] * scale[:, None, None], norm[rest] * scale, 13)
+
+    result = np.empty_like(a)
+    for m in np.unique(degree):
+        chosen = np.flatnonzero(degree == m)
+        scale = 2.0 ** -scaling[chosen][:, None, None]
+        needed = range(2, m, 2) if m < 13 else (2, 4, 6)
+        result[chosen] = _pade(m, a[chosen] * scale,
+                               {p: powers[p][chosen] * scale ** p for p in needed})
+
+    # Squaring. On a triangular slice the diagonal and the first
+    # off-diagonal of each power are set from their exact values
+    # (Al-Mohy and Higham 2009, Code Fragment 2.1), before the first
+    # squaring (the diagonal) and after each.
+    n = a.shape[-1]
+    upper = ~np.any(a[:, np.tri(n, k=-1, dtype=bool)] != 0, axis=-1)
+    lower = ~upper & ~np.any(a[:, np.tri(n, k=-1, dtype=bool).T] != 0, axis=-1)
+    for step in range(scaling.max(initial=0) + 1):
+        live = scaling >= step
+        if step:
+            result[live] = result[live] @ result[live]
+        for triangle, band in ((upper, _superdiagonal), (lower, _subdiagonal)):
+            chosen = np.flatnonzero(live & triangle & (scaling > 0))
+            scale = 2.0 ** (step - scaling[chosen])[:, None]
+            diagonal = np.einsum("kii->ki", a[chosen]) * scale
+            exp_diagonal = np.exp(diagonal)
+            fixed = result[chosen]
+            np.einsum("kii->ki", fixed)[...] = exp_diagonal
+            if step:
+                band(fixed)[...] = band(a[chosen]) * scale * _divided_difference(
+                    diagonal, exp_diagonal)
+            result[chosen] = fixed
+    return result
+
+
+def _superdiagonal(x):
+    return np.einsum("kii->ki", x[:, :-1, 1:])
+
+
+def _subdiagonal(x):
+    return np.einsum("kii->ki", x[:, 1:, :-1])
+
+
+def _divided_difference(x, exp_x):
+    """(exp(x[i+1]) - exp(x[i])) / (x[i+1] - x[i]) along the last axis,
+    exp(x[i]) where the two are equal: the first off-diagonal of exp of a
+    bidiagonal 2 x 2 block, over its off-diagonal entry (Higham 2008,
+    eq. (10.42))."""
+    step = np.diff(x, axis=-1)
+    equal = step == 0
+    return np.where(equal, exp_x[..., :-1], np.diff(exp_x, axis=-1) / np.where(equal, 1, step))
+
+
+def _pade(m, a, powers):
+    """The [m/m] Pade approximant p_m(-A)^-1 p_m(A) of exp(A) on each slice
+    of `a`, from its even powers A^2, A^4, ... (Higham 2005, section 2)."""
+    b = _PADE[m]
+    identity = np.eye(a.shape[-1])
+    if m == 13:
+        a2, a4, a6 = powers[2], powers[4], powers[6]
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * identity)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * identity)
+    else:
+        even = [identity] + [powers[p] for p in range(2, m, 2)]
+        u = a @ sum(b[2 * j + 1] * x for j, x in enumerate(even))
+        v = sum(b[2 * j] * x for j, x in enumerate(even))
+    try:
+        return np.linalg.solve(v - u, v + u)
+    except np.linalg.LinAlgError:
+        raise NonFiniteError("the matrix exponential has a singular Pade denominator") from None
 
 
 @dataclass(frozen=True)

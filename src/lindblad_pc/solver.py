@@ -4,8 +4,9 @@ The closed form unvec(exp(B(t)) vec(rho0)) is an exact solution of the
 master equation exactly when vec(rho0) lies in the partially commutative
 subspace (or when the generator satisfies one of the global
 commutativity criteria). The oracle integrates the vectorized linear ODE
-with an adaptive Runge-Kutta pair and knows nothing about matrix
-exponentials or commutativity, so agreement between the two is a genuine
+with an adaptive Runge-Kutta pair, one evaluation of the dense generator
+per right-hand side, and knows nothing about matrix exponentials or
+commutativity, so agreement between the two is a genuine
 cross-check rather than a tautology. The flow ("Fedorov") residual
 certifies the closed form directly: it inserts exp(B(t)) alpha into the
 master equation, with the time derivative taken exactly from the Frechet
@@ -24,10 +25,13 @@ stack would pass STACK_BYTES. The oracle keeps the dense mu x mu
 generator_at: it shares no code with the blocks, so `verify` still
 tests them against an integration that does not assume them.
 
-Only :func:`ode_oracle` uses `scipy.integrate`, and it imports it when
-called: `solve` and the admissibility gate never integrate, and
-scipy.integrate was the most expensive import of the package (about
-0.12 s under `python -X importtime` on a 2-CPU x86-64 host).
+The oracle is the Dormand-Prince 5(4) pair (Dormand and Prince, J.
+Comput. Appl. Math. 6 (1980) 19-26) with the coefficients, step control
+and dense output of scipy.integrate's RK45, written out here so that
+`verify` needs no scipy: it takes the steps solve_ivp(method="RK45")
+takes at rtol = atol = ORACLE_TOL. Neither it nor the closed form
+imports scipy; only `expm_frechet` does, for a block larger than
+`linalg.FRECHET_DOUBLING_MAX`.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ ORACLE_MAX_RHS_CALLS = 100_000
 # Grid points per batched exponential: at most CHUNK, and fewer for a
 # large block b, so that the b x b stacks of the closed form and the four
 # b x b (or one 2b x 2b) stacks of the residual stay within STACK_BYTES
-# each; expm adds an output of the same size and per-slice scratch. The
+# each; expm adds an output of the same size (none for the doubled
+# matrix, which it overwrites) and scratch that does not grow with the
+# stack (see linalg.SLAB_BYTES). The
 # blocks of a level-transition model up to d = 16 get the full CHUNK; a
 # fully coupled generator at d = 16 (one block, b = 256) gets 8 points
 # in the closed form and 2 in the residual.
@@ -141,18 +147,17 @@ def propagate_closed_form(g, rho0, grid):
 
 
 def ode_oracle(g, rho0, grid):
-    """Integrate vec(rho)' = L(t) vec(rho) with an adaptive RK45 pair.
+    """Integrate vec(rho)' = L(t) vec(rho) with the adaptive Dormand-Prince
+    5(4) pair (see :func:`_dormand_prince`).
 
     Local error is kept at ORACLE_TOL; the solution is evaluated on the grid
-    points through the integrator's dense output. Raises
-    StepSizeUnderflowError, with the time reached, once the integrator
-    asks for more than ORACLE_MAX_RHS_CALLS evaluations of the right-hand
-    side (a stiff or fast-growing rate).
+    points through the pair's dense output. Raises StepSizeUnderflowError,
+    with the time reached, once the integrator asks for more than
+    ORACLE_MAX_RHS_CALLS evaluations of the right-hand side (a stiff or
+    fast-growing rate), or when the step it needs falls below ten times
+    the float spacing at the current time.
     """
-    from scipy.integrate import solve_ivp  # on first use: see the module docstring
-
     grid = _check_grid(grid)
-    d = g.dim
     v0 = vec(np.asarray(rho0, dtype=complex))
     calls = 0
 
@@ -165,12 +170,107 @@ def ode_oracle(g, rho0, grid):
                 f"evaluations at t={t:g} of {grid[-1]:g}")
         return generator_at(g, t) @ y
 
-    result = solve_ivp(
-        rhs, (grid[0], grid[-1]), v0, method="RK45",
-        rtol=ORACLE_TOL, atol=ORACLE_TOL, t_eval=grid)
-    if not result.success:
-        raise StepSizeUnderflowError(result.message)
-    return Trajectory(times=grid, states=unvec(result.y.T, d), method="ode-oracle")
+    states = _dormand_prince(rhs, v0, grid)
+    return Trajectory(times=grid, states=unvec(states, g.dim), method="ode-oracle")
+
+
+# The Dormand-Prince 5(4) pair (Dormand and Prince, J. Comput. Appl. Math.
+# 6 (1980) 19-26): nodes C, stage weights A, fifth-order weights B, the
+# weights E of the difference to the embedded fourth-order solution, and
+# P, the fourth-order dense output (Shampine, Math. Comp. 46 (1986)). The
+# values, and the step control below, are those of scipy.integrate's
+# RK45, so the oracle takes the steps solve_ivp(method="RK45") takes.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# Step-size control: a new step is SAFETY * err^(-1/5) times the last,
+# within [MIN_FACTOR, MAX_FACTOR], and never larger after a rejection.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dormand_prince(rhs, y, grid):
+    """The states y(t) at each time of the grid, for y' = rhs(t, y) with
+    y(0) = y: Dormand-Prince steps with an error per step of at most
+    ORACLE_TOL (relative and absolute, RMS over the components), the
+    first step chosen as in Hairer, Norsett and Wanner, *Solving ODEs I*,
+    section II.4, and the grid points inside each step taken from its
+    dense output."""
+    t, t_end, tol = 0.0, grid[-1], ORACLE_TOL
+    out = np.empty((grid.size, y.size), dtype=complex)
+    out[0] = y
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, y, f, t_end)
+    stages = np.empty((7, y.size), dtype=complex)
+    emitted = 1
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflowError(
+                    f"ODE oracle step size fell below ten times the float spacing "
+                    f"at t={t:g} of {t_end:g}")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            stages[0] = f
+            for s in range(1, 6):
+                stages[s] = rhs(t + _C[s] * h, y + np.dot(stages[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(stages[:-1].T, _B)
+            f_new = stages[6] = rhs(t + h, y_new)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            error = _rms(np.dot(stages.T, _E) * h / scale)
+            if error < 1:
+                factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR,
+                                                            _SAFETY * error ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** -0.2)
+            rejected = True
+        end = np.searchsorted(grid, t_new, side="right")
+        if end > emitted:
+            x = (grid[emitted:end] - t) / h
+            powers = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            out[emitted:end] = (h * np.dot(np.dot(stages.T, _P), powers) + y[:, None]).T
+            emitted = end
+        t, y, f = t_new, y_new, f_new
+    return out
+
+
+def _initial_step(rhs, y, f, t_end):
+    """The first step size (Hairer, Norsett and Wanner, section II.4):
+    one extra evaluation of rhs, at the end of a trial Euler step."""
+    if t_end == 0.0:
+        return 0.0
+    scale = ORACLE_TOL + np.abs(y) * ORACLE_TOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    d2 = _rms((rhs(h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
 
 
 def fedorov_residual(g, alpha, grid):

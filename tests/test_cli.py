@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from lindblad_pc import cli
+from lindblad_pc import cli, solver
 
 from conftest import MODEL_NAMES, MODEL_PARAMS
 
@@ -238,6 +238,19 @@ def test_oracle_work_is_bounded(capsys, tmp_path):
     assert err.startswith("numeric failure: ODE oracle gave up after ")
     assert err.count("\n") == 1
     assert "right-hand-side evaluations at t=" in err
+
+
+def test_oracle_step_size_underflow_exits_3(capsys, monkeypatch):
+    # No rate expression jumps, so the oracle's right-hand side is given
+    # one: from t = 0.5 on, L(t) gains 1e10 times the identity. A step across
+    # the jump is too inaccurate at any size down to the float spacing.
+    dense = solver.generator_at
+    monkeypatch.setattr(solver, "generator_at",
+                        lambda g, t: dense(g, t) + (1e10 if t > 0.5 else 0.0) * np.eye(g.mu))
+    code, out, err = run(capsys, "verify", *builtin_args("cascade3"), "--rho0", "pure:1")
+    assert (code, out) == (cli.EXIT_NUMERIC, "")
+    assert err.startswith("numeric failure: ODE oracle step size fell below ")
+    assert "at t=0.5 of 20" in err and err.count("\n") == 1
 
 
 def test_quadrature_work_is_bounded(capsys, tmp_path):

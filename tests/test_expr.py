@@ -205,6 +205,15 @@ class TestAntiderivative:
         error = np.abs(F.values(t) - (t / 8 - np.sin(4 * t) / 32))
         assert np.all(error <= 1e-10 * (1 + t))
 
+    def test_quadrature_resolves_a_periodic_rate_over_the_longest_window(self):
+        # On [0, 1e6] the cells are cut to MAX_CELL_WIDTH; with 256 cells the
+        # last were 7800 wide, more than MAX_EVALUATIONS could integrate.
+        F = QuadratureAntiderivative(parse_rate_expr("sin(t)^2", {}), 1e6)
+        t = np.concatenate([np.linspace(0.0, 1e6, 1001),
+                            np.random.default_rng(4).uniform(0.0, 1e6, 1000)])
+        error = np.abs(F.values(t) - (t / 2 - np.sin(2 * t) / 4))
+        assert np.all(error <= 1e-9 * (1 + t))
+
     def test_quadrature_work_is_bounded(self):
         # exp(t^2) overflows from t = 26.6 on, so the window is refused
         with pytest.raises(NonFiniteError):

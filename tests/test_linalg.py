@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from lindblad_pc import (
     assemble,
@@ -186,11 +188,11 @@ class TestStacks:
         with pytest.raises(NonFiniteError):
             expm(stack)
 
-    # both sides of the switch from the doubled matrix to scipy's own
-    @pytest.mark.parametrize("n", [*range(1, 9), FRECHET_DOUBLING_MAX, FRECHET_DOUBLING_MAX + 1])
+    # both sides of the switch from the doubled matrix to scipy's own, and
+    # n = 12, 13, where the two cost about the same per slice
+    @pytest.mark.parametrize("n", [*range(1, 9), 12, 13,
+                                   FRECHET_DOUBLING_MAX, FRECHET_DOUBLING_MAX + 1])
     def test_stacked_frechet_matches_scipy(self, n):
-        import scipy.linalg
-
         rng = np.random.default_rng(100 + n)
         a = random_complex(rng, 2, 3, n, n) / np.sqrt(n)
         e = random_complex(rng, 2, 3, n, n)
@@ -211,6 +213,62 @@ class TestStacks:
             expm_frechet(a, e)
         with pytest.raises(DimensionMismatchError):
             expm_frechet(a, np.zeros((2, 2, 2)))
+
+
+SLICE_KINDS = ("random", "cascade", "ladder", "nilpotent", "zero", "diagonal")
+
+
+def expm_slice(kind, n, rng):
+    """One n x n slice of the kind: a random complex matrix of 1-norm up to
+    about 40; the population block of an n-level cascade (level k+1 decays
+    to k) at a time up to 1e6, upper bidiagonal, where expm squares up to
+    about 20 times; that of the reverse ladder (k pumped to k+1), lower
+    bidiagonal; a strictly upper triangular (nilpotent) matrix; zero; or a
+    diagonal matrix."""
+    if kind == "random":
+        return random_complex(rng, n, n) * 10.0 ** rng.uniform(-3, 1) / np.sqrt(n)
+    if kind in ("cascade", "ladder"):
+        integrals = 10.0 ** rng.uniform(-2, 6) * rng.uniform(0.1, 1.0, size=n - 1)
+        block = np.diag(integrals, 1).astype(complex)
+        block[range(1, n), range(1, n)] = -integrals
+        return block if kind == "cascade" else block[::-1, ::-1]
+    if kind == "nilpotent":
+        return np.triu(random_complex(rng, n, n), 1) * 10.0 ** rng.uniform(-2, 0.5)
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    return np.diag(random_complex(rng, n) * 10.0 ** rng.uniform(-2, 1))
+
+
+def norm1(a):
+    return np.abs(a).sum(axis=0).max()
+
+
+class TestExpmAgainstScipy:
+    """The stacked expm against scipy.linalg.expm, slice by slice, on one
+    stack mixing every kind of slice; and each slice of the stack bit for
+    bit as it comes out alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.lists(st.sampled_from(SLICE_KINDS), min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_matches_scipy(self, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.array([expm_slice(kind, n, rng) for kind in kinds])
+        out = expm(stack)
+        for kind, a, ours in zip(kinds, stack, out):
+            assert np.array_equal(ours, expm(a))
+            ref = scipy.linalg.expm(a)
+            if kind in ("zero", "diagonal"):
+                assert np.array_equal(ours, np.diag(np.exp(np.diag(a))))
+                assert np.array_equal(ours, ref)
+            else:
+                assert norm1(ours - ref) <= 1e-13 * norm1(ref)
+
+    def test_overflow_raises(self):
+        with pytest.raises(NonFiniteError, match="overflows"):
+            expm(np.array([[800.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(NonFiniteError, match="overflows"):
+            expm(np.diag([1000.0, 0.0]))
 
 
 class TestNullSpace:

@@ -7,12 +7,16 @@ implementation independent of the one the CLI uses to set it.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from lindblad_pc.linalg import FRECHET_DOUBLING_MAX
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,19 +73,39 @@ def test_runs_that_never_exponentiate_load_no_scipy(argv, code):
     assert (result["code"], result["scipy"]) == (code, [])
 
 
-def test_solve_loads_scipy_linalg_and_not_scipy_integrate(tmp_path):
-    result = run_cli("solve", *CASCADE3, "--rho0", "pure:1", "--steps", "5",
+BUILTINS = {
+    "v3": ("--builtin", "v3", "--params", "eps1=1,eps3=2"),
+    "cascade3": CASCADE3,
+    "lambda3": ("--builtin", "lambda3", "--params", "eps1=1,eps3=2"),
+    "cascade4": ("--builtin", "cascade4", "--params", "eps1=1,eps2=2"),
+}
+
+
+def test_solve_loads_no_scipy(tmp_path):
+    result = run_cli("solve", *BUILTINS["cascade4"], "--rho0", "pure:1", "--steps", "5",
                      "--out", str(tmp_path / "out.csv"))
+    assert (result["code"], result["scipy"]) == (0, [])
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_admitted_verify_loads_no_scipy(name):
+    result = run_cli("verify", *BUILTINS[name], "--rho0", "pure:1", "--t-max", "2",
+                     "--steps", "5")
+    assert (result["code"], result["scipy"]) == (0, [])
+
+
+def test_verify_past_the_doubling_size_loads_scipy_linalg_only(tmp_path):
+    # A dense Hamiltonian and no jumps: one invariant block of all d^2
+    # coordinates, past FRECHET_DOUBLING_MAX, and every state admissible.
+    d = math.isqrt(FRECHET_DOUBLING_MAX) + 1
+    h = np.diag(np.arange(d, dtype=float)) + 0.3 * (np.eye(d, k=1) + np.eye(d, k=-1))
+    h[0, -1] = h[-1, 0] = 0.2
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dimension": d, "hamiltonian": {"matrix": h.tolist()}}))
+    result = run_cli("verify", str(path), "--rho0", "pure:1", "--t-max", "2", "--steps", "5")
     assert result["code"] == 0
     assert "scipy.linalg" in result["scipy"]
     assert not any(m.startswith("scipy.integrate") for m in result["scipy"])
-
-
-def test_admitted_verify_loads_scipy_integrate():
-    result = run_cli("verify", *CASCADE3, "--rho0", "pure:1", "--t-max", "2",
-                     "--steps", "5")
-    assert result["code"] == 0
-    assert "scipy.integrate" in result["scipy"]
 
 
 def _skip_unless_capping_can_show(before):

@@ -1,5 +1,9 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from lindblad_pc import (
     LindbladModel,
@@ -18,10 +22,14 @@ from lindblad_pc import (
     unvec,
     vec,
 )
+from lindblad_pc import cli, model, modelfile, solver
 from lindblad_pc.model import Jump
 from lindblad_pc.errors import GridMismatchError
 
-from conftest import admissible_bank, diag_state, make_generator
+from conftest import MODEL_NAMES, MODEL_PARAMS, admissible_bank, diag_state, make_generator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 GRID = np.linspace(0.0, 10.0, 201)
 
@@ -104,6 +112,48 @@ class TestOracle:
         rho0 = diag_state(0.35, 0.0, 0.65)
         tr = ode_oracle(g, rho0, GRID)
         assert max(np.abs(tr.states[i] - rho0).max() for i in range(GRID.size)) <= 1e-9
+
+
+def quadrature_verifies(seed, directory):
+    """(model, initial state) of each verify of the benchmark's seeded
+    quadrature-solve workload: d = 3, 4, 6 cascades whose rates need
+    quadrature."""
+    cases = []
+    for op in workloads.build("quadrature-solve", seed, directory):
+        if op.command == "verify":
+            path, _, spec = op.args
+            loaded, _ = modelfile.load_model(path)
+            cases.append((loaded, cli._parse_rho0(spec, loaded.dim)))
+    return cases
+
+
+class TestOracleAgainstScipy:
+    """The in-package Dormand-Prince loop takes the steps of scipy's RK45
+    on the CLI's default grid: the same number of right-hand-side
+    evaluations, and the same states to rounding."""
+
+    def check(self, monkeypatch, loaded, rho0):
+        g = model.assemble(loaded)
+        grid = np.linspace(0.0, model.HORIZON, cli.DEFAULT_STEPS)
+        calls = []
+        dense = solver.generator_at
+        monkeypatch.setattr(solver, "generator_at", lambda g, t: calls.append(t) or dense(g, t))
+        ours = ode_oracle(g, rho0, grid)
+        ref = solve_ivp(lambda t, y: dense(g, t) @ y, (0.0, grid[-1]), vec(rho0),
+                        method="RK45", rtol=solver.ORACLE_TOL, atol=solver.ORACLE_TOL,
+                        t_eval=grid)
+        assert ref.success
+        assert len(calls) == ref.nfev
+        assert np.abs(ours.states - unvec(ref.y.T, g.dim)).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_builtins(self, monkeypatch, name):
+        self.check(monkeypatch, model.builtin(name, MODEL_PARAMS[name]), admissible_bank(name)[-1])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_quadrature_cascades(self, monkeypatch, tmp_path, seed):
+        for loaded, rho0 in quadrature_verifies(seed, tmp_path):
+            self.check(monkeypatch, loaded, rho0)
 
 
 def central_difference_residual(g, alpha, grid):
