@@ -11,6 +11,10 @@ Three subcommands over a model (a JSON file or a built-in name):
 
 Exit codes: 0 success, 2 input/parse error, 3 numeric failure,
 4 inadmissible initial state without --force, 5 verification failure.
+Exit 2 also refuses, before any work: a `--params` value that is NaN or
+infinite; `--steps` such that steps x d^2 passes MAX_GRID_ENTRIES (the
+message names the largest `--steps` for that d); and a `verify --tol`
+that is not positive and finite.
 
 No subcommand loads scipy on the models of the benchmark: the matrix
 exponential and the ODE oracle are numpy code in the package. Only a
@@ -59,6 +63,13 @@ EXIT_VERIFY = 5
 
 DEFAULT_STEPS = 400
 DEFAULT_VERIFY_TOL = 1e-6
+# The most steps x d^2 that solve and verify take: each holds a few
+# complex arrays of that many entries (the closed-form and oracle states
+# and their copies as d x d matrices), 64 MiB each at the bound. At the
+# bound on v3 (466,033 steps) solve peaks at 206 MB resident and verify
+# at 250 MB.
+MAX_GRID_ENTRIES = 2**22
+_CSV_BLOCK_ROWS = 4096  # CSV lines per formatted piece, whatever --steps is
 T_MAX_HELP = (f"end of the time grid (default {model.HORIZON:g}, at most "
               f"{model.MAX_T_MAX:g}); rates and sample times are checked on the "
               f"window [0, max({model.HORIZON:g}, t-max)]")
@@ -126,9 +137,13 @@ def _parse_params(chunks):
             if not sep or not name:
                 raise ValueError(f"--params entries must look like k=v, got {item!r}")
             try:
-                params[name] = float(value)
+                number = float(value)
             except ValueError:
                 params[name] = value  # expression-valued (lambda3 f1/f2)
+                continue
+            if not math.isfinite(number):
+                raise ValueError(f"params: {name!r} must be a finite number")
+            params[name] = number
     return params
 
 
@@ -216,6 +231,9 @@ def _prepare(args, coherences=()):
         raise ValueError("--steps must be >= 2 and --t-max positive and finite")
     if args.t_max > model.MAX_T_MAX:
         raise ValueError(f"--t-max must be at most {model.MAX_T_MAX:g}")
+    if args.steps * loaded.dim ** 2 > MAX_GRID_ENTRIES:
+        raise ValueError(f"--steps must be at most {MAX_GRID_ENTRIES // loaded.dim ** 2} "
+                         f"for a {loaded.dim}-level model")
     grid = np.linspace(0.0, args.t_max, args.steps)
     pairs = _coherence_pairs(coherences, loaded.dim)
     g = model.assemble(loaded, args.t_max)
@@ -260,24 +278,21 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def _fmt(x):
-    return f"{x + 0.0:.12e}"  # + 0.0 normalizes negative zero
-
-
-def _csv_lines(series):
+def _csv_pieces(series):
+    """The CSV of an observable series in pieces of _CSV_BLOCK_ROWS lines
+    after the header: one line per time, every value written as %.12e."""
     d = series.populations.shape[1]
     header = ["t"] + [f"p_{i}" for i in range(1, d + 1)] + ["purity", "entropy"]
-    for (i, j) in series.coherences:
+    columns = [series.times, *series.populations.T, series.purity, series.entropy]
+    for (i, j), values in series.coherences.items():
         header += [f"re_{i}{j}", f"im_{i}{j}"]
-    yield ",".join(header)
-    coherences = list(series.coherences.values())
-    for row in range(series.times.size):
-        cells = [_fmt(series.times[row])]
-        cells += [_fmt(p) for p in series.populations[row]]
-        cells += [_fmt(series.purity[row]), _fmt(series.entropy[row])]
-        for values in coherences:
-            cells += [_fmt(values[row].real), _fmt(values[row].imag)]
-        yield ",".join(cells)
+        columns += [values.real, values.imag]
+    table = np.column_stack(columns) + 0.0  # + 0.0 turns negative zero into zero
+    row = ",".join(["%.12e"] * len(columns)) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        yield row * len(block) % tuple(block.ravel().tolist())
 
 
 def cmd_solve(args):
@@ -287,16 +302,17 @@ def cmd_solve(args):
     trajectory = solver.propagate_closed_form(g, rho0, grid)
     series = observables.observable_series(trajectory, pairs)
 
-    text = "".join(line + "\n" for line in _csv_lines(series))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(_csv_pieces(series))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_csv_pieces(series))
     return EXIT_OK
 
 
 def cmd_verify(args):
+    if not 0 < args.tol < math.inf:
+        raise ValueError("--tol must be positive and finite")
     g, rho0, grid, _, failure = _prepare(args)
     if failure is not None:
         return failure

@@ -17,13 +17,14 @@ The closed form and the residual work block by block (see
 invariant blocks, so exp(B(t)) is the direct sum of the exponentials of
 the blocks. The coefficients of B(t) on the drift and on each
 dissipator, [t, Gamma_k(t)], are tabulated over the grid, and for the
-residual those of L(t), [1, gamma_k(t)]. The closed form takes one
-`np.exp` over every one-coordinate block per chunk of CHUNK points; each
-larger block is one stacked `expm`, or `expm_frechet` for the residual,
-per chunk of at most CHUNK points, fewer for a block so large that its
-stack would pass STACK_BYTES. The oracle keeps the dense mu x mu
-generator_at: it shares no code with the blocks, so `verify` still
-tests them against an integration that does not assume them.
+residual those of L(t), [1, gamma_k(t)]. The c blocks of each size b
+make one (points, c, b, b) stack per chunk of grid points, as many as
+keep it within STACK_BYTES: through `expm` for the closed form (np.exp
+of the diagonal when b = 1), and through `expm_frechet` for the
+residual, which skips b = 1, where it vanishes. The oracle keeps the
+dense mu x mu generator_at: it shares no code with the blocks, so
+`verify` still tests them against an integration that does not assume
+them.
 
 The oracle is the Dormand-Prince 5(4) pair (Dormand and Prince, J.
 Comput. Appl. Math. 6 (1980) 19-26) with the coefficients, step control
@@ -56,16 +57,14 @@ ORACLE_TOL = 1e-10
 # The cascade4 built-in takes about 2e3 evaluations on [0, 20] and 3.5e4
 # on [0, 8000].
 ORACLE_MAX_RHS_CALLS = 100_000
-# Grid points per batched exponential: at most CHUNK, and fewer for a
-# large block b, so that the b x b stacks of the closed form and the four
-# b x b (or one 2b x 2b) stacks of the residual stay within STACK_BYTES
+# Bytes per stacked exponential: a chunk takes as many grid points as
+# keep the b x b stacks of one block size in the closed form, and the
+# four b x b (or one 2b x 2b) stacks of the residual, within STACK_BYTES
 # each; expm adds an output of the same size (none for the doubled
 # matrix, which it overwrites) and scratch that does not grow with the
-# stack (see linalg.SLAB_BYTES). The
-# blocks of a level-transition model up to d = 16 get the full CHUNK; a
-# fully coupled generator at d = 16 (one block, b = 256) gets 8 points
-# in the closed form and 2 in the residual.
-CHUNK = 512
+# stack (see linalg.SLAB_BYTES). A fully coupled generator at d = 16
+# (one block, b = 256) gets 8 points in the closed form and 2 in the
+# residual.
 STACK_BYTES = 8 * 2**20
 
 
@@ -93,22 +92,21 @@ def _check_grid(grid):
     return grid
 
 
-def _chunks(count, n):
-    """Slices that cover range(count) in chunks for a stack of n x n
-    matrices: see CHUNK."""
-    step = max(1, min(CHUNK, STACK_BYTES // (16 * n * n)))
+def _chunks(count, entries):
+    """Slices that cover range(count), each with as many points (at least
+    one) as fit in STACK_BYTES at `entries` complex numbers per point."""
+    step = max(1, STACK_BYTES // (16 * entries))
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _blocks(g):
-    """The one-coordinate blocks as (coordinates, their entries in the
-    drift and each dissipator, shape (1 + K, s)), and every larger block
-    as (coordinates, its submatrices, shape (1 + K, b, b))."""
+    """The invariant blocks grouped by size b, smallest first: for the c
+    blocks of each size, their coordinates, shape (c, b), and their
+    submatrices in the drift and each dissipator, shape (1 + K, c, b, b)."""
     terms = [g.drift] + [part.matrix for part in g.parts]
-    singles = np.array([b[0] for b in g.blocks if b.size == 1], dtype=int)
-    larger = [(b, np.array([m[np.ix_(b, b)] for m in terms]))
-              for b in g.blocks if b.size > 1]
-    return (singles, np.array([m[singles, singles] for m in terms])), larger
+    groups = [np.array([b for b in g.blocks if b.size == size])
+              for size in sorted({b.size for b in g.blocks})]
+    return [(c, np.array([m[c[:, :, None], c[:, None, :]] for m in terms])) for c in groups]
 
 
 def _integral_table(g, times):
@@ -132,15 +130,15 @@ def propagate_closed_form(g, rho0, grid):
     """
     grid = _check_grid(grid)
     v0 = vec(np.asarray(rho0, dtype=complex))
-    (singles, single_terms), larger = _blocks(g)
     table = _integral_table(g, grid)
     out = np.empty((grid.size, g.mu), dtype=complex)
-    for rows in _chunks(grid.size, 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            out[rows, singles] = np.exp(table[rows] @ single_terms) * v0[singles]
-    for coords, terms in larger:
-        for rows in _chunks(grid.size, coords.size):
-            out[rows, coords] = expm(np.tensordot(table[rows], terms, axes=1)) @ v0[coords]
+    for coords, terms in _blocks(g):
+        v = v0[coords][:, None, :]
+        for rows in _chunks(grid.size, terms[0].size):
+            # a sum of products, not matmul, rounds exp(x) * v of a 1 x 1 block
+            # as np.exp did; one expression frees each stack before the next
+            out[rows, coords] = np.sum(expm(np.tensordot(table[rows], terms, axes=1)) * v,
+                                       axis=-1)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("closed-form propagation produced non-finite entries")
     return Trajectory(times=grid, states=unvec(out, g.dim), method="closed-form")
@@ -283,26 +281,27 @@ def fedorov_residual(g, alpha, grid):
     Zero at t = 0; near machine precision for admissible alpha; order
     one for inadmissible alpha.
 
-    Blocks and chunks as in :func:`propagate_closed_form`. A
-    one-coordinate block adds nothing: there the derivative of
-    exp(Gamma(t)) is gamma(t) exp(Gamma(t)) exactly, so its residual
-    vanishes, and only the larger blocks are exponentiated.
+    Blocks and chunks as in :func:`propagate_closed_form`. The group of
+    one-coordinate blocks adds nothing and is skipped: there the
+    derivative of exp(Gamma(t)) is gamma(t) exp(Gamma(t)) exactly, so its
+    residual vanishes.
     """
     grid = _check_grid(grid)
     alpha = np.asarray(alpha, dtype=complex).reshape(-1)
     norm_alpha = float(np.linalg.norm(alpha))
     if norm_alpha == 0.0:
         return 0.0
-    _, larger = _blocks(g)
     integral, rates = _integral_table(g, grid), _rate_table(g, grid)
     squares = np.zeros(grid.size)
-    for coords, terms in larger:
-        a = alpha[coords]
-        for rows in _chunks(grid.size, 2 * coords.size):
+    for coords, terms in _blocks(g):
+        if coords.shape[1] == 1:
+            continue
+        a = alpha[coords][..., None]
+        for rows in _chunks(grid.size, 4 * terms[0].size):
             gen = np.tensordot(rates[rows], terms, axes=1)
             flow, derivative = expm_frechet(np.tensordot(integral[rows], terms, axes=1), gen)
-            residual = derivative @ a - np.einsum("tij,tj->ti", gen, flow @ a)
-            squares[rows] += np.sum(residual.real ** 2 + residual.imag ** 2, axis=1)
+            residual = derivative @ a - gen @ (flow @ a)
+            squares[rows] += np.sum(residual.real ** 2 + residual.imag ** 2, axis=(1, 2, 3))
     return float(np.sqrt(squares.max())) / norm_alpha
 
 

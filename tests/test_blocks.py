@@ -24,7 +24,7 @@ from lindblad_pc import (
 from lindblad_pc.model import Jump
 from lindblad_pc import solver
 from lindblad_pc.cli import _use_one_blas_thread
-from lindblad_pc.solver import CHUNK, STACK_BYTES
+from lindblad_pc.solver import STACK_BYTES
 
 CLOSED_FORM_RATES = ("sin({w}*t)^2", "cos({w}*t)^2", "exp(-{a}*t)", "{a}")
 QUADRATURE_RATES = ("1/(1 + {a}*t^2)", "t*exp(-{a}*t)")
@@ -119,11 +119,36 @@ class TestAgainstDense:
         assert abs(fedorov_residual(g, alpha, grid)
                    - dense_residual(g, alpha, grid)) <= 1e-14
 
-    def test_chunks_give_the_points_run_alone(self):
+    def test_blocks_of_one_size_share_one_stack(self, monkeypatch):
+        # two couplings and two dephasing jumps on d = 4: four blocks of 4
+        h = np.diag([0.0, 1.0, 2.5, 4.0]).astype(complex)
+        h[0, 1] = h[1, 0] = 0.3
+        h[2, 3] = h[3, 2] = 0.2
+        model = LindbladModel(4, h, [
+            Jump(jump_operator(4, 1, 1), parse_rate_expr("sin(t)^2")),
+            Jump(jump_operator(4, 3, 3), parse_rate_expr("exp(-t)"))])
+        g = assemble(model, 3.0)
+        assert [b.tolist() for b in g.blocks] == [
+            [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
+        rho0 = phase_state(4, [1, 2, 3, 4], [0.3, 1.1, 2.0])
+        grid = np.linspace(0.0, 3.0, 25)
+        calls = []
+        expm = solver.expm
+        monkeypatch.setattr(solver, "expm", lambda a: calls.append(a.shape) or expm(a))
+        states = propagate_closed_form(g, rho0, grid).states
+        assert calls == [(25, 4, 4, 4)]
+        assert np.abs(states - dense_closed_form(g, rho0, grid)).max() <= 1e-12
+        alpha = vec(rho0)
+        assert abs(fedorov_residual(g, alpha, grid)
+                   - dense_residual(g, alpha, grid)) <= 1e-14
+
+    def test_chunks_give_the_points_run_alone(self, monkeypatch):
         g = assemble(cascade(4), 40.0)
         rho0 = phase_state(4, [1, 2, 4], [0.3, 1.1])
         grid = np.linspace(0.0, 40.0, 1500)
-        assert grid.size > 2 * CHUNK
+        # 128 points per stack of the 4 x 4 population block
+        monkeypatch.setattr(solver, "STACK_BYTES", 16 * 16 * 128)
+        assert len(solver._chunks(grid.size, 16)) > 2
         whole = propagate_closed_form(g, rho0, grid).states
         alone = np.array([propagate_closed_form(g, rho0, np.array([0.0, t])).states[-1]
                           for t in grid[1:]])

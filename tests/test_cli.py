@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lindblad_pc import cli, solver
+from lindblad_pc.observables import ObservableSeries
 
 from conftest import MODEL_NAMES, MODEL_PARAMS
 
@@ -71,6 +72,22 @@ def test_solve_writes_one_row_per_step(capsys, tmp_path, name):
     values = np.array(rows, dtype=float)
     assert values.shape == (51, len(header))
     np.testing.assert_allclose(values[:, 1:d + 1].sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_csv_cells_keep_their_text():
+    # every cell as f"{x + 0.0:.12e}": negative zero as zero, subnormals in full
+    series = ObservableSeries(
+        times=np.array([0.0, 1e-320]),
+        populations=np.array([[-0.0, 1.0], [2e-301, 0.5]]),
+        purity=np.array([1.0, -0.0]),
+        entropy=np.array([-0.0, 1e5]),
+        coherences={(1, 2): np.array([complex(-0.0, -5e-324), complex(3e-310, -7.5e-17)])})
+    header, *rows = "".join(cli._csv_pieces(series)).splitlines()
+    assert header == "t,p_1,p_2,purity,entropy,re_12,im_12"
+    expected = [[0.0, -0.0, 1.0, 1.0, -0.0, -0.0, -5e-324],
+                [1e-320, 2e-301, 0.5, -0.0, 1e5, 3e-310, -7.5e-17]]
+    assert rows == [",".join(f"{x + 0.0:.12e}" for x in row) for row in expected]
+    assert rows[0].split(",")[-2:] == ["0.000000000000e+00", "-4.940656458412e-324"]
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -186,6 +203,35 @@ DEFECTS = {
     "model-file-huge-dimension": (
         lambda tmp: ["classify", model_doc(tmp / "m.json", dimension=10**9)],
         "dimension must lie in 2..32"),
+    "solve-huge-steps": (
+        lambda tmp: ["solve", "--builtin", "v3", "--rho0", "pure:2",
+                     "--steps", "100000000000"],
+        "--steps must be at most 466033 for a 3-level model"),
+    "verify-huge-steps": (
+        lambda tmp: ["verify", "--builtin", "v3", "--rho0", "pure:2",
+                     "--steps", "30000000"],
+        "--steps must be at most 466033 for a 3-level model"),
+    "params-nan": (
+        lambda tmp: ["classify", "--builtin", "v3", "--params", "eps1=nan"],
+        "params: 'eps1' must be a finite number"),
+    "params-infinite": (
+        lambda tmp: ["classify", "--builtin", "v3", "--params", "omega=inf"],
+        "params: 'omega' must be a finite number"),
+    "params-overflowing": (
+        lambda tmp: ["classify", "--builtin", "v3", "--params", "omega=1e999"],
+        "params: 'omega' must be a finite number"),
+    "verify-nan-tol": (
+        lambda tmp: ["verify", "--builtin", "v3", "--rho0", "pure:2", "--t-max", "2",
+                     "--steps", "5", "--tol=nan"],
+        "--tol must be positive and finite"),
+    "verify-negative-tol": (
+        lambda tmp: ["verify", "--builtin", "v3", "--rho0", "pure:2", "--t-max", "2",
+                     "--steps", "5", "--tol=-1"],
+        "--tol must be positive and finite"),
+    "verify-infinite-tol": (
+        lambda tmp: ["verify", "--builtin", "v3", "--rho0", "pure:2", "--t-max", "2",
+                     "--steps", "5", "--tol=inf"],
+        "--tol must be positive and finite"),
 }
 
 
