@@ -24,16 +24,16 @@ flow residual of that block.
 
 The CLI runs numpy's BLAS on one thread: :func:`main` sets the pool of
 the OpenBLAS that the numpy wheel bundles to one thread before it does
-anything else. Measured on a 2-CPU x86-64 host (`tools/scaling.py`,
-generated d-level cascades, 100 time points), the default pool of two
-threads makes the blocked closed form take 0.006-0.089 s at d = 7..16,
-against 0.003-0.005 s with one thread, and the flow residual
-0.007-0.048 s against 0.004-0.010 s. At d = 24 and 32 (a one-off run of
-the same stages) two threads take 0.017 and 0.025 s for the closed
-form, against 0.008 and 0.014 s, and 0.033 and 0.048 s for the
-residual, against 0.013 and 0.022 s. Two threads help only the dense
-Gamma kernel and power cap, from d = 11 or 12 on (at d = 16, 0.72 s
-against 0.99 s and 1.00 s against 1.08 s). The cap reaches the OpenBLAS
+anything else. Measured on a 2-CPU x86-64 host (`tools/scaling.py
+--max-d 32`, generated d-level cascades, 100 time points; BENCH_11.json),
+two threads no longer help any stage beyond the run-to-run spread. At
+d = 7..16 two threads against one take 0.007-0.020 s against
+0.007-0.022 s for the closed form, 0.017-0.059 s against 0.016-0.060 s
+for the flow residual, and 0.004-0.020 s against 0.004-0.011 s for the
+blocked admissibility gate (0.011 s both at d = 16, 0.036 and 0.035 s at
+d = 32). Past d = 16, where the flow residual takes scipy's
+expm_frechet slice by slice, two threads slow it: 0.158 and 0.191 s
+against 0.060 and 0.088 s at d = 24 and 32. The cap reaches the OpenBLAS
 of the numpy wheels for Linux (numpy.libs): ``scipy_openblas`` from
 numpy 2.0 on, ``openblas64_`` before; with any other numpy build the
 pool is left alone. The setting holds for the rest of the process that

@@ -15,31 +15,54 @@ M is computed as the kernel of a positive semidefinite operator
     C_n(t) = [L(t), B(t)^n] / ||B(t)^n||,
 
 because the kernel of a sum of PSD terms R^dag R is exactly the
-intersection of the individual kernels. `_commutator_chain` is the one
-routine that builds the normalized C_n; both Gamma and the dense
-re-check in `classify` iterate it. Summing Gamma over several sample
-times intersects the per-time subspaces; the power chain is truncated at
-the largest numerically determined degree of the minimal polynomial of
-B over the sample times (higher powers are linear combinations of lower
-ones and add no constraints). The 1/||B^n|| scaling keeps geometrically
-growing powers from drowning the small-n contributions in floating
-point; it leaves every kernel unchanged.
+intersection of the individual kernels. Summing Gamma over several
+sample times intersects the per-time subspaces.
+
+Everything here works on the generator's invariant blocks (see
+:mod:`lindblad_pc.model`; Baumgartner and Narnhofer, J. Phys. A 41
+(2008) 395303). L(t) and B(t) vanish between blocks, so every C_n and
+Gamma are block diagonal and M is the direct sum of the kernels of the
+blocks of Gamma. A block of one coordinate commutes with everything: its
+C_n vanish and its coordinate lies in M. `_commutator_chain` is the one
+routine that builds the C_n: for each chunk of sample times (at most
+solver.STACK_BYTES per stack) and each n, one (times, c, b, b) stack per
+group of c blocks of size b > 1. Gamma, the re-check in `classify`,
+integral commutativity and `gamma_operator` all iterate it, from one
+table of the coefficients of L(t) and B(t) over the sample times.
+
+The chain stops at the power cap: the largest numerical degree, less
+one, of the minimal polynomial of a block of B(t) over the blocks and the
+sample times. Past that degree each block's powers are linear
+combinations of lower ones (Cayley-Hamilton on the block) and add no
+constraints. Two choices keep every number that of the dense mu x mu
+definition up to rounding. ||B(t)^n|| is the Frobenius norm of the whole
+power, the blocks' norms and the one-coordinate blocks' |b|^n together;
+the scaling keeps geometrically growing powers from drowning the
+small-n contributions, leaves every kernel unchanged, and overflows
+where the dense norm does. The rank of M is cut where linalg.null_space
+cuts the dense Gamma: at DEFAULT_REL_TOL times the largest singular
+value over all blocks, and nowhere when that is at most
+linalg.ABSOLUTE_FLOOR.
 
 The sample times span the time window (0, max(HORIZON, t_max)] of a run
-and end at its end, so the dense re-check covers the whole window too.
+and end at its end, so the re-check covers the whole window too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, NotADensityMatrixError
-from .linalg import DEFAULT_REL_TOL, SubspaceBasis, minimal_poly_degree, null_space
-from .model import HORIZON, generator_at, integral_at, time_window
+from .linalg import ABSOLUTE_FLOOR, DEFAULT_REL_TOL, SubspaceBasis, minimal_poly_degree
+# null_space, generator_at and integral_at are not called here, but
+# perfbench's tracer wraps the names in this module, so they stay bound.
+from .linalg import null_space  # noqa: F401
+from .model import HORIZON, block_groups, integral_table, rate_table, time_window
+from .model import generator_at, integral_at  # noqa: F401
+from .solver import _chunks
 
 __all__ = [
     "default_sample_times", "functional_commutativity",
@@ -69,15 +92,33 @@ def default_sample_times(t_max=HORIZON):
     return sorted(float(t) for t in (*_STRUCTURED_TIMES, *extra, window))
 
 
-def _rel_commutator(a, b):
-    """||[A, B]|| relative to ||A|| ||B|| (Frobenius). Raises
-    NonFiniteError when a norm overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = np.linalg.norm(a @ b - b @ a)
-        den = np.linalg.norm(a) * np.linalg.norm(b)
-    if not (np.isfinite(num) and np.isfinite(den)):
-        raise NonFiniteError("commutator norm overflows")
-    return 0.0 if num == 0.0 else num / den
+@dataclass(frozen=True)
+class _Samples:
+    """The generator's block groups (model.block_groups) and the
+    coefficients of B(t) and L(t) at each sample time, one row per time."""
+
+    groups: list
+    times: np.ndarray
+    integral: np.ndarray
+    rates: np.ndarray
+
+    @classmethod
+    def of(cls, g, times):
+        times = np.asarray(times, dtype=float)
+        return cls(block_groups(g), times, integral_table(g, times), rate_table(g, times))
+
+    def __getitem__(self, rows):
+        return _Samples(self.groups, self.times[rows], self.integral[rows], self.rates[rows])
+
+    def stacks(self, table, rows):
+        """The blocks of the matrix with coefficients table[rows], one
+        (rows, c, b, b) stack per group."""
+        return [np.tensordot(table[rows], terms, axes=1) for _, terms in self.groups]
+
+
+def _squared_norms(stacks):
+    """sum |x|^2 over every block, one value per row of the stacks."""
+    return sum(np.sum(x.real ** 2 + x.imag ** 2, axis=(1, 2, 3)) for x in stacks)
 
 
 def functional_commutativity(g):
@@ -87,71 +128,166 @@ def functional_commutativity(g):
     {L_H, L_k} of the decomposition commute pairwise, with commutator
     norms compared against DEFAULT_REL_TOL relative to the operand norms:
     [sum a_i A_i, sum b_j A_j] = sum a_i b_j [A_i, A_j] then vanishes
-    for all coefficients, so no sampled times are needed.
+    for all coefficients, so no sampled times are needed. The components
+    are block diagonal, so each commutator is taken block by block.
     """
-    components = [g.drift] + [p.matrix for p in g.parts]
-    return all(_rel_commutator(a, b) <= DEFAULT_REL_TOL
-               for a, b in itertools.combinations(components, 2))
+    groups = block_groups(g)
+    count = 1 + len(g.parts)
+    squares = np.zeros((count, count))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        norms = np.sqrt(_squared_norms([terms for _, terms in groups]))
+        for coords, terms in groups:
+            if coords.shape[1] == 1:
+                continue
+            for i in range(count - 1):
+                commutators = terms[i] @ terms[i + 1:] - terms[i + 1:] @ terms[i]
+                squares[i, i + 1:] += _squared_norms([commutators])
+    for i, j in zip(*np.triu_indices(count, 1)):  # pair by pair, as a dense check stops
+        num, den = math.sqrt(squares[i, j]), norms[i] * norms[j]
+        if not (math.isfinite(num) and math.isfinite(den)):
+            raise NonFiniteError("commutator norm overflows")
+        if num != 0.0 and num / den > DEFAULT_REL_TOL:
+            return False
+    return True
+
+
+def _commutator_chain(samples, power_cap):
+    """Yield (rows, stacks) for each chunk of sample times and each
+    n = 1..power_cap: stacks[i] holds C_n = [L(t), B(t)^n] / ||B(t)^n||
+    on the blocks of samples.groups[i], shape (rows, c, b, b), or is None
+    for the one-coordinate blocks, where it vanishes. ||B(t)^n|| is the
+    Frobenius norm over every block, and C_n is zero at a time where it
+    vanishes. Raises NonFiniteError once a power of B(t), its norm or
+    C_n overflows."""
+    entries = sum(coords.size * coords.shape[1] for coords, _ in samples.groups)
+    for rows in _chunks(samples.times.size, entries):
+        integral = samples.stacks(samples.integral, rows)
+        gen = samples.stacks(samples.rates, rows)
+        single = [coords.shape[1] == 1 for coords, _ in samples.groups]
+        power = integral
+        for n in range(1, power_cap + 1):
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                if n > 1:
+                    power = [p @ b for p, b in zip(power, integral)]
+                norm = np.sqrt(_squared_norms(power))
+                scale = np.where(norm == 0.0, 1.0, norm)[:, None, None, None]
+                stacks = [None if one else (x @ p - p @ x) / scale
+                          for one, x, p in zip(single, gen, power)]
+            bad = ~np.isfinite(norm)
+            for c in stacks:
+                if c is not None:
+                    bad |= ~np.all(np.isfinite(c), axis=(1, 2, 3))
+            if bad.any():
+                t = samples.times[rows][np.argmax(bad)]
+                raise NonFiniteError(f"[L(t), B(t)^{n}] overflows at t={t:g}")
+            yield rows, stacks
 
 
 def integral_commutativity(g):
     """Whether [L(t), B(t)] vanishes at every default sample time."""
-    return all(
-        _rel_commutator(generator_at(g, t), integral_at(g, t)) <= DEFAULT_REL_TOL
-        for t in default_sample_times())
+    return _integral_commutes(_Samples.of(g, default_sample_times()))
 
 
-def _commutator_chain(g, t, power_cap):
-    """Yield C_n = [L(t), B(t)^n] / ||B(t)^n|| for n = 1..power_cap,
-    skipping the powers of B(t) that vanish. Raises NonFiniteError once
-    a power of B(t), its norm or C_n overflows."""
-    gen = generator_at(g, t)
-    b = integral_at(g, t)
-    power = np.eye(g.mu, dtype=complex)
-    for n in range(1, power_cap + 1):
+def _integral_commutes(samples):
+    """||[L(t), B(t)]|| <= DEFAULT_REL_TOL ||L(t)|| ||B(t)|| at every
+    sample time, from C_1 = [L(t), B(t)] / ||B(t)||."""
+    squares = np.zeros(samples.times.size)
+    gen = np.zeros(samples.times.size)
+    for rows, stacks in _commutator_chain(samples, 1):
+        squares[rows] = _squared_norms([c for c in stacks if c is not None])
         with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ b
-            norm = np.linalg.norm(power)
-            if norm == 0.0:
-                continue
-            c = (gen @ power - power @ gen) / norm
-        if not (np.isfinite(norm) and np.all(np.isfinite(c))):
-            raise NonFiniteError(f"[L(t), B(t)^{n}] overflows at t={t:g}")
-        yield c
+            gen[rows] = _squared_norms(samples.stacks(samples.rates, rows))
+    if not np.all(np.isfinite(gen)):
+        raise NonFiniteError("commutator norm overflows")
+    return bool(np.all(np.sqrt(squares) <= DEFAULT_REL_TOL * np.sqrt(gen)))
+
+
+def _gamma(samples, power_cap):
+    """Gamma summed over the sample times, one Hermitian (c, b, b) stack
+    of blocks per group."""
+    total = [np.zeros((c.shape[0], c.shape[1], c.shape[1]), dtype=complex)
+             for c, _ in samples.groups]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _kernels
+        for _, stacks in _commutator_chain(samples, power_cap):
+            for out, c in zip(total, stacks):
+                if c is not None:
+                    out += np.sum(c.conj().swapaxes(-1, -2) @ c, axis=0)
+        return [0.5 * (x + x.conj().swapaxes(-1, -2)) for x in total]
 
 
 def gamma_operator(g, t, power_cap):
-    """The PSD operator whose kernel is the partially commutative
-    subspace at time t; see the module docstring."""
+    """The PSD mu x mu operator whose kernel is the partially commutative
+    subspace at time t: the direct sum of the blocks of Gamma(t); see the
+    module docstring."""
     if power_cap < 1:
         raise ValueError("power_cap must be at least 1")
-    total = np.zeros((g.mu, g.mu), dtype=complex)
-    for c in _commutator_chain(g, t, power_cap):
-        total += c.conj().T @ c
-    return 0.5 * (total + total.conj().T)
+    samples = _Samples.of(g, [t])
+    out = np.zeros((g.mu, g.mu), dtype=complex)
+    for (coords, _), blocks in zip(samples.groups, _gamma(samples, power_cap)):
+        out[coords[:, :, None], coords[:, None, :]] = blocks
+    return out
 
 
-def _power_cap(g, times):
-    """Highest power of B worth including: the largest minimal-polynomial
-    degree of B over the sample times bounds the useful chain length."""
-    degree = max(minimal_poly_degree(integral_at(g, t)) for t in times)
-    return max(1, min(g.mu - 1, degree - 1))
+def _power_cap(samples):
+    """The chain length the sample times need: the largest
+    minimal-polynomial degree of a block of B(t) with more than one
+    coordinate, less one, and at least 1."""
+    degree = 1
+    for coords, terms in samples.groups:
+        c, b = coords.shape
+        if b == 1:
+            continue
+        for rows in _chunks(samples.times.size, (b + 1) * c * b * b):
+            stack = np.tensordot(samples.integral[rows], terms, axes=1)
+            degree = max(degree, int(np.max(minimal_poly_degree(stack))))
+    return degree - 1 if degree > 1 else 1
 
 
-def _subspace(g, times):
-    """(M, power cap): the kernel of Gamma summed over the sample times."""
-    cap = _power_cap(g, times)
-    total = np.zeros((g.mu, g.mu), dtype=complex)
-    for t in times:
-        total += gamma_operator(g, t, cap)
-    return null_space(total), cap
+def _kernels(gammas):
+    """The kernel of each block of Gamma, cut at DEFAULT_REL_TOL times the
+    largest singular value over all blocks (nowhere when that is at most
+    ABSOLUTE_FLOOR): per group, a (c, b, b) stack whose columns are the
+    kernel vectors of each block and zeros, and the mask (c, b) of the
+    kernel columns."""
+    if not all(np.all(np.isfinite(x)) for x in gammas):
+        raise NonFiniteError("Gamma overflows")
+    svds = [np.linalg.svd(x)[1:] for x in gammas]
+    smax = max(float(s.max()) for s, _ in svds)
+    out = []
+    for s, vh in svds:
+        keep = s <= DEFAULT_REL_TOL * smax if smax > ABSOLUTE_FLOOR else np.ones(s.shape, bool)
+        out.append((vh.conj().swapaxes(-1, -2) * keep[:, None, :], keep))
+    return out
+
+
+def _embed(groups, kernels):
+    """M as a SubspaceBasis of C^mu: each kernel vector of a block, put
+    on the block's coordinates."""
+    mu = sum(coords.size for coords, _ in groups)
+    columns = sum(int(keep.sum()) for _, keep in kernels)
+    basis = np.zeros((mu, columns), dtype=complex)
+    start = 0
+    for (coords, _), (vectors, keep) in zip(groups, kernels):
+        blocks, cols = np.nonzero(keep)
+        index = np.arange(start, start + blocks.size)
+        basis[coords[blocks], index[:, None]] = vectors[blocks, :, cols]
+        start += blocks.size
+    return SubspaceBasis(mu, basis)
+
+
+def _subspace(samples):
+    """(M, power cap, per-group kernels): the kernel of Gamma summed over
+    the sample times."""
+    cap = _power_cap(samples)
+    kernels = _kernels(_gamma(samples, cap))
+    return _embed(samples.groups, kernels), cap, kernels
 
 
 def partial_subspace(g, t_max=HORIZON):
     """Basis of M, the subspace of admissible initial vectors of a run
     to t_max: the kernel of Gamma(t) summed over default_sample_times(t_max).
     """
-    return _subspace(g, default_sample_times(t_max))[0]
+    return _subspace(_Samples.of(g, default_sample_times(t_max)))[0]
 
 
 def admissible(rho0, subspace):
@@ -234,20 +370,24 @@ def classify(g):
     [L(t), B(t)^n] alpha = 0 is re-checked for every basis vector on a
     ten-fold denser time grid; `residual_max` records the largest
     ||[L(t), B^n(t)] b_i|| / ||B^n(t)|| seen there. This is a numerical
-    verification over grids, not a proof for all t.
+    verification over grids, not a proof for all t. The coefficients of
+    L(t) and B(t) are tabulated once, over the sample times and the grid.
     """
     times = default_sample_times()
+    grid = np.linspace(min(times), max(times), 10 * len(times))
+    samples = _Samples.of(g, np.concatenate([times, grid]))
+    at_times, on_grid = samples[:len(times)], samples[len(times):]
     functional = functional_commutativity(g)
-    integral = integral_commutativity(g)
-    subspace, cap = _subspace(g, times)
+    integral = _integral_commutes(at_times)
+    subspace, cap, kernels = _subspace(at_times)
 
     residual_max = 0.0
     if subspace.rank > 0:
-        for t in np.linspace(min(times), max(times), 10 * len(times)):
-            for c in _commutator_chain(g, t, cap):
-                residual_max = max(
-                    residual_max,
-                    float(np.linalg.norm(c @ subspace.basis, axis=0).max()))
+        for _, stacks in _commutator_chain(on_grid, cap):
+            for c, (vectors, _) in zip(stacks, kernels):
+                if c is not None:
+                    residual_max = max(residual_max,
+                                       float(np.linalg.norm(c @ vectors, axis=-2).max()))
 
     coordinate, level = excluded_coordinate(subspace)
     return CommutativityReport(

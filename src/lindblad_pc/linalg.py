@@ -391,33 +391,43 @@ def null_space(a, rel_tol=DEFAULT_REL_TOL):
 
 
 def minimal_poly_degree(a, rel_tol=DEFAULT_REL_TOL):
-    """Degree of the minimal polynomial, determined numerically.
+    """Degree of the minimal polynomial, determined numerically, of a
+    matrix (an int) or of each matrix of a stack, shape (..., n, n) (an
+    int array of shape (...)).
 
     Returns the smallest m such that vec(A^m) lies in the span of
     {vec(A^0), ..., vec(A^(m-1))}, decided by the rank of the Gram matrix
     of the norm-scaled power vectors. The scaling makes the result
-    invariant under A -> c A.
+    invariant under A -> c A. Each slice is decided on its own, and once
+    decided takes no further powers.
     """
-    a = _as_square(a)
+    a = _as_square_stack(a)
     _require_finite(a, "minimal_poly_degree input")
-    n = a.shape[0]
-    if n == 0:
-        return 0
-    power = np.eye(n, dtype=complex)
-    vecs = [vec(power) / np.sqrt(n)]
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    degree = np.full(flat.shape[0], n)
+    live = np.flatnonzero(degree > 0)  # the undecided slices
+    vecs = np.zeros((flat.shape[0], n + 1, n * n), dtype=complex)
+    vecs[:, 0] = np.eye(n).ravel() / np.sqrt(max(n, 1))
+    gram = np.zeros((flat.shape[0], n + 1, n + 1), dtype=complex)
+    gram[:, 0, 0] = 1.0
+    power = np.broadcast_to(np.eye(n, dtype=complex), flat.shape)
     for m in range(1, n + 1):
+        if not live.size:
+            break
         with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ a
-            norm = np.linalg.norm(power)
-        if not np.isfinite(norm):
+            power = power @ flat[live]
+            norm = np.sqrt(np.sum(power.real ** 2 + power.imag ** 2, axis=(1, 2)))
+        if not np.all(np.isfinite(norm)):
             raise NonFiniteError(f"minimal_poly_degree input overflows at power {m}")
-        if norm == 0.0:
-            return m  # A^m = 0 lies in every span
-        vecs.append(vec(power) / norm)
-        basis = np.column_stack(vecs)
-        gram = basis.conj().T @ basis
-        eigs = np.linalg.eigvalsh(gram)
-        rank = int(np.sum(eigs > rel_tol * eigs[-1]))
-        if rank <= m:
-            return m
-    return n
+        zero = norm == 0.0  # A^m = 0 lies in every span
+        vecs[live, m] = power.reshape(live.size, -1) / np.where(zero, 1.0, norm)[:, None]
+        column = vecs[live, :m + 1].conj() @ vecs[live, m, :, None]
+        gram[live, :m + 1, m] = column[..., 0]
+        gram[live, m, :m + 1] = column[..., 0].conj()
+        eigs = np.linalg.eigvalsh(gram[live, :m + 1, :m + 1])
+        rank = np.sum(eigs > rel_tol * eigs[:, -1:], axis=1)
+        done = zero | (rank <= m)
+        degree[live[done]] = m
+        live, power = live[~done], power[~done]
+    return int(degree[0]) if a.ndim == 2 else degree.reshape(a.shape[:-2])

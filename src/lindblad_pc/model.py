@@ -14,7 +14,10 @@ antiderivatives; no matrix-valued quadrature is ever needed.
 The same split gives the generator's invariant coordinate blocks: the
 connected components of the union of the sparsity patterns of L_H and
 every L_k. L(t), B(t) and exp(B(t)) vanish between blocks at every t, so
-each block can be propagated on its own. A level-transition model with a
+each block can be propagated, and tested for admissibility, on its own:
+`block_groups` stacks the blocks of each size, and `integral_table` and
+`rate_table` give the coefficients of B(t) and L(t) on a grid of times,
+for `solver` and `commutativity` alike. A level-transition model with a
 diagonal H has one d x d block of populations and d^2 - d blocks of one
 coherence each; a fully coupled generator is a single block of size d^2.
 """
@@ -33,8 +36,9 @@ from .linalg import kron
 
 __all__ = [
     "Jump", "LindbladModel", "GeneratorPart", "GeneratorDecomposition",
-    "jump_operator", "dissipator_matrix", "assemble", "generator_at",
-    "integral_at", "builtin", "builtin_names", "phase_state",
+    "jump_operator", "dissipator_matrix", "assemble", "block_groups",
+    "integral_table", "rate_table", "generator_at", "integral_at", "builtin",
+    "builtin_names", "phase_state",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -219,6 +223,28 @@ def _invariant_blocks(matrices):
         unseen &= ~members
         blocks.append(np.flatnonzero(members))
     return tuple(blocks)
+
+
+def block_groups(g):
+    """The invariant blocks grouped by size b, smallest first: for the c
+    blocks of each size, their coordinates, shape (c, b), and their
+    submatrices in the drift and each dissipator, shape (1 + K, c, b, b)."""
+    terms = [g.drift] + [part.matrix for part in g.parts]
+    groups = [np.array([b for b in g.blocks if b.size == size])
+              for size in sorted({b.size for b in g.blocks})]
+    return [(c, np.array([m[c[:, :, None], c[:, None, :]] for m in terms])) for c in groups]
+
+
+def integral_table(g, times):
+    """[t, Gamma_k(t)]: one row per time, the coefficients of B(t) on the
+    drift and each dissipator (one `values` call per antiderivative)."""
+    return np.column_stack([times, *(part.integral.values(times) for part in g.parts)])
+
+
+def rate_table(g, times):
+    """[1, gamma_k(t)]: one row per time, the coefficients of L(t)."""
+    return np.column_stack([np.ones_like(times),
+                            *(eval_expr(part.rate, times) for part in g.parts)])
 
 
 def generator_at(g, t):

@@ -45,7 +45,12 @@ def _purity(eigs):
 
 
 def _entropy(eigs):
-    terms = np.where(eigs > 0.0, eigs * np.log(np.where(eigs > 0.0, eigs, 1.0)), 0.0)
+    """-sum p ln p over the eigenvalues above d times the machine epsilon,
+    renormalized to sum to 1: smaller ones are the rounding noise of a
+    zero eigenvalue, so a pure state has entropy exactly 0."""
+    p = np.where(eigs > eigs.shape[1] * np.finfo(float).eps, eigs, 0.0)
+    p /= p.sum(axis=1, keepdims=True)
+    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     return -np.sum(terms, axis=1)
 
 

@@ -16,10 +16,12 @@ The closed form and the residual work block by block (see
 :mod:`lindblad_pc.model`): B(t) and L(t) vanish between the generator's
 invariant blocks, so exp(B(t)) is the direct sum of the exponentials of
 the blocks. The coefficients of B(t) on the drift and on each
-dissipator, [t, Gamma_k(t)], are tabulated over the grid, and for the
-residual those of L(t), [1, gamma_k(t)]. The c blocks of each size b
-make one (points, c, b, b) stack per chunk of grid points, as many as
-keep it within STACK_BYTES: through `expm` for the closed form (np.exp
+dissipator, [t, Gamma_k(t)], are tabulated over the grid
+(`model.integral_table`), and for the residual those of L(t),
+[1, gamma_k(t)] (`model.rate_table`). The c blocks of each size b
+(`model.block_groups`) make one (points, c, b, b) stack per chunk of grid
+points, as many as keep it within STACK_BYTES (`commutativity` chunks its
+commutator chain the same way): through `expm` for the closed form (np.exp
 of the diagonal when b = 1), and through `expm_frechet` for the
 residual, which skips b = 1, where it vanishes. The oracle keeps the
 dense mu x mu generator_at: it shares no code with the blocks, so
@@ -42,11 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, NonFiniteError, StepSizeUnderflowError
-from .expr import eval_expr
 from .linalg import expm, expm_frechet, unvec, vec
+from .model import block_groups, generator_at, integral_table, rate_table
 # integral_at is not called here, but perfbench's tracer wraps the name in
 # this module, so it stays bound.
-from .model import generator_at, integral_at  # noqa: F401
+from .model import integral_at  # noqa: F401
 
 __all__ = [
     "Trajectory", "propagate_closed_form", "ode_oracle",
@@ -99,27 +101,6 @@ def _chunks(count, entries):
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _blocks(g):
-    """The invariant blocks grouped by size b, smallest first: for the c
-    blocks of each size, their coordinates, shape (c, b), and their
-    submatrices in the drift and each dissipator, shape (1 + K, c, b, b)."""
-    terms = [g.drift] + [part.matrix for part in g.parts]
-    groups = [np.array([b for b in g.blocks if b.size == size])
-              for size in sorted({b.size for b in g.blocks})]
-    return [(c, np.array([m[c[:, :, None], c[:, None, :]] for m in terms])) for c in groups]
-
-
-def _integral_table(g, times):
-    """[t, Gamma_k(t)]: one row per time, the coefficients of B(t)."""
-    return np.column_stack([times, *(part.integral.values(times) for part in g.parts)])
-
-
-def _rate_table(g, times):
-    """[1, gamma_k(t)]: one row per time, the coefficients of L(t)."""
-    return np.column_stack([np.ones_like(times),
-                            *(eval_expr(part.rate, times) for part in g.parts)])
-
-
 def propagate_closed_form(g, rho0, grid):
     """Evaluate rho(t) = unvec(exp(B(t)) vec(rho0)) on the grid, block by
     block and chunk by chunk (see the module docstring).
@@ -130,9 +111,9 @@ def propagate_closed_form(g, rho0, grid):
     """
     grid = _check_grid(grid)
     v0 = vec(np.asarray(rho0, dtype=complex))
-    table = _integral_table(g, grid)
+    table = integral_table(g, grid)
     out = np.empty((grid.size, g.mu), dtype=complex)
-    for coords, terms in _blocks(g):
+    for coords, terms in block_groups(g):
         v = v0[coords][:, None, :]
         for rows in _chunks(grid.size, terms[0].size):
             # a sum of products, not matmul, rounds exp(x) * v of a 1 x 1 block
@@ -291,9 +272,9 @@ def fedorov_residual(g, alpha, grid):
     norm_alpha = float(np.linalg.norm(alpha))
     if norm_alpha == 0.0:
         return 0.0
-    integral, rates = _integral_table(g, grid), _rate_table(g, grid)
+    integral, rates = integral_table(g, grid), rate_table(g, grid)
     squares = np.zeros(grid.size)
-    for coords, terms in _blocks(g):
+    for coords, terms in block_groups(g):
         if coords.shape[1] == 1:
             continue
         a = alpha[coords][..., None]

@@ -1,7 +1,10 @@
-"""The generator's invariant blocks, and the blocked, chunked closed form
-and flow residual against dense per-point references."""
+"""The generator's invariant blocks, and the blocked, chunked closed form,
+flow residual and admissibility gate against dense references."""
 
+import itertools
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,20 +14,35 @@ from hypothesis import given, settings, strategies as st
 from lindblad_pc import (
     LindbladModel,
     assemble,
+    classify,
+    commutator,
+    default_sample_times,
     fedorov_residual,
+    functional_commutativity,
     generator_at,
     integral_at,
+    integral_commutativity,
     jump_operator,
+    load_model,
+    minimal_poly_degree,
+    null_space,
     parse_rate_expr,
+    partial_subspace,
     phase_state,
     propagate_closed_form,
     unvec,
     vec,
 )
+from lindblad_pc.linalg import DEFAULT_REL_TOL
 from lindblad_pc.model import Jump
-from lindblad_pc import solver
+from lindblad_pc import commutativity, model, solver
 from lindblad_pc.cli import _use_one_blas_thread
 from lindblad_pc.solver import STACK_BYTES
+
+from conftest import MODEL_NAMES, make_generator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import workloads  # noqa: E402
 
 CLOSED_FORM_RATES = ("sin({w}*t)^2", "cos({w}*t)^2", "exp(-{a}*t)", "{a}")
 QUADRATURE_RATES = ("1/(1 + {a}*t^2)", "t*exp(-{a}*t)")
@@ -53,6 +71,46 @@ def dense_residual(g, alpha, grid):
         residual = derivative @ alpha - gen @ (flow @ alpha)
         worst = max(worst, float(np.linalg.norm(residual)))
     return worst / float(np.linalg.norm(alpha))
+
+
+def dense_gate(g):
+    """M by the dense mu x mu definition: the power cap from the minimal
+    polynomial of the whole B(t), Gamma summed over the sample times, and
+    null_space."""
+    times = default_sample_times()
+    degree = max(minimal_poly_degree(integral_at(g, t)) for t in times)
+    cap = max(1, min(g.mu - 1, degree - 1))
+    total = np.zeros((g.mu, g.mu), dtype=complex)
+    for t in times:
+        gen, b = generator_at(g, t), integral_at(g, t)
+        power = np.eye(g.mu, dtype=complex)
+        for _ in range(cap):
+            power = power @ b
+            norm = np.linalg.norm(power)
+            if norm > 0.0:
+                c = commutator(gen, power) / norm
+                total += c.conj().T @ c
+    return null_space(0.5 * (total + total.conj().T))
+
+
+def dense_commute(a, b):
+    return (np.linalg.norm(commutator(a, b))
+            <= DEFAULT_REL_TOL * np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def dense_criteria(g):
+    """(functional, integral) from dense mu x mu commutators."""
+    components = [g.drift] + [part.matrix for part in g.parts]
+    return (all(dense_commute(a, b) for a, b in itertools.combinations(components, 2)),
+            all(dense_commute(generator_at(g, t), integral_at(g, t))
+                for t in default_sample_times()))
+
+
+def assert_gate_matches_dense(g):
+    expected, sub = dense_gate(g), partial_subspace(g)
+    assert sub.rank == expected.rank
+    assert np.abs(sub.projector() - expected.projector()).max() <= 1e-12
+    assert (functional_commutativity(g), integral_commutativity(g)) == dense_criteria(g)
 
 
 class TestStructure:
@@ -159,9 +217,41 @@ class TestAgainstDense:
             fedorov_residual(g, alpha, np.array([0.0, t])) for t in grid[1:])
 
 
+class TestGateAgainstDense:
+    @settings(max_examples=40, deadline=None)
+    @given(models())
+    def test_random_models(self, drawn):
+        assert_gate_matches_dense(assemble(drawn[0]))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_builtins(self, name):
+        assert_gate_matches_dense(make_generator(name))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_quadrature_workload_cascades(self, seed, tmp_path):
+        workloads.build("quadrature-solve", seed, tmp_path)
+        for path in sorted((tmp_path / "inputs").glob("*.json")):
+            assert_gate_matches_dense(assemble(load_model(path)[0]))
+
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_cascades(self, d):
+        assert_gate_matches_dense(assemble(cascade(d)))
+
+    def test_classify_builds_no_dense_generator(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("dense L(t) or B(t) built")
+
+        for owner in (model, commutativity):
+            monkeypatch.setattr(owner, "generator_at", dense)
+            monkeypatch.setattr(owner, "integral_at", dense)
+        report = classify(assemble(cascade(12)))
+        assert report.partial_rank == 144 - 10
+        assert report.residual_max <= 1e-15
+
+
 class TestMemory:
     """A fully coupled generator is one block of size d^2: its stacks are
-    cut to STACK_BYTES, not to CHUNK points."""
+    cut to STACK_BYTES bytes, whatever the number of time points."""
 
     @pytest.fixture(autouse=True)
     def one_blas_thread(self):
@@ -191,8 +281,8 @@ class TestMemory:
         assert len(stacks) == 3 + 10  # 128 points per closed-form stack, 32 per residual stack
 
     def test_peak_memory_does_not_grow_with_the_chunk(self):
-        # at CHUNK points per stack, 300 points would take 19 MiB for each
-        # closed-form stack and 75 MiB for each residual stack
+        # 300 points in one stack would take 19 MiB for the closed form
+        # and 75 MiB for the residual
         g, rho0 = self.coupled(8)
         grid = np.linspace(0.0, 20.0, 300)
         tracemalloc.start()

@@ -19,10 +19,10 @@ from conftest import MODEL_NAMES, MODEL_PARAMS
 
 # (rank of M, excluded level, power cap) at the suite's parameter sets.
 CLASSIFICATION = {
-    "v3": (9, None, 8),
-    "cascade3": (8, 3, 8),
-    "lambda3": (8, 2, 7),
-    "cascade4": (15, 4, 12),
+    "v3": (9, None, 2),
+    "cascade3": (8, 3, 2),
+    "lambda3": (8, 2, 1),
+    "cascade4": (15, 4, 3),
 }
 
 ADMISSIBLE_SPEC = {

@@ -270,9 +270,9 @@ class TestClassify:
     def test_power_cap_is_the_largest_degree_over_the_sample_times(self, name):
         g = make_generator(name)
         report = classify(g)
-        degree = max(minimal_poly_degree(integral_at(g, t))
-                     for t in report.sample_times)
-        assert report.power_cap == min(g.mu - 1, degree - 1)
+        degree = max(minimal_poly_degree(integral_at(g, t)[np.ix_(block, block)])
+                     for t in report.sample_times for block in g.blocks if block.size > 1)
+        assert report.power_cap == max(1, degree - 1)
 
     def test_implication_chain(self):
         # functional implies integral implies full rank on these samples

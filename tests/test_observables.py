@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from lindblad_pc import (
+    LindbladModel,
     Trajectory,
+    assemble,
     coherence,
     entropy,
     observable_series,
@@ -91,6 +93,17 @@ class TestPurityEntropy:
         assert entropy(pure)[0] <= 1e-7
         assert purity(mixed)[0] < 1.0 - 1e-7
         assert entropy(mixed)[0] > 1e-7
+
+    def test_pure_states_have_entropy_exactly_zero(self):
+        # eigenvalues of rounding noise (order 1e-16) count as zeros
+        g = make_generator("lambda3")
+        tr = propagate_closed_form(g, phase_state(3, [1, 3], [2.5]), GRID)
+        assert entropy(tr)[0] == 0.0
+        # v3's Hamiltonian without its jumps
+        unitary = assemble(LindbladModel(3, np.diag([1.0, 0.0, 2.0]).astype(complex), []))
+        tr = propagate_closed_form(unitary, phase_state(3, [1, 2, 3], [0.4, 1.9]), GRID)
+        assert np.all(entropy(tr) == 0.0)
+        assert np.abs(purity(tr) - 1.0).max() <= 1e-12
 
     def test_rejects_badly_negative_state(self):
         with pytest.raises(ValueError):

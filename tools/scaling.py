@@ -1,21 +1,29 @@
 """Cost of each lindblad_pc stage against the number of levels d.
 
     python tools/scaling.py --parent ../parent/src [--change src] \\
-        [--out BENCH.json]
+        [--max-d 32] [--out BENCH.json]
 
 For the package source directories of a parent and a change, and for
 each BLAS pool setting in RUNS, one fresh interpreter times the stages
 in-process on the generated d-level cascades of the benchmark
 (`perfbench.workloads.cascade_model`, mu = d^2, rates sin^2, exp and
-cos^2 in turn), d = 3..16:
+cos^2 in turn), d = 3..16 and then 20, 24, 28 and 32 up to --max-d
+(default 16):
 
     assemble       model.assemble
-    power_cap      the largest minimal-polynomial degree of B over the
-                   twelve sample times
-    gamma_svd      Gamma summed over the sample times, and its kernel
+    gate           commutativity.partial_subspace: the power cap, Gamma
+                   summed over the twelve sample times, and its kernel
+    classify       commutativity.classify: the gate, the two global
+                   criteria and the re-check on 120 times (its power cap
+                   and the rank of M are stored too)
     closed_form    exp(B(t)) vec(rho0) on 100 points of [0, 20]
     flow_residual  the flow certificate on the same points
-    oracle         the RK45 oracle on the same points (and its RHS count)
+    oracle         the RK45 oracle on the same points (and its RHS count),
+                   up to d = ORACLE_MAX_D
+
+The parent's runs stop at d = PARENT_MAX_D whatever --max-d is, so that
+a parent whose gate is dense (minutes at d = 32) does not hold up the
+table.
 
 The pool settings:
 
@@ -51,8 +59,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RATES = ("sin({w}*t)^2", "exp(-{a}*t)", "cos({w}*t)^2")
-STAGES = ("assemble", "power_cap", "gamma_svd", "closed_form", "flow_residual", "oracle")
-DIMS = range(3, 17)
+STAGES = ("assemble", "gate", "classify", "closed_form", "flow_residual", "oracle")
+DIMS = (*range(3, 17), 20, 24, 28, 32)
+PARENT_MAX_D = 16
+# The oracle's right-hand side builds the dense d^2 x d^2 L(t): about 0.2 s
+# a call at d = 32, and a run takes 800-900 calls.
+ORACLE_MAX_D = 16
 RUNS = (("parent", "default"), ("parent", "one"),
         ("change", "default"), ("change", "one"), ("change", "cli"))
 GRID_POINTS = 100
@@ -82,16 +94,17 @@ def _stages(d):
     loaded, _ = modelfile.loads_model(json.dumps(doc))
     rho0 = model.phase_state(d, [1, 2], [0.7])
     grid = np.linspace(0.0, model.HORIZON, GRID_POINTS)
-    times = commutativity.default_sample_times()
     out = {}
 
     g, out["assemble"] = _measure(lambda: model.assemble(loaded))
-    cap, out["power_cap"] = _measure(lambda: commutativity._power_cap(g, times))
-    _, out["gamma_svd"] = _measure(lambda: linalg.null_space(
-        sum(commutativity.gamma_operator(g, t, cap) for t in times)))
+    _, out["gate"] = _measure(lambda: commutativity.partial_subspace(g))
+    report, out["classify"] = _measure(lambda: commutativity.classify(g))
+    out["power_cap"], out["rank"] = report.power_cap, report.partial_rank
     _, out["closed_form"] = _measure(lambda: solver.propagate_closed_form(g, rho0, grid))
     _, out["flow_residual"] = _measure(
         lambda: solver.fedorov_residual(g, linalg.vec(rho0), grid))
+    if d > ORACLE_MAX_D:
+        return out
 
     calls = 0
     generator_at = solver.generator_at
@@ -107,25 +120,25 @@ def _stages(d):
     finally:
         solver.generator_at = generator_at
     out["oracle_rhs_calls"] = calls // out["oracle"]["samples"]
-    out["power_cap_value"] = cap
     return out
 
 
-def worker(pool):
-    """Time every stage at each d in this process; print one JSON line."""
+def worker(pool, max_d):
+    """Time every stage at each d up to max_d in this process; print one
+    JSON line."""
     if pool == "cli":
         import lindblad_pc.cli
 
         with contextlib.redirect_stdout(io.StringIO()):
             lindblad_pc.cli.main(["--help"])
     _stages(3)  # warm-up
-    table = {str(d): _stages(d) for d in DIMS}
+    table = {str(d): _stages(d) for d in DIMS if d <= max_d}
     from perfbench.runrecord import blas_threads
 
     print(json.dumps({"blas_threads": blas_threads(), "stages": table}))
 
 
-def _run_worker(src, pool):
+def _run_worker(src, pool, max_d):
     env = dict(os.environ)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(name, None)
@@ -133,7 +146,7 @@ def _run_worker(src, pool):
         env["OPENBLAS_NUM_THREADS"] = "1"
     env["PYTHONPATH"] = os.pathsep.join([str(Path(src).resolve()), str(ROOT)])
     done = subprocess.run(
-        [sys.executable, __file__, "--worker", pool],
+        [sys.executable, __file__, "--worker", pool, "--max-d", str(max_d)],
         capture_output=True, text=True, env=env, cwd=ROOT, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -144,13 +157,15 @@ def main(argv=None):
     parser.add_argument("--change", default=str(ROOT / "src"),
                         help="the change's package source directory "
                              "(default: src of this checkout)")
+    parser.add_argument("--max-d", type=int, default=16,
+                        help="largest d of the change's runs (default 16)")
     parser.add_argument("--out", help="JSON file to write the table into "
                                       "(its other keys are kept); default stdout")
     parser.add_argument("--worker", choices={pool for _, pool in RUNS},
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.worker)
+        worker(args.worker, args.max_d)
         return 0
     if not args.parent:
         parser.error("--parent is required")
@@ -159,12 +174,14 @@ def main(argv=None):
     runs = []
     for role, pool in RUNS:
         print(f"{role} {pool} ...", file=sys.stderr, flush=True)
-        runs.append({"src": role, "pool": pool, **_run_worker(sources[role], pool)})
+        max_d = min(args.max_d, PARENT_MAX_D) if role == "parent" else args.max_d
+        runs.append({"src": role, "pool": pool, **_run_worker(sources[role], pool, max_d)})
     import numpy
     import scipy
 
     table = {
-        "command": "python tools/scaling.py --parent PARENT_SRC --change CHANGE_SRC",
+        "command": (f"python tools/scaling.py --parent PARENT_SRC --change CHANGE_SRC "
+                    f"--max-d {args.max_d}"),
         "host": {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy.__version__,
                  "scipy": scipy.__version__},
