@@ -24,9 +24,9 @@ flow residual of that block.
 
 The CLI runs numpy's BLAS on one thread: :func:`main` sets the pool of
 the OpenBLAS that the numpy wheel bundles to one thread before it does
-anything else. Measured on a 2-CPU x86-64 host (`tools/scaling.py
---max-d 32`, generated d-level cascades, 100 time points; BENCH_11.json),
-two threads no longer help any stage beyond the run-to-run spread. At
+anything else. Measured on a 2-CPU x86-64 host (`tools/scaling.py`,
+generated d-level cascades, 100 time points; BENCH_11.json), two
+threads no longer help any stage beyond the run-to-run spread. At
 d = 7..16 two threads against one take 0.007-0.020 s against
 0.007-0.022 s for the closed form, 0.017-0.059 s against 0.016-0.060 s
 for the flow residual, and 0.004-0.020 s against 0.004-0.011 s for the

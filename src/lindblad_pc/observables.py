@@ -44,11 +44,18 @@ def _purity(eigs):
     return np.sum(eigs * eigs, axis=1)
 
 
-def _entropy(eigs):
-    """-sum p ln p over the eigenvalues above d times the machine epsilon,
-    renormalized to sum to 1: smaller ones are the rounding noise of a
-    zero eigenvalue, so a pure state has entropy exactly 0."""
-    p = np.where(eigs > eigs.shape[1] * np.finfo(float).eps, eigs, 0.0)
+def _noise_floor(trajectory):
+    """d times the trajectory's bound on the rounding of each state entry
+    (the machine epsilon when it has none), shape (n, 1): eigenvalues up
+    to it are the rounding noise of a zero eigenvalue."""
+    rounding = np.finfo(float).eps if trajectory.rounding is None else trajectory.rounding
+    return trajectory.dim * np.broadcast_to(rounding, trajectory.times.shape)[:, None]
+
+
+def _entropy(eigs, floor):
+    """-sum p ln p over the eigenvalues above the noise floor, renormalized
+    to sum to 1, so a pure state has entropy exactly 0."""
+    p = np.where(eigs > floor, eigs, 0.0)
     p /= p.sum(axis=1, keepdims=True)
     terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     return -np.sum(terms, axis=1)
@@ -60,8 +67,9 @@ def purity(trajectory):
 
 
 def entropy(trajectory):
-    """Von Neumann entropy S(t) = -sum lambda ln lambda, with 0 ln 0 = 0."""
-    return _entropy(_spectra(trajectory))
+    """Von Neumann entropy S(t) = -sum lambda ln lambda, with 0 ln 0 = 0 and
+    eigenvalues within the states' rounding taken as 0."""
+    return _entropy(_spectra(trajectory), _noise_floor(trajectory))
 
 
 def coherence(trajectory, i, j):
@@ -90,6 +98,6 @@ def observable_series(trajectory, coherences=()):
         times=trajectory.times.copy(),
         populations=populations(trajectory),
         purity=_purity(eigs),
-        entropy=_entropy(eigs),
+        entropy=_entropy(eigs, _noise_floor(trajectory)),
         coherences={(i, j): coherence(trajectory, i, j) for i, j in coherences},
     )

@@ -77,6 +77,9 @@ class Trajectory:
     times: np.ndarray   # shape (n,), strictly increasing, times[0] == 0
     states: np.ndarray  # shape (n, d, d)
     method: str         # "closed-form" or "ode-oracle"
+    # shape (n,): a bound on the rounding error of each entry of each
+    # state, or None when not known (the oracle's error is truncation)
+    rounding: np.ndarray | None = None
 
     @property
     def dim(self):
@@ -113,7 +116,9 @@ def propagate_closed_form(g, rho0, grid):
     v0 = vec(np.asarray(rho0, dtype=complex))
     table = integral_table(g, grid)
     out = np.empty((grid.size, g.mu), dtype=complex)
+    norms = 0.0  # the largest 1-norm over the blocks of the drift and each dissipator
     for coords, terms in block_groups(g):
+        norms = np.maximum(norms, np.abs(terms).sum(axis=-2).max(axis=(-1, -2)))
         v = v0[coords][:, None, :]
         for rows in _chunks(grid.size, terms[0].size):
             # a sum of products, not matmul, rounds exp(x) * v of a 1 x 1 block
@@ -122,7 +127,14 @@ def propagate_closed_form(g, rho0, grid):
                                        axis=-1)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("closed-form propagation produced non-finite entries")
-    return Trajectory(times=grid, states=unvec(out, g.dim), method="closed-form")
+    # The forward error of a scaling-and-squaring exponential grows like
+    # eps ||B(t)||, and ||B(t)||_1 <= sum_k |Gamma_k(t)| norms_k. Twice
+    # that: the noise eigenvalues of pure states under random jump-free
+    # models (d = 2..5, windows up to 1e5) stayed below 0.83 of
+    # d eps (1 + that bound).
+    rounding = 2 * np.finfo(float).eps * (1 + np.abs(table) @ norms)
+    return Trajectory(times=grid, states=unvec(out, g.dim), method="closed-form",
+                      rounding=rounding)
 
 
 def ode_oracle(g, rho0, grid):

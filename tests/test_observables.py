@@ -99,11 +99,35 @@ class TestPurityEntropy:
         g = make_generator("lambda3")
         tr = propagate_closed_form(g, phase_state(3, [1, 3], [2.5]), GRID)
         assert entropy(tr)[0] == 0.0
-        # v3's Hamiltonian without its jumps
-        unitary = assemble(LindbladModel(3, np.diag([1.0, 0.0, 2.0]).astype(complex), []))
+
+    @pytest.mark.parametrize("h", [
+        np.diag([1.0, 0.0, 2.0]),  # v3's Hamiltonian: phases only
+        # coupled: the noise eigenvalues reach 2e-15, above 3 eps
+        np.array([[0, 0.4, 0.1j], [0.4, 1, 0.3], [-0.1j, 0.3, 2.5]]),
+    ], ids=["diagonal", "coupled"])
+    def test_jump_free_model_keeps_entropy_exactly_zero(self, h):
+        unitary = assemble(LindbladModel(3, h.astype(complex), []))
         tr = propagate_closed_form(unitary, phase_state(3, [1, 2, 3], [0.4, 1.9]), GRID)
         assert np.all(entropy(tr) == 0.0)
         assert np.abs(purity(tr) - 1.0).max() <= 1e-12
+
+    def test_coupled_four_levels_on_a_long_window(self):
+        # the rounding of exp(B(t)) grows with ||B(t)||: noise eigenvalues
+        # reach 4e-11 at t = 1e5
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        g = assemble(LindbladModel(4, a + a.conj().T, []), 1e5)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        tr = propagate_closed_form(g, np.outer(psi, psi.conj()), np.linspace(0.0, 1e5, 200))
+        assert np.all(entropy(tr) == 0.0)
+
+    def test_floor_keeps_small_real_eigenvalues(self):
+        # cascade3 started in level 2: the population left there at t = 20
+        # is about 4e-5, far above the floor, and enters the entropy
+        g = make_generator("cascade3")
+        tr = propagate_closed_form(g, diag_state(0, 1, 0), GRID)
+        assert entropy(tr)[-1] > 1e-4
 
     def test_rejects_badly_negative_state(self):
         with pytest.raises(ValueError):

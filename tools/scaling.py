@@ -1,14 +1,12 @@
 """Cost of each lindblad_pc stage against the number of levels d.
 
-    python tools/scaling.py --parent ../parent/src [--change src] \\
-        [--max-d 32] [--out BENCH.json]
+    python tools/scaling.py --parent ../parent/src [--change src] [--out BENCH.json]
 
 For the package source directories of a parent and a change, and for
 each BLAS pool setting in RUNS, one fresh interpreter times the stages
 in-process on the generated d-level cascades of the benchmark
 (`perfbench.workloads.cascade_model`, mu = d^2, rates sin^2, exp and
-cos^2 in turn), d = 3..16 and then 20, 24, 28 and 32 up to --max-d
-(default 16):
+cos^2 in turn), d = 3..16, 20, 24, 28 and 32:
 
     assemble       model.assemble
     gate           commutativity.partial_subspace: the power cap, Gamma
@@ -21,9 +19,8 @@ cos^2 in turn), d = 3..16 and then 20, 24, 28 and 32 up to --max-d
     oracle         the RK45 oracle on the same points (and its RHS count),
                    up to d = ORACLE_MAX_D
 
-The parent's runs stop at d = PARENT_MAX_D whatever --max-d is, so that
-a parent whose gate is dense (minutes at d = 32) does not hold up the
-table.
+The parent's runs stop at d = PARENT_MAX_D, so that a parent whose gate
+is dense (minutes at d = 32) does not hold up the table.
 
 The pool settings:
 
@@ -123,22 +120,22 @@ def _stages(d):
     return out
 
 
-def worker(pool, max_d):
-    """Time every stage at each d up to max_d in this process; print one
-    JSON line."""
+def worker(role, pool):
+    """Time every stage at each d of DIMS (up to PARENT_MAX_D for the
+    parent) in this process; print one JSON line."""
     if pool == "cli":
         import lindblad_pc.cli
 
         with contextlib.redirect_stdout(io.StringIO()):
             lindblad_pc.cli.main(["--help"])
     _stages(3)  # warm-up
-    table = {str(d): _stages(d) for d in DIMS if d <= max_d}
+    table = {str(d): _stages(d) for d in DIMS if role == "change" or d <= PARENT_MAX_D}
     from perfbench.runrecord import blas_threads
 
     print(json.dumps({"blas_threads": blas_threads(), "stages": table}))
 
 
-def _run_worker(src, pool, max_d):
+def _run_worker(role, src, pool):
     env = dict(os.environ)
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(name, None)
@@ -146,7 +143,7 @@ def _run_worker(src, pool, max_d):
         env["OPENBLAS_NUM_THREADS"] = "1"
     env["PYTHONPATH"] = os.pathsep.join([str(Path(src).resolve()), str(ROOT)])
     done = subprocess.run(
-        [sys.executable, __file__, "--worker", pool, "--max-d", str(max_d)],
+        [sys.executable, __file__, "--worker", f"{role}:{pool}"],
         capture_output=True, text=True, env=env, cwd=ROOT, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -157,15 +154,13 @@ def main(argv=None):
     parser.add_argument("--change", default=str(ROOT / "src"),
                         help="the change's package source directory "
                              "(default: src of this checkout)")
-    parser.add_argument("--max-d", type=int, default=16,
-                        help="largest d of the change's runs (default 16)")
     parser.add_argument("--out", help="JSON file to write the table into "
                                       "(its other keys are kept); default stdout")
-    parser.add_argument("--worker", choices={pool for _, pool in RUNS},
+    parser.add_argument("--worker", choices={f"{role}:{pool}" for role, pool in RUNS},
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.worker, args.max_d)
+        worker(*args.worker.split(":"))
         return 0
     if not args.parent:
         parser.error("--parent is required")
@@ -174,14 +169,12 @@ def main(argv=None):
     runs = []
     for role, pool in RUNS:
         print(f"{role} {pool} ...", file=sys.stderr, flush=True)
-        max_d = min(args.max_d, PARENT_MAX_D) if role == "parent" else args.max_d
-        runs.append({"src": role, "pool": pool, **_run_worker(sources[role], pool, max_d)})
+        runs.append({"src": role, "pool": pool, **_run_worker(role, sources[role], pool)})
     import numpy
     import scipy
 
     table = {
-        "command": (f"python tools/scaling.py --parent PARENT_SRC --change CHANGE_SRC "
-                    f"--max-d {args.max_d}"),
+        "command": "python tools/scaling.py --parent PARENT_SRC --change CHANGE_SRC",
         "host": {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": numpy.__version__,
                  "scipy": scipy.__version__},
