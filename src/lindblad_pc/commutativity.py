@@ -76,20 +76,21 @@ ADMISSIBLE_TOL = 1e-8
 EXCLUDED_TOL = 1e-6
 
 # Six fixed sample times in (0, HORIZON / 2], where decaying rates act (a
-# long window that scaled them too lost those constraints), five seeded
-# random times in the second half of the window, and its end.
+# long window that scaled them too lost those constraints), five fixed
+# fractions of the window in its second half, and its end. The fractions
+# are the draws of np.random.default_rng(42).uniform(0.5, 1.0, 5), kept as
+# literals so that no run loads numpy.random for them.
 _STRUCTURED_TIMES = (0.2, 1.0, 2.0, 4.0, 2 * math.pi, 10.0)
-_RANDOM_SEED = 42
-_RANDOM_COUNT = 5
+_LATE_FRACTIONS = (0.8869780242779817, 0.7194392198760262, 0.9292989599556912,
+                   0.8486840145296819, 0.5470886739438248)
 
 
 def default_sample_times(t_max=HORIZON):
     """Twelve deterministic sample times in the window (0, max(HORIZON,
     t_max)] of a run to t_max; the largest is the end of the window."""
     window = time_window(t_max)
-    rng = np.random.default_rng(_RANDOM_SEED)
-    extra = rng.uniform(0.5, 1.0, size=_RANDOM_COUNT) * window
-    return sorted(float(t) for t in (*_STRUCTURED_TIMES, *extra, window))
+    late = (fraction * window for fraction in _LATE_FRACTIONS)
+    return sorted(float(t) for t in (*_STRUCTURED_TIMES, *late, window))
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ expression depends on `t` alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ExprSyntaxError, NonFiniteError, UnboundParameterError
 
@@ -438,8 +438,14 @@ class ClosedFormAntiderivative(Antiderivative):
         return eval_expr(self.expr, np.asarray(times, dtype=float))
 
 
-# (nodes, weights) of the 7- and 15-point Gauss-Legendre rules on [-1, 1].
-_G7, _G15 = leggauss(7), leggauss(15)
+@functools.cache
+def _gauss(n):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1],
+    built on first use: numpy.polynomial loads only for a quadrature rate,
+    never on the closed-form rates of the built-ins."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(n)
 
 
 class QuadratureAntiderivative(Antiderivative):
@@ -505,9 +511,9 @@ class QuadratureAntiderivative(Antiderivative):
                 raise NonFiniteError(
                     f"quadrature did not converge on [{edges[k]}, {edges[k + 1]}] "
                     f"within {self.MAX_EVALUATIONS} evaluations of the rate")
-            fine = self._rule(_G15, starts, widths)
+            fine = self._rule(_gauss(15), starts, widths)
             tol = widths * np.maximum(self.ABS_TOL, np.spacing(starts + widths))
-            done = np.abs(fine - self._rule(_G7, starts, widths)) <= tol
+            done = np.abs(fine - self._rule(_gauss(7), starts, widths)) <= tol
             kept.append((starts[done], fine[done]))
             cells, starts, half = cells[~done], starts[~done], widths[~done] / 2
             cells, widths = np.tile(cells, 2), np.tile(half, 2)
@@ -535,7 +541,7 @@ class QuadratureAntiderivative(Antiderivative):
         times = np.asarray(times, dtype=float)
         k = np.maximum(np.searchsorted(self._starts, times, side="right") - 1, 0)
         starts = self._starts[k]
-        return self._before[k] + self._rule(_G15, starts, times - starts)
+        return self._before[k] + self._rule(_gauss(15), starts, times - starts)
 
 
 class _NoClosedForm(Exception):

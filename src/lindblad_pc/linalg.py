@@ -276,8 +276,10 @@ def _expm_general(a):
         scaling[rest] = s + _ell(a[rest] * scale[:, None, None], norm[rest] * scale, 13)
 
     result = np.empty_like(a)
-    for m in np.unique(degree):
+    for m in _THETA:  # the Pade degrees, ascending
         chosen = np.flatnonzero(degree == m)
+        if not chosen.size:
+            continue
         scale = 2.0 ** -scaling[chosen][:, None, None]
         needed = range(2, m, 2) if m < 13 else (2, 4, 6)
         result[chosen] = _pade(m, a[chosen] * scale,

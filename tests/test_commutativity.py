@@ -70,6 +70,15 @@ class TestDefaultSampleTimes:
         assert min(times) > 0
         assert max(times) == max(20.0, t_max)
 
+    @pytest.mark.parametrize("t_max", [20.0, 40.0, 1e5, 1e6])
+    def test_late_times_are_the_seeded_draws(self, t_max):
+        # The formula the literal fractions replace, bit for bit.
+        window = max(20.0, t_max)
+        late = np.random.default_rng(42).uniform(0.5, 1.0, size=5) * window
+        structured = (0.2, 1.0, 2.0, 4.0, 2 * np.pi, 10.0)
+        expected = sorted(float(t) for t in (*structured, *late, window))
+        assert default_sample_times(t_max) == expected
+
 
 class TestFunctionalCommutativity:
     def test_v3_is_functionally_commutative(self):

@@ -1,9 +1,10 @@
 """What a fresh interpreter loads and how it sets BLAS threads.
 
-Each case runs `cli.main` (or the library) in a subprocess, because both
-the set of loaded modules and the OpenBLAS pool belong to the process.
-The pool size is read back with the benchmark's run-record getter, an
-implementation independent of the one the CLI uses to set it.
+Each case runs `cli.main` (or the library, or the entry point) in a
+subprocess, because the set of loaded modules, the OpenBLAS pool and the
+threads belong to the process. The pool size is read back with the
+benchmark's run-record getter, an implementation independent of the one
+the CLI uses to set it.
 """
 
 import json
@@ -11,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,12 @@ from lindblad_pc.linalg import FRECHET_DOUBLING_MAX
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# numpy submodules that no run on the built-ins needs.
+NUMPY_EXTRAS = ("numpy.random", "numpy.ma", "numpy.polynomial")
+
 # Prints one JSON line: the exit code of cli.main(argv), the scipy
-# modules loaded after it, and numpy's OpenBLAS threads before and after.
+# modules and NUMPY_EXTRAS loaded after it, and numpy's OpenBLAS threads
+# before and after.
 CLI_SNIPPET = """
 import json, sys
 import runrecord
@@ -31,13 +37,16 @@ code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({
     "code": code,
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "numpy": sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules),
     "threads": [before, runrecord.blas_threads().get("numpy")],
 }))
 """
 
-# The same pair of thread counts around a library call.
+# The same pair of thread counts around a library call. Importing the
+# package loads no numpy, so numpy is loaded first to read its pool.
 LIBRARY_SNIPPET = """
 import json
+import numpy
 import runrecord
 import lindblad_pc
 before = runrecord.blas_threads().get("numpy")
@@ -46,17 +55,20 @@ print(json.dumps({"threads": [before, runrecord.blas_threads().get("numpy")]}))
 """
 
 
-def run_snippet(snippet, *args):
+def run_python(*args, check=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", snippet, *args], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=120, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=ROOT, timeout=120, check=check)
+
+
+def run_snippet(snippet, *args):
+    return json.loads(run_python("-c", snippet, *args).stdout.splitlines()[-1])
 
 
 def run_cli(*argv):
-    return run_snippet(CLI_SNIPPET, json.dumps(argv))
+    return run_snippet(CLI_SNIPPET, json.dumps(argv), json.dumps(NUMPY_EXTRAS))
 
 
 CASCADE3 = ("--builtin", "cascade3", "--params", "eps=1")
@@ -70,7 +82,7 @@ CASCADE3 = ("--builtin", "cascade3", "--params", "eps=1")
 ], ids=["help", "classify", "input-error", "refused-verify"])
 def test_runs_that_never_exponentiate_load_no_scipy(argv, code):
     result = run_cli(*argv)
-    assert (result["code"], result["scipy"]) == (code, [])
+    assert (result["code"], result["scipy"], result["numpy"]) == (code, [], [])
 
 
 BUILTINS = {
@@ -84,14 +96,14 @@ BUILTINS = {
 def test_solve_loads_no_scipy(tmp_path):
     result = run_cli("solve", *BUILTINS["cascade4"], "--rho0", "pure:1", "--steps", "5",
                      "--out", str(tmp_path / "out.csv"))
-    assert (result["code"], result["scipy"]) == (0, [])
+    assert (result["code"], result["scipy"], result["numpy"]) == (0, [], [])
 
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_admitted_verify_loads_no_scipy(name):
     result = run_cli("verify", *BUILTINS[name], "--rho0", "pure:1", "--t-max", "2",
                      "--steps", "5")
-    assert (result["code"], result["scipy"]) == (0, [])
+    assert (result["code"], result["scipy"], result["numpy"]) == (0, [], [])
 
 
 def test_verify_past_the_doubling_size_loads_scipy_linalg_only(tmp_path):
@@ -127,3 +139,80 @@ def test_library_calls_keep_the_callers_pool():
     before, after = run_snippet(LIBRARY_SNIPPET)["threads"]
     _skip_unless_capping_can_show(before)
     assert after == before
+
+
+# Whether a fresh `import lindblad_pc` loads numpy, and, for each name in
+# __all__, whether it is the object the module that defines it holds.
+PACKAGE_SNIPPET = """
+import json, sys
+import lindblad_pc
+numpy_loaded = "numpy" in sys.modules
+owners = {name: getattr(lindblad_pc, name).__module__ for name in lindblad_pc.__all__}
+print(json.dumps({
+    "numpy": numpy_loaded,
+    "owners": owners,
+    "mismatched": [name for name, owner in owners.items()
+                   if getattr(lindblad_pc, name) is not getattr(sys.modules[owner], name)],
+}))
+"""
+
+
+def test_importing_the_package_loads_no_numpy():
+    result = run_snippet(PACKAGE_SNIPPET)
+    assert result["numpy"] is False
+    assert result["owners"] and result["mismatched"] == []
+    assert all(owner.startswith("lindblad_pc.") for owner in result["owners"].values())
+
+
+# The exit code of `python -m lindblad_pc ARGV`, run in this process, and
+# the threads the process has afterwards.
+ENTRY_SNIPPET = """
+import json, os, runpy, sys
+sys.argv = ["lindblad-pc", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("lindblad_pc", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "tasks": len(os.listdir("/proc/self/task"))}))
+"""
+
+NUMPY_TASKS_SNIPPET = """
+import json, os
+import numpy
+print(json.dumps(len(os.listdir("/proc/self/task"))))
+"""
+
+
+def test_entry_point_starts_no_blas_worker_thread():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count threads in")
+    if run_snippet(NUMPY_TASKS_SNIPPET) == 1:
+        pytest.skip("importing numpy starts no BLAS worker thread here")
+    result = run_snippet(ENTRY_SNIPPET, json.dumps(["classify", *CASCADE3, "--json"]))
+    assert result == {"code": 0, "tasks": 1}
+
+
+def test_module_help_exits_zero():
+    done = run_python("-m", "lindblad_pc", "--help", check=False)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: lindblad-pc")
+
+
+# Calls the script target named by argv[1] (module:function) on the
+# arguments in argv[2] and prints its exit code and what it printed.
+SCRIPT_SNIPPET = """
+import contextlib, importlib, io, json, sys
+module, _, function = sys.argv[1].partition(":")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = getattr(importlib.import_module(module), function)(json.loads(sys.argv[2]))
+print(json.dumps({"code": code, "out": out.getvalue()}))
+"""
+
+
+def test_installed_script_runs_the_cli():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["lindblad-pc"]
+    result = run_snippet(SCRIPT_SNIPPET, target, json.dumps(["classify", *CASCADE3, "--json"]))
+    assert result["code"] == 0
+    assert json.loads(result["out"])["partial_rank"] == 8
