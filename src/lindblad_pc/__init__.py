@@ -29,13 +29,12 @@ _EXPORTS = {
         "RateExpr", "antiderivative", "eval_expr", "format_expr", "parse_rate_expr",
     ),
     "linalg": (
-        "SubspaceBasis", "commutator", "expm", "kron", "minimal_poly_degree",
+        "SubspaceBasis", "commutator", "expm", "minimal_poly_degree",
         "null_space", "unvec", "vec",
     ),
     "model": (
         "GeneratorDecomposition", "Jump", "LindbladModel", "assemble", "builtin",
-        "builtin_names", "dissipator_matrix", "generator_at", "integral_at",
-        "jump_operator", "phase_state",
+        "builtin_names", "generator_at", "integral_at", "jump_operator", "phase_state",
     ),
     "commutativity": (
         "CommutativityReport", "admissible", "classify", "default_sample_times",

@@ -9,7 +9,7 @@ Three subcommands over a model (a JSON file or a built-in name):
 * ``verify`` runs the closed form against the brute-force ODE oracle and
   reports the largest trace distance and the flow residual.
 
-Exit codes: 0 success, 2 input/parse error, 3 numeric failure,
+Exit codes: 0 success, 2 input error, 3 numeric failure or out of memory,
 4 inadmissible initial state without --force, 5 verification failure.
 Exit 2 also refuses, before any work: a `--params` value that is NaN or
 infinite; `--steps` such that steps x d^2 passes MAX_GRID_ENTRIES (the
@@ -355,8 +355,8 @@ def run(argv):
     except (ValueError, OSError, errors.IndexOutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ArithmeticError, errors.StepSizeUnderflowError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (ArithmeticError, MemoryError, errors.StepSizeUnderflowError) as exc:
+        print(f"numeric failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

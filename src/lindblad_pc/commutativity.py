@@ -25,7 +25,7 @@ Gamma are block diagonal and M is the direct sum of the kernels of the
 blocks of Gamma. A block of one coordinate commutes with everything: its
 C_n vanish and its coordinate lies in M. `_commutator_chain` is the one
 routine that builds the C_n: for each chunk of sample times (at most
-solver.STACK_BYTES per stack) and each n, one (times, c, b, b) stack per
+model.STACK_BYTES per stack) and each n, one (times, c, b, b) stack per
 group of c blocks of size b > 1. Gamma, the re-check in `classify`,
 integral commutativity and `gamma_operator` all iterate it, from one
 table of the coefficients of L(t) and B(t) over the sample times.
@@ -60,9 +60,8 @@ from .linalg import ABSOLUTE_FLOOR, DEFAULT_REL_TOL, SubspaceBasis, minimal_poly
 # null_space, generator_at and integral_at are not called here, but
 # perfbench's tracer wraps the names in this module, so they stay bound.
 from .linalg import null_space  # noqa: F401
-from .model import HORIZON, block_groups, integral_table, rate_table, time_window
+from .model import HORIZON, chunks, integral_table, rate_table, time_window
 from .model import generator_at, integral_at  # noqa: F401
-from .solver import _chunks
 
 __all__ = [
     "default_sample_times", "functional_commutativity",
@@ -95,10 +94,10 @@ def default_sample_times(t_max=HORIZON):
 
 @dataclass(frozen=True)
 class _Samples:
-    """The generator's block groups (model.block_groups) and the
+    """The generator's block groups (`g.groups`) and the
     coefficients of B(t) and L(t) at each sample time, one row per time."""
 
-    groups: list
+    groups: tuple
     times: np.ndarray
     integral: np.ndarray
     rates: np.ndarray
@@ -106,7 +105,7 @@ class _Samples:
     @classmethod
     def of(cls, g, times):
         times = np.asarray(times, dtype=float)
-        return cls(block_groups(g), times, integral_table(g, times), rate_table(g, times))
+        return cls(g.groups, times, integral_table(g, times), rate_table(g, times))
 
     def __getitem__(self, rows):
         return _Samples(self.groups, self.times[rows], self.integral[rows], self.rates[rows])
@@ -132,12 +131,11 @@ def functional_commutativity(g):
     for all coefficients, so no sampled times are needed. The components
     are block diagonal, so each commutator is taken block by block.
     """
-    groups = block_groups(g)
     count = 1 + len(g.parts)
     squares = np.zeros((count, count))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        norms = np.sqrt(_squared_norms([terms for _, terms in groups]))
-        for coords, terms in groups:
+        norms = np.sqrt(_squared_norms([terms for _, terms in g.groups]))
+        for coords, terms in g.groups:
             if coords.shape[1] == 1:
                 continue
             for i in range(count - 1):
@@ -161,7 +159,7 @@ def _commutator_chain(samples, power_cap):
     vanishes. Raises NonFiniteError once a power of B(t), its norm or
     C_n overflows."""
     entries = sum(coords.size * coords.shape[1] for coords, _ in samples.groups)
-    for rows in _chunks(samples.times.size, entries):
+    for rows in chunks(samples.times.size, entries):
         integral = samples.stacks(samples.integral, rows)
         gen = samples.stacks(samples.rates, rows)
         single = [coords.shape[1] == 1 for coords, _ in samples.groups]
@@ -238,7 +236,7 @@ def _power_cap(samples):
         c, b = coords.shape
         if b == 1:
             continue
-        for rows in _chunks(samples.times.size, (b + 1) * c * b * b):
+        for rows in chunks(samples.times.size, (b + 1) * c * b * b):
             stack = np.tensordot(samples.integral[rows], terms, axes=1)
             degree = max(degree, int(np.max(minimal_poly_degree(stack))))
     return degree - 1 if degree > 1 else 1

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError
 
 __all__ = [
-    "kron", "vec", "unvec", "commutator", "expm", "expm_frechet", "null_space",
+    "vec", "unvec", "commutator", "expm", "expm_frechet", "null_space",
     "minimal_poly_degree", "SubspaceBasis", "DEFAULT_REL_TOL",
 ]
 
@@ -92,11 +92,6 @@ def _as_square_stack(a):
 def _require_finite(a, what):
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{what} contains non-finite entries")
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
 
 
 def vec(m):

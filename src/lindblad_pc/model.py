@@ -7,19 +7,24 @@ whose generator splits as
     L(t) = L_H + sum_k gamma_k(t) * L_k
 
 with a constant drift L_H = i (H^T kron 1 - 1 kron H) and one constant
-dissipator matrix per jump. Because only the scalar rates depend on time,
+dissipator L_k per jump. Because only the scalar rates depend on time,
 the exact integral B(t) = int_0^t L(tau) dtau is assembled from scalar
 antiderivatives; no matrix-valued quadrature is ever needed.
 
-The same split gives the generator's invariant coordinate blocks: the
-connected components of the union of the sparsity patterns of L_H and
-every L_k. L(t), B(t) and exp(B(t)) vanish between blocks at every t, so
-each block can be propagated, and tested for admissibility, on its own:
-`block_groups` stacks the blocks of each size, and `integral_table` and
-`rate_table` give the coefficients of B(t) and L(t) on a grid of times,
-for `solver` and `commutativity` alike. A level-transition model with a
-diagonal H has one d x d block of populations and d^2 - d blocks of one
-coherence each; a fully coupled generator is a single block of size d^2.
+`assemble` stores no part as a d^2 x d^2 matrix, but the values of the
+entries of L_H and every L_k (see `_entries`) on their union nonzero
+pattern: one (1 + K, nnz) table. The oracle's `generator_at` and
+`integral_at` scatter a combination of its rows into a zero mu x mu matrix.
+
+The connected components of that pattern are the generator's invariant
+coordinate blocks. L(t), B(t) and exp(B(t)) vanish between blocks at
+every t, so each block can be propagated, and tested for admissibility,
+on its own: `assemble` also stacks the blocks of each size (`groups`),
+and `integral_table` and `rate_table` give the coefficients of B(t) and
+L(t) on a grid of times, which `chunks` cuts to STACK_BYTES, for `solver`
+and `commutativity` alike. A level-transition model with a diagonal H
+has one d x d block of populations and d^2 - d blocks of one coherence
+each; a fully coupled generator is a single block of size d^2.
 """
 
 from __future__ import annotations
@@ -32,13 +37,12 @@ import numpy as np
 from . import expr as _expr
 from .errors import NonFiniteError, UnknownModelError
 from .expr import Antiderivative, RateExpr, antiderivative, eval_expr, parse_rate_expr
-from .linalg import kron
 
 __all__ = [
     "Jump", "LindbladModel", "GeneratorPart", "GeneratorDecomposition",
-    "jump_operator", "dissipator_matrix", "assemble", "block_groups",
-    "integral_table", "rate_table", "generator_at", "integral_at", "builtin",
-    "builtin_names", "phase_state",
+    "jump_operator", "assemble", "STACK_BYTES", "chunks", "integral_table",
+    "rate_table", "generator_at", "integral_at", "builtin", "builtin_names",
+    "phase_state",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -52,6 +56,9 @@ RATE_SAMPLE_COUNT = 81
 # The largest t_max the CLI accepts: the rate check of a run to 1e6 takes
 # 4e6 samples per rate.
 MAX_T_MAX = 1e6
+# Bytes per stack of one block size over a chunk of time points, in the
+# closed form, the flow residual and the commutator chain (see `chunks`).
+STACK_BYTES = 8 * 2**20
 
 
 def time_window(t_max):
@@ -144,24 +151,8 @@ def _first_non_finite(rate, times):
     return bad - 1
 
 
-def dissipator_matrix(v):
-    """Vectorized dissipator of a single jump operator.
-
-    conj(V) kron V - 1/2 (1 kron V^dag V) - 1/2 (V^T conj(V) kron 1),
-    acting on column-stacked density matrices.
-    """
-    v = np.asarray(v, dtype=complex)
-    d = v.shape[0]
-    eye = np.eye(d, dtype=complex)
-    vdv = v.conj().T @ v
-    return (kron(v.conj(), v)
-            - 0.5 * kron(eye, vdv)
-            - 0.5 * kron(vdv.T, eye))
-
-
 @dataclass(frozen=True)
 class GeneratorPart:
-    matrix: np.ndarray        # constant dissipator, d^2 x d^2
     rate: RateExpr            # gamma_k(t)
     integral: Antiderivative  # Gamma_k(t) = int_0^t gamma_k
 
@@ -172,10 +163,15 @@ class GeneratorDecomposition:
     coordinate blocks they share; see module docstring."""
 
     dim: int
-    drift: np.ndarray  # i (H^T kron 1 - 1 kron H)
     parts: tuple[GeneratorPart, ...]
+    rows: np.ndarray    # (nnz,) coordinates of the union nonzero pattern
+    cols: np.ndarray
+    values: np.ndarray  # (1 + K, nnz): the drift's entries, then each part's
     # Sorted 0-based coordinates of each block, ordered by first coordinate.
     blocks: tuple[np.ndarray, ...]
+    # Per block size b, smallest first: the coordinates of its c blocks,
+    # shape (c, b), and their entries as in `values`, shape (1 + K, c, b, b).
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def mu(self):
@@ -188,27 +184,51 @@ def assemble(model, t_max=HORIZON):
     model.validate(t_max)
     d = model.dim
     h = np.asarray(model.hamiltonian, dtype=complex)
-    eye = np.eye(d, dtype=complex)
+    operators = [np.asarray(jump.operator, dtype=complex) for jump in model.jumps]
+    eye = np.eye(d, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = 1j * (kron(h.T, eye) - kron(eye, h))
-        matrices = [dissipator_matrix(jump.operator) for jump in model.jumps]
-    if not all(np.all(np.isfinite(m)) for m in (drift, *matrices)):
+        squares = [v.conj().T @ v for v in operators]
+        # where the formulas of `_entries` can be nonzero, from the d x d patterns
+        pattern = np.kron(h.T != 0, eye) | np.kron(eye, h != 0)
+        square = np.zeros_like(eye)
+        for v, w in zip(operators, squares):
+            pattern |= np.kron(v != 0, v != 0)
+            square |= w != 0
+        rows, cols = np.nonzero(pattern | np.kron(eye, square) | np.kron(square.T, eye))
+        values = _entries(h, operators, squares, rows, cols)
+    if not np.all(np.isfinite(values)):
         raise NonFiniteError("the drift or a dissipator matrix overflows")
-    parts = tuple(
-        GeneratorPart(m, jump.rate, antiderivative(jump.rate, time_window(t_max)))
-        for m, jump in zip(matrices, model.jumps))
-    return GeneratorDecomposition(dim=d, drift=drift, parts=parts,
-                                  blocks=_invariant_blocks([drift, *matrices]))
+    keep = np.any(values != 0, axis=0)  # entries that cancel, as a dephasing E_kk's
+    rows, cols, values = rows[keep], cols[keep], values[:, keep]
+    linked = np.zeros((d * d, d * d), dtype=bool)
+    linked[rows, cols] = linked[cols, rows] = True
+    blocks = _invariant_blocks(linked)
+    coords = [np.array([b for b in blocks if b.size == size])
+              for size in sorted({b.size for b in blocks})]
+    groups = tuple((c, _entries(h, operators, squares, c[:, :, None], c[:, None, :]))
+                   for c in coords)
+    parts = tuple(GeneratorPart(jump.rate, antiderivative(jump.rate, time_window(t_max)))
+                  for jump in model.jumps)
+    return GeneratorDecomposition(dim=d, parts=parts, rows=rows, cols=cols, values=values,
+                                  blocks=blocks, groups=groups)
 
 
-def _invariant_blocks(matrices):
-    """Connected components of the union sparsity pattern of square
-    matrices of one size: each a sorted array of 0-based coordinates, in
-    the order of their first coordinates."""
-    linked = np.zeros(matrices[0].shape, dtype=bool)
-    for m in matrices:
-        linked |= m != 0
-    linked |= linked.T
+def _entries(h, operators, squares, rows, cols):
+    """The drift's and each dissipator's entries at (rows, cols), index
+    arrays that broadcast together, stacked on a new first axis. For rho_ab
+    at a + d b, rho_pq at p + d q and W = V^dag V, rounded as kron rounds:
+        drift   i (H_qb delta_ap - delta_bq H_ap)
+        jump V  conj(V_bq) V_ap - 1/2 delta_bq W_ap - 1/2 W_qb delta_ap"""
+    (b, a), (q, p) = np.divmod(rows, h.shape[0]), np.divmod(cols, h.shape[0])
+    ap, bq = a == p, b == q
+    return np.array([1j * (h[q, b] * ap - bq * h[a, p]),
+                     *(v[b, q].conj() * v[a, p] - 0.5 * (bq * w[a, p]) - 0.5 * (w[q, b] * ap)
+                       for v, w in zip(operators, squares))])
+
+
+def _invariant_blocks(linked):
+    """Connected components of a symmetric bool pattern: each a sorted
+    array of 0-based coordinates, in the order of their first coordinates."""
     unseen = np.ones(linked.shape[0], dtype=bool)
     blocks = []
     for start in range(linked.shape[0]):
@@ -225,14 +245,11 @@ def _invariant_blocks(matrices):
     return tuple(blocks)
 
 
-def block_groups(g):
-    """The invariant blocks grouped by size b, smallest first: for the c
-    blocks of each size, their coordinates, shape (c, b), and their
-    submatrices in the drift and each dissipator, shape (1 + K, c, b, b)."""
-    terms = [g.drift] + [part.matrix for part in g.parts]
-    groups = [np.array([b for b in g.blocks if b.size == size])
-              for size in sorted({b.size for b in g.blocks})]
-    return [(c, np.array([m[c[:, :, None], c[:, None, :]] for m in terms])) for c in groups]
+def chunks(count, entries):
+    """Slices that cover range(count), each with as many points (at least
+    one) as fit in STACK_BYTES at `entries` complex numbers per point."""
+    step = max(1, STACK_BYTES // (16 * entries))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def integral_table(g, times):
@@ -248,18 +265,20 @@ def rate_table(g, times):
 
 
 def generator_at(g, t):
-    """L(t) = L_H + sum_k gamma_k(t) L_k."""
-    out = g.drift.copy()
-    for part in g.parts:
-        out += eval_expr(part.rate, t) * part.matrix
-    return out
+    """L(t) = L_H + sum_k gamma_k(t) L_k, scattered from the entry table."""
+    return _scatter(g, [1.0, *(eval_expr(part.rate, t) for part in g.parts)])
 
 
 def integral_at(g, t):
     """B(t) = t L_H + sum_k Gamma_k(t) L_k, exact up to scalar quadrature."""
-    out = float(t) * g.drift
-    for part in g.parts:
-        out += part.integral.value(t) * part.matrix
+    return _scatter(g, [float(t), *(part.integral.value(t) for part in g.parts)])
+
+
+def _scatter(g, coefficients):
+    """The mu x mu matrix with these coefficients on the drift and each
+    dissipator."""
+    out = np.zeros((g.mu, g.mu), dtype=complex)
+    out[g.rows, g.cols] = np.asarray(coefficients, dtype=float) @ g.values
     return out
 
 

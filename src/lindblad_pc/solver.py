@@ -4,8 +4,8 @@ The closed form unvec(exp(B(t)) vec(rho0)) is an exact solution of the
 master equation exactly when vec(rho0) lies in the partially commutative
 subspace (or when the generator satisfies one of the global
 commutativity criteria). The oracle integrates the vectorized linear ODE
-with an adaptive Runge-Kutta pair, one evaluation of the dense generator
-per right-hand side, and knows nothing about matrix exponentials or
+with an adaptive Runge-Kutta pair, one evaluation of the generator per
+right-hand side, and knows nothing about matrix exponentials or
 commutativity, so agreement between the two is a genuine
 cross-check rather than a tautology. The flow ("Fedorov") residual
 certifies the closed form directly: it inserts exp(B(t)) alpha into the
@@ -19,14 +19,14 @@ the blocks. The coefficients of B(t) on the drift and on each
 dissipator, [t, Gamma_k(t)], are tabulated over the grid
 (`model.integral_table`), and for the residual those of L(t),
 [1, gamma_k(t)] (`model.rate_table`). The c blocks of each size b
-(`model.block_groups`) make one (points, c, b, b) stack per chunk of grid
-points, as many as keep it within STACK_BYTES (`commutativity` chunks its
-commutator chain the same way): through `expm` for the closed form (np.exp
-of the diagonal when b = 1), and through `expm_frechet` for the
-residual, which skips b = 1, where it vanishes. The oracle keeps the
-dense mu x mu generator_at: it shares no code with the blocks, so
-`verify` still tests them against an integration that does not assume
-them.
+(`g.groups`) make one (points, c, b, b) stack per chunk of grid points
+(`model.chunks`; `commutativity` chunks its commutator chain the same
+way): through `expm` for the closed form (np.exp of the diagonal when
+b = 1), and through `expm_frechet` for the residual, which skips b = 1,
+where it vanishes. The oracle's mu x mu L(t) (`generator_at`) is
+scattered from the generator's table of nonzero entries, not from the
+blocks: it shares no code with them, so `verify` still tests them
+against an integration that does not assume them.
 
 The oracle is the Dormand-Prince 5(4) pair (Dormand and Prince, J.
 Comput. Appl. Math. 6 (1980) 19-26) with the coefficients, step control
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import GridMismatchError, NonFiniteError, StepSizeUnderflowError
 from .linalg import expm, expm_frechet, unvec, vec
-from .model import block_groups, generator_at, integral_table, rate_table
+from .model import chunks, generator_at, integral_table, rate_table
 # integral_at is not called here, but perfbench's tracer wraps the name in
 # this module, so it stays bound.
 from .model import integral_at  # noqa: F401
@@ -59,15 +59,6 @@ ORACLE_TOL = 1e-10
 # The cascade4 built-in takes about 2e3 evaluations on [0, 20] and 3.5e4
 # on [0, 8000].
 ORACLE_MAX_RHS_CALLS = 100_000
-# Bytes per stacked exponential: a chunk takes as many grid points as
-# keep the b x b stacks of one block size in the closed form, and the
-# four b x b (or one 2b x 2b) stacks of the residual, within STACK_BYTES
-# each; expm adds an output of the same size (none for the doubled
-# matrix, which it overwrites) and scratch that does not grow with the
-# stack (see linalg.SLAB_BYTES). A fully coupled generator at d = 16
-# (one block, b = 256) gets 8 points in the closed form and 2 in the
-# residual.
-STACK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -97,13 +88,6 @@ def _check_grid(grid):
     return grid
 
 
-def _chunks(count, entries):
-    """Slices that cover range(count), each with as many points (at least
-    one) as fit in STACK_BYTES at `entries` complex numbers per point."""
-    step = max(1, STACK_BYTES // (16 * entries))
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 def propagate_closed_form(g, rho0, grid):
     """Evaluate rho(t) = unvec(exp(B(t)) vec(rho0)) on the grid, block by
     block and chunk by chunk (see the module docstring).
@@ -117,10 +101,10 @@ def propagate_closed_form(g, rho0, grid):
     table = integral_table(g, grid)
     out = np.empty((grid.size, g.mu), dtype=complex)
     norms = 0.0  # the largest 1-norm over the blocks of the drift and each dissipator
-    for coords, terms in block_groups(g):
+    for coords, terms in g.groups:
         norms = np.maximum(norms, np.abs(terms).sum(axis=-2).max(axis=(-1, -2)))
         v = v0[coords][:, None, :]
-        for rows in _chunks(grid.size, terms[0].size):
+        for rows in chunks(grid.size, terms[0].size):
             # a sum of products, not matmul, rounds exp(x) * v of a 1 x 1 block
             # as np.exp did; one expression frees each stack before the next
             out[rows, coords] = np.sum(expm(np.tensordot(table[rows], terms, axes=1)) * v,
@@ -286,11 +270,12 @@ def fedorov_residual(g, alpha, grid):
         return 0.0
     integral, rates = integral_table(g, grid), rate_table(g, grid)
     squares = np.zeros(grid.size)
-    for coords, terms in block_groups(g):
+    for coords, terms in g.groups:
         if coords.shape[1] == 1:
             continue
         a = alpha[coords][..., None]
-        for rows in _chunks(grid.size, 4 * terms[0].size):
+        # four b x b stacks: A, E, exp(A) and L(A, E)
+        for rows in chunks(grid.size, 4 * terms[0].size):
             gen = np.tensordot(rates[rows], terms, axes=1)
             flow, derivative = expm_frechet(np.tensordot(integral[rows], terms, axes=1), gen)
             residual = derivative @ a - gen @ (flow @ a)

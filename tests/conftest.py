@@ -6,6 +6,11 @@ banks mix diagonal states with phase-endowed superpositions, all lying
 inside each model's admissible subspace.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from lindblad_pc import assemble, builtin, phase_state
@@ -25,6 +30,21 @@ def make_generator(name, extra=None):
     if extra:
         params.update(extra)
     return assemble(builtin(name, params))
+
+
+def run_capped_cli(*argv, limit=2**30):
+    """`python -m lindblad_pc ARGV` in a child process whose address space
+    is capped at `limit` bytes; the cap is set in the child only."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "lindblad_pc", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=300)
 
 
 def diag_state(*populations):

@@ -2,6 +2,8 @@
 flow residual and admissibility gate against dense references."""
 
 import itertools
+import json
+import random
 import sys
 import tracemalloc
 from pathlib import Path
@@ -13,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from lindblad_pc import (
     LindbladModel,
+    admissible,
     assemble,
+    builtin,
     classify,
     commutator,
     default_sample_times,
@@ -24,6 +28,7 @@ from lindblad_pc import (
     integral_commutativity,
     jump_operator,
     load_model,
+    loads_model,
     minimal_poly_degree,
     null_space,
     parse_rate_expr,
@@ -37,12 +42,13 @@ from lindblad_pc.linalg import DEFAULT_REL_TOL
 from lindblad_pc.model import Jump
 from lindblad_pc import commutativity, model, solver
 from lindblad_pc.cli import _use_one_blas_thread
-from lindblad_pc.solver import STACK_BYTES
+from lindblad_pc.model import STACK_BYTES
 
-from conftest import MODEL_NAMES, make_generator
+from conftest import MODEL_NAMES, MODEL_PARAMS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import workloads  # noqa: E402
+from tools.scaling import RATES  # noqa: E402
 
 CLOSED_FORM_RATES = ("sin({w}*t)^2", "cos({w}*t)^2", "exp(-{a}*t)", "{a}")
 QUADRATURE_RATES = ("1/(1 + {a}*t^2)", "t*exp(-{a}*t)")
@@ -98,19 +104,33 @@ def dense_commute(a, b):
             <= DEFAULT_REL_TOL * np.linalg.norm(a) * np.linalg.norm(b))
 
 
-def dense_criteria(g):
+def dense_components(loaded):
+    """The drift and each dissipator of a model as dense mu x mu matrices,
+    from the Kronecker-product formulas."""
+    eye = np.eye(loaded.dim, dtype=complex)
+    h = np.asarray(loaded.hamiltonian, dtype=complex)
+    out = [1j * (np.kron(h.T, eye) - np.kron(eye, h))]
+    for jump in loaded.jumps:
+        v = np.asarray(jump.operator, dtype=complex)
+        vdv = v.conj().T @ v
+        out.append(np.kron(v.conj(), v) - 0.5 * np.kron(eye, vdv) - 0.5 * np.kron(vdv.T, eye))
+    return out
+
+
+def dense_criteria(loaded, g):
     """(functional, integral) from dense mu x mu commutators."""
-    components = [g.drift] + [part.matrix for part in g.parts]
+    components = dense_components(loaded)
     return (all(dense_commute(a, b) for a, b in itertools.combinations(components, 2)),
             all(dense_commute(generator_at(g, t), integral_at(g, t))
                 for t in default_sample_times()))
 
 
-def assert_gate_matches_dense(g):
+def assert_gate_matches_dense(loaded):
+    g = assemble(loaded)
     expected, sub = dense_gate(g), partial_subspace(g)
     assert sub.rank == expected.rank
     assert np.abs(sub.projector() - expected.projector()).max() <= 1e-12
-    assert (functional_commutativity(g), integral_commutativity(g)) == dense_criteria(g)
+    assert (functional_commutativity(g), integral_commutativity(g)) == dense_criteria(loaded, g)
 
 
 class TestStructure:
@@ -205,8 +225,8 @@ class TestAgainstDense:
         rho0 = phase_state(4, [1, 2, 4], [0.3, 1.1])
         grid = np.linspace(0.0, 40.0, 1500)
         # 128 points per stack of the 4 x 4 population block
-        monkeypatch.setattr(solver, "STACK_BYTES", 16 * 16 * 128)
-        assert len(solver._chunks(grid.size, 16)) > 2
+        monkeypatch.setattr(model, "STACK_BYTES", 16 * 16 * 128)
+        assert len(model.chunks(grid.size, 16)) > 2
         whole = propagate_closed_form(g, rho0, grid).states
         alone = np.array([propagate_closed_form(g, rho0, np.array([0.0, t])).states[-1]
                           for t in grid[1:]])
@@ -221,21 +241,21 @@ class TestGateAgainstDense:
     @settings(max_examples=40, deadline=None)
     @given(models())
     def test_random_models(self, drawn):
-        assert_gate_matches_dense(assemble(drawn[0]))
+        assert_gate_matches_dense(drawn[0])
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_builtins(self, name):
-        assert_gate_matches_dense(make_generator(name))
+        assert_gate_matches_dense(builtin(name, MODEL_PARAMS[name]))
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_quadrature_workload_cascades(self, seed, tmp_path):
         workloads.build("quadrature-solve", seed, tmp_path)
         for path in sorted((tmp_path / "inputs").glob("*.json")):
-            assert_gate_matches_dense(assemble(load_model(path)[0]))
+            assert_gate_matches_dense(load_model(path)[0])
 
     @pytest.mark.parametrize("d", range(3, 11))
     def test_cascades(self, d):
-        assert_gate_matches_dense(assemble(cascade(d)))
+        assert_gate_matches_dense(cascade(d))
 
     def test_classify_builds_no_dense_generator(self, monkeypatch):
         def dense(*args):
@@ -293,3 +313,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * STACK_BYTES
+
+
+def test_a_large_cascade_holds_no_dense_part():
+    # the d = 32 cascade of tools/scaling.py, mu = 1024: its drift and 31
+    # dissipators as dense mu x mu matrices took 512 MiB
+    doc = workloads.cascade_model(32, random.Random("scaling:32"), RATES)
+    loaded, _ = loads_model(json.dumps(doc))
+    rho0 = phase_state(32, [1, 2], [0.7])
+    tracemalloc.start()
+    try:
+        g = assemble(loaded)
+        _, assembled = tracemalloc.get_traced_memory()
+        classify(g)
+        assert admissible(rho0, partial_subspace(g))
+        propagate_closed_form(g, rho0, np.linspace(0.0, 20.0, 100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert assembled <= 8 * 2**20
+    assert peak <= 64 * 2**20

@@ -15,7 +15,7 @@ import pytest
 from lindblad_pc import cli, solver
 from lindblad_pc.observables import ObservableSeries
 
-from conftest import MODEL_NAMES, MODEL_PARAMS
+from conftest import MODEL_NAMES, MODEL_PARAMS, run_capped_cli
 
 # (rank of M, excluded level, power cap) at the suite's parameter sets.
 CLASSIFICATION = {
@@ -352,3 +352,17 @@ def test_emitted_model_classifies_like_the_builtin(capsys, tmp_path, name):
     code, file_out, err = run(capsys, "classify", path, "--json")
     assert (code, err) == (cli.EXIT_OK, "")
     assert file_out == builtin_out
+
+
+def test_many_jumps_classify_in_bounded_memory(tmp_path):
+    # 300 level transitions on d = 32: stored as dense parts they took
+    # 16 MiB each, 4.7 GiB in all, and ran out of a 1 GiB address space
+    d = 32
+    pairs = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1) if i != j][:300]
+    rates = ("0.1", "0.05*sin(t)^2", "0.02*exp(-t)")
+    path = write_json(tmp_path / "m.json", {
+        "dimension": d, "hamiltonian": {"diagonal": [0.5 * k for k in range(d)]},
+        "jumps": [{"from": i, "to": j, "rate": rates[k % 3]} for k, (i, j) in enumerate(pairs)]})
+    done = run_capped_cli("classify", path, "--json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["ambient_dim"] == d * d

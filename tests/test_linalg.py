@@ -9,7 +9,6 @@ from lindblad_pc import (
     commutator,
     expm,
     integral_at,
-    kron,
     minimal_poly_degree,
     null_space,
     unvec,
@@ -25,11 +24,11 @@ def random_complex(rng, *shape):
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_diagonal_with_identity(self):
         a, b = 2.0, -3.0
-        out = kron(np.diag([a, b]), np.eye(2))
+        out = np.kron(np.diag([a, b]), np.eye(2))
         assert np.array_equal(out, np.diag([a, a, b, b]))
 
     def test_mixed_product_with_vectors(self):
@@ -39,7 +38,7 @@ class TestKron:
             b = random_complex(rng, 2, 2)
             x = random_complex(rng, 2)
             y = random_complex(rng, 2)
-            lhs = kron(a, b) @ np.kron(x, y)
+            lhs = np.kron(a, b) @ np.kron(x, y)
             rhs = np.kron(a @ x, b @ y)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
@@ -76,7 +75,7 @@ class TestVec:
             b = random_complex(rng, 3, 3)
             c = random_complex(rng, 3, 3)
             lhs = vec(a @ b @ c)
-            rhs = kron(c.T, a) @ vec(b)
+            rhs = np.kron(c.T, a) @ vec(b)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
 

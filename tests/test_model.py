@@ -5,12 +5,10 @@ from lindblad_pc import (
     LindbladModel,
     assemble,
     builtin,
-    dissipator_matrix,
     eval_expr,
     generator_at,
     integral_at,
     jump_operator,
-    kron,
     loads_model,
     parse_rate_expr,
     phase_state,
@@ -18,14 +16,30 @@ from lindblad_pc import (
     vec,
 )
 from lindblad_pc.errors import ModelFileError, UnknownModelError
+from lindblad_pc.model import Jump
 
-from conftest import make_generator
+from conftest import MODEL_PARAMS, make_generator
 
 
 def random_density(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def dissipator_matrix(v):
+    """The d^2 x d^2 dissipator of the jump V: L(t) of the model with
+    H = 0 and V alone, at rate 1."""
+    d = v.shape[0]
+    one = LindbladModel(d, np.zeros((d, d), dtype=complex), [Jump(v, parse_rate_expr("1"))])
+    return generator_at(assemble(one), 0.0)
+
+
+def drift_matrix(name):
+    """The d^2 x d^2 drift of a built-in: L(t) of its model without jumps."""
+    model = builtin(name, MODEL_PARAMS[name])
+    model.jumps = []
+    return generator_at(assemble(model), 0.0)
 
 
 class TestDissipatorMatrix:
@@ -59,7 +73,7 @@ class TestDissipatorMatrix:
 class TestAssemble:
     def test_v3_shape(self):
         g = make_generator("v3")
-        assert g.drift.shape == (9, 9)
+        assert generator_at(g, 0.0).shape == (9, 9)
         assert len(g.parts) == 2
         assert g.parts[0].rate == parse_rate_expr("sin(w*t)^2", {"w": 1.0})
         assert g.parts[1].rate == parse_rate_expr("cos(w*t)^2", {"w": 1.0})
@@ -70,19 +84,28 @@ class TestAssemble:
 
     def test_cascade4_shape(self):
         g = make_generator("cascade4")
-        assert g.drift.shape == (16, 16)
+        assert generator_at(g, 0.0).shape == (16, 16)
         assert len(g.parts) == 3
 
     def test_drift_is_anti_hermitian(self):
         for name in ("v3", "cascade3", "lambda3", "cascade4"):
-            g = make_generator(name)
-            assert np.abs(g.drift + g.drift.conj().T).max() <= 1e-12
+            drift = drift_matrix(name)
+            assert np.abs(drift + drift.conj().T).max() <= 1e-12
 
     def test_part_columns_are_traceless(self):
-        g = make_generator("cascade4")
-        for part in g.parts:
+        for jump in builtin("cascade4", MODEL_PARAMS["cascade4"]).jumps:
+            matrix = dissipator_matrix(jump.operator)
             for j in range(16):
-                assert abs(np.trace(unvec(part.matrix[:, j], 4))) <= 1e-12
+                assert abs(np.trace(unvec(matrix[:, j], 4))) <= 1e-12
+
+    def test_cancelled_entries_are_dropped(self):
+        # a dephasing E_11 alone: rho_11 gets 1 - 1/2 - 1/2 = 0, and the
+        # coherences rho_12, rho_13, rho_21, rho_31 get -1/2
+        model = LindbladModel(3, np.zeros((3, 3), dtype=complex),
+                              [Jump(jump_operator(3, 1, 1), parse_rate_expr("1"))])
+        g = assemble(model)
+        assert list(zip(g.rows.tolist(), g.cols.tolist())) == [(1, 1), (2, 2), (3, 3), (6, 6)]
+        assert np.array_equal(g.values, [[0, 0, 0, 0], [-0.5, -0.5, -0.5, -0.5]])
 
     def test_rejects_non_hermitian_hamiltonian(self):
         h = np.zeros((2, 2), dtype=complex)
@@ -95,7 +118,7 @@ class TestGeneratorAt:
     def test_v3_at_time_zero(self):
         # sin^2(0) = 0, cos^2(0) = 1: only the second dissipator is on
         g = make_generator("v3")
-        expected = g.drift + g.parts[1].matrix
+        expected = drift_matrix("v3") + dissipator_matrix(builtin("v3").jumps[1].operator)
         assert np.abs(generator_at(g, 0.0) - expected).max() == 0.0
 
     def test_v3_rates_at_quarter_period(self):
@@ -121,21 +144,31 @@ class TestGeneratorAt:
 
     def test_matches_direct_construction(self):
         # regression guard: the decomposition must equal the generator
-        # formula with the rates substituted directly
+        # formula with the rates substituted directly: on cascade3, with a
+        # dephasing E_11 added, whose entry on rho_11 cancels, and with a
+        # dense complex jump added too, which makes a single block
         params = {"eps": 1.3, "omega": 0.8}
-        g = make_generator("cascade3", params)
         h = np.diag([-1.3, 0.0, 1.3]).astype(complex)
         eye = np.eye(3, dtype=complex)
-        jumps = [(jump_operator(3, 2, 3), lambda t: np.sin(0.8 * t) ** 2),
-                 (jump_operator(3, 1, 2), lambda t: np.cos(0.8 * t) ** 2)]
-        for t in (0.0, 0.7, 2.9):
-            direct = 1j * (kron(h.T, eye) - kron(eye, h))
-            for v, gamma in jumps:
-                vdv = v.conj().T @ v
-                direct += gamma(t) * (kron(v.conj(), v)
-                                      - 0.5 * kron(eye, vdv)
-                                      - 0.5 * kron(vdv.T, eye))
-            assert np.abs(generator_at(g, t) - direct).max() <= 1e-14
+        rng = np.random.default_rng(14)
+        dense = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        jumps = [(jump_operator(3, 2, 3), "sin(0.8*t)^2", lambda t: np.sin(0.8 * t) ** 2),
+                 (jump_operator(3, 1, 2), "cos(0.8*t)^2", lambda t: np.cos(0.8 * t) ** 2),
+                 (jump_operator(3, 1, 1), "exp(-t)", lambda t: np.exp(-t)),
+                 (dense, "0.5", lambda t: 0.5)]
+        for count, blocks in ((2, 7), (3, 7), (4, 1)):
+            model = builtin("cascade3", params)
+            model.jumps[2:] = [Jump(v, parse_rate_expr(rate)) for v, rate, _ in jumps[2:count]]
+            g = assemble(model)
+            assert len(g.blocks) == blocks
+            for t in (0.0, 0.7, 2.9):
+                direct = 1j * (np.kron(h.T, eye) - np.kron(eye, h))
+                for v, _, gamma in jumps[:count]:
+                    vdv = v.conj().T @ v
+                    direct += gamma(t) * (np.kron(v.conj(), v)
+                                          - 0.5 * np.kron(eye, vdv)
+                                          - 0.5 * np.kron(vdv.T, eye))
+                assert np.abs(generator_at(g, t) - direct).max() <= 1e-14
 
 
 class TestIntegralAt:

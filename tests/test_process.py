@@ -20,6 +20,8 @@ import pytest
 
 from lindblad_pc.linalg import FRECHET_DOUBLING_MAX
 
+from conftest import run_capped_cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # numpy submodules that no run on the built-ins needs.
@@ -216,3 +218,18 @@ def test_installed_script_runs_the_cli():
     result = run_snippet(SCRIPT_SNIPPET, target, json.dumps(["classify", *CASCADE3, "--json"]))
     assert result["code"] == 0
     assert json.loads(result["out"])["partial_rank"] == 8
+
+
+def test_running_out_of_memory_exits_3_with_one_line(tmp_path):
+    # 40 dense jumps on d = 32: one block of 1024 coordinates, and 41 parts
+    # of 16 MiB each in every copy of the entry table, past a 1 GiB cap
+    d = 32
+    rng = np.random.default_rng(40)
+    jumps = [{"matrix": np.stack([rng.normal(size=(d, d)), rng.normal(size=(d, d))],
+                                 axis=-1).round(6).tolist(), "rate": "1"} for _ in range(40)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"dimension": d, "jumps": jumps}))
+    done = run_capped_cli("classify", str(path), "--json")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("numeric failure: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr

@@ -16,8 +16,7 @@ cos^2 in turn), d = 3..16, 20, 24, 28 and 32:
                    and the rank of M are stored too)
     closed_form    exp(B(t)) vec(rho0) on 100 points of [0, 20]
     flow_residual  the flow certificate on the same points
-    oracle         the RK45 oracle on the same points (and its RHS count),
-                   up to d = ORACLE_MAX_D
+    oracle         the RK45 oracle on the same points (and its RHS count)
 
 The parent's runs stop at d = PARENT_MAX_D, so that a parent whose gate
 is dense (minutes at d = 32) does not hold up the table.
@@ -59,9 +58,6 @@ RATES = ("sin({w}*t)^2", "exp(-{a}*t)", "cos({w}*t)^2")
 STAGES = ("assemble", "gate", "classify", "closed_form", "flow_residual", "oracle")
 DIMS = (*range(3, 17), 20, 24, 28, 32)
 PARENT_MAX_D = 16
-# The oracle's right-hand side builds the dense d^2 x d^2 L(t): about 0.2 s
-# a call at d = 32, and a run takes 800-900 calls.
-ORACLE_MAX_D = 16
 RUNS = (("parent", "default"), ("parent", "one"),
         ("change", "default"), ("change", "one"), ("change", "cli"))
 GRID_POINTS = 100
@@ -100,9 +96,6 @@ def _stages(d):
     _, out["closed_form"] = _measure(lambda: solver.propagate_closed_form(g, rho0, grid))
     _, out["flow_residual"] = _measure(
         lambda: solver.fedorov_residual(g, linalg.vec(rho0), grid))
-    if d > ORACLE_MAX_D:
-        return out
-
     calls = 0
     generator_at = solver.generator_at
 
