@@ -22,8 +22,9 @@ Everything here works on the generator's invariant blocks (see
 :mod:`lindblad_pc.model`; Baumgartner and Narnhofer, J. Phys. A 41
 (2008) 395303). L(t) and B(t) vanish between blocks, so every C_n and
 Gamma are block diagonal and M is the direct sum of the kernels of the
-blocks of Gamma. A block of one coordinate commutes with everything: its
-C_n vanish and its coordinate lies in M. `_commutator_chain` is the one
+blocks of Gamma, which is how M is kept: a linalg.SubspaceBasis with the
+generator's groups of blocks. A block of one coordinate commutes with
+everything: its C_n vanish and its coordinate lies in M. `_commutator_chain` is the one
 routine that builds the C_n: for each chunk of sample times (at most
 model.STACK_BYTES per stack) and each n, one (times, c, b, b) stack per
 group of c blocks of size b > 1. Gamma, the re-check in `classify`,
@@ -206,7 +207,7 @@ def _gamma(samples, power_cap):
     of blocks per group."""
     total = [np.zeros((c.shape[0], c.shape[1], c.shape[1]), dtype=complex)
              for c, _ in samples.groups]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked in _kernels
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _subspace
         for _, stacks in _commutator_chain(samples, power_cap):
             for out, c in zip(total, stacks):
                 if c is not None:
@@ -242,44 +243,24 @@ def _power_cap(samples):
     return degree - 1 if degree > 1 else 1
 
 
-def _kernels(gammas):
-    """The kernel of each block of Gamma, cut at DEFAULT_REL_TOL times the
-    largest singular value over all blocks (nowhere when that is at most
-    ABSOLUTE_FLOOR): per group, a (c, b, b) stack whose columns are the
-    kernel vectors of each block and zeros, and the mask (c, b) of the
-    kernel columns."""
+def _subspace(samples):
+    """(M, power cap): M is the kernel of Gamma summed over the sample
+    times, as a SubspaceBasis of the generator's blocks. Each block keeps
+    the right singular vectors of its block of Gamma whose singular values
+    are at most DEFAULT_REL_TOL times the largest over all blocks (all of
+    them when that is at most ABSOLUTE_FLOOR), and zeros in place of the
+    others."""
+    cap = _power_cap(samples)
+    gammas = _gamma(samples, cap)
     if not all(np.all(np.isfinite(x)) for x in gammas):
         raise NonFiniteError("Gamma overflows")
     svds = [np.linalg.svd(x)[1:] for x in gammas]
     smax = max(float(s.max()) for s, _ in svds)
-    out = []
-    for s, vh in svds:
+    groups = []
+    for (coords, _), (s, vh) in zip(samples.groups, svds):
         keep = s <= DEFAULT_REL_TOL * smax if smax > ABSOLUTE_FLOOR else np.ones(s.shape, bool)
-        out.append((vh.conj().swapaxes(-1, -2) * keep[:, None, :], keep))
-    return out
-
-
-def _embed(groups, kernels):
-    """M as a SubspaceBasis of C^mu: each kernel vector of a block, put
-    on the block's coordinates."""
-    mu = sum(coords.size for coords, _ in groups)
-    columns = sum(int(keep.sum()) for _, keep in kernels)
-    basis = np.zeros((mu, columns), dtype=complex)
-    start = 0
-    for (coords, _), (vectors, keep) in zip(groups, kernels):
-        blocks, cols = np.nonzero(keep)
-        index = np.arange(start, start + blocks.size)
-        basis[coords[blocks], index[:, None]] = vectors[blocks, :, cols]
-        start += blocks.size
-    return SubspaceBasis(mu, basis)
-
-
-def _subspace(samples):
-    """(M, power cap, per-group kernels): the kernel of Gamma summed over
-    the sample times."""
-    cap = _power_cap(samples)
-    kernels = _kernels(_gamma(samples, cap))
-    return _embed(samples.groups, kernels), cap, kernels
+        groups.append((coords, vh.conj().swapaxes(-1, -2) * keep[:, None, :]))
+    return SubspaceBasis(sum(c.size for c, _ in samples.groups), tuple(groups)), cap
 
 
 def partial_subspace(g, t_max=HORIZON):
@@ -347,15 +328,21 @@ def excluded_coordinate(subspace):
     This pattern (a single vanishing diagonal entry) is what the worked
     three- and four-level systems exhibit, but nothing guarantees it in
     general, so detection is best effort.
+
+    At rank mu - 1, I - P = u u^dag with |u_i|^2 = 1 - sum |b_i|^2 over
+    the basis vectors b of i's block. With j the largest, the largest
+    entry of (I - P) - e_j e_j^T is max(|1 - |u_j|^2|, |u_i u_j| for i != j).
     """
     mu = subspace.dim
     if subspace.rank != mu - 1:
         return None, None
-    complement = np.eye(mu) - subspace.projector()
-    j = int(np.argmax(np.real(np.diagonal(complement))))
-    target = np.zeros((mu, mu), dtype=complex)
-    target[j, j] = 1.0
-    if np.max(np.abs(complement - target)) > EXCLUDED_TOL:
+    diag = np.ones(mu)
+    for coords, vectors in subspace.groups:
+        diag[coords] -= np.sum(vectors.real ** 2 + vectors.imag ** 2, axis=-1)
+    diag = np.maximum(diag, 0.0)
+    j = int(np.argmax(diag))
+    others = np.delete(diag, j).max(initial=0.0)
+    if max(abs(diag[j] - 1.0), math.sqrt(others * diag[j])) > EXCLUDED_TOL:
         return None, None
     d = math.isqrt(mu)
     row, col = j % d, j // d
@@ -378,12 +365,12 @@ def classify(g):
     at_times, on_grid = samples[:len(times)], samples[len(times):]
     functional = functional_commutativity(g)
     integral = _integral_commutes(at_times)
-    subspace, cap, kernels = _subspace(at_times)
+    subspace, cap = _subspace(at_times)
 
     residual_max = 0.0
     if subspace.rank > 0:
         for _, stacks in _commutator_chain(on_grid, cap):
-            for c, (vectors, _) in zip(stacks, kernels):
+            for c, (_, vectors) in zip(stacks, subspace.groups):
                 if c is not None:
                     residual_max = max(residual_max,
                                        float(np.linalg.norm(c @ vectors, axis=-2).max()))

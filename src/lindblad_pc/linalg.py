@@ -1,10 +1,11 @@
 """Dense complex matrix kernel.
 
-Matrices are dense complex128 numpy arrays. Vectorization stacks columns
-(column-major order), which is the convention under which
-vec(A X B) = (B^T kron A) vec(X) holds and under which the coordinate
-indices reported elsewhere in the package refer to matrix entries as
-coordinate = (col - 1) * d + row, 1-based.
+Matrices are dense complex128 numpy arrays; a SubspaceBasis keeps a
+subspace as its basis vectors on each block of a partition of the
+coordinates. Vectorization stacks columns (column-major order), which is
+the convention under which vec(A X B) = (B^T kron A) vec(X) holds and
+under which the coordinate indices reported elsewhere in the package
+refer to matrix entries as coordinate = (col - 1) * d + row, 1-based.
 
 :func:`expm` and :func:`expm_frechet` take one matrix or a stack of
 them, shape (..., n, n), so that a generator block is exponentiated at a
@@ -346,29 +347,39 @@ def _pade(m, a, powers):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal basis of a subspace of C^dim, one basis vector per column."""
+    """A subspace of C^dim that is a direct sum over coordinate blocks
+    partitioning range(dim): one (coords (c, b), vectors (c, b, k)) pair
+    in `groups` per c blocks of b coordinates. The columns of each block
+    are its orthonormal basis vectors on its coordinates, or exact zeros."""
 
     dim: int
-    basis: np.ndarray  # shape (dim, rank)
+    groups: tuple
 
     @property
     def rank(self):
-        return self.basis.shape[1]
+        return sum(int(np.count_nonzero(np.any(b != 0, axis=-2))) for _, b in self.groups)
 
     def projector(self):
-        """Orthogonal projector onto the subspace."""
-        return self.basis @ self.basis.conj().T
+        """Orthogonal projector onto the subspace, a dim x dim matrix."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for coords, b in self.groups:
+            out[coords[:, :, None], coords[:, None, :]] = b @ b.conj().swapaxes(-1, -2)
+        return out
 
     def residual(self, v):
         """Norm of the component of `v` orthogonal to the subspace."""
         v = np.asarray(v, dtype=complex).reshape(-1)
         if v.size != self.dim:
             raise DimensionMismatchError(f"vector of length {v.size} in C^{self.dim}")
-        return float(np.linalg.norm(v - self.basis @ (self.basis.conj().T @ v)))
+        projected = np.zeros_like(v)
+        for coords, b in self.groups:
+            projected[coords] = (b @ (b.conj().swapaxes(-1, -2) @ v[coords][..., None]))[..., 0]
+        return float(np.linalg.norm(v - projected))
 
 
 def null_space(a, rel_tol=DEFAULT_REL_TOL):
-    """Orthonormal basis of the numerical kernel of a square matrix.
+    """Orthonormal basis of the numerical kernel of a square matrix, as a
+    SubspaceBasis of one block.
 
     Keeps the right singular vectors whose singular values satisfy
     sigma <= rel_tol * sigma_max; if sigma_max itself is at most the
@@ -376,15 +387,10 @@ def null_space(a, rel_tol=DEFAULT_REL_TOL):
     """
     a = _as_square(a)
     _require_finite(a, "null_space input")
-    n = a.shape[0]
-    if n == 0:
-        return SubspaceBasis(0, np.zeros((0, 0), dtype=complex))
     _, s, vh = np.linalg.svd(a)
-    smax = s[0]
-    if smax <= ABSOLUTE_FLOOR:
-        return SubspaceBasis(n, np.eye(n, dtype=complex))
-    nnz = int(np.sum(s > rel_tol * smax))
-    return SubspaceBasis(n, vh[nnz:].conj().T.copy())
+    if s.size and s[0] > ABSOLUTE_FLOOR:
+        vh = vh[int(np.sum(s > rel_tol * s[0])):]
+    return SubspaceBasis(a.shape[0], ((np.arange(a.shape[0])[None], vh.conj().T[None]),))
 
 
 def minimal_poly_degree(a, rel_tol=DEFAULT_REL_TOL):

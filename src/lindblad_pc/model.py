@@ -200,9 +200,7 @@ def assemble(model, t_max=HORIZON):
         raise NonFiniteError("the drift or a dissipator matrix overflows")
     keep = np.any(values != 0, axis=0)  # entries that cancel, as a dephasing E_kk's
     rows, cols, values = rows[keep], cols[keep], values[:, keep]
-    linked = np.zeros((d * d, d * d), dtype=bool)
-    linked[rows, cols] = linked[cols, rows] = True
-    blocks = _invariant_blocks(linked)
+    blocks = _invariant_blocks(d * d, rows, cols)
     coords = [np.array([b for b in blocks if b.size == size])
               for size in sorted({b.size for b in blocks})]
     groups = tuple((c, _entries(h, operators, squares, c[:, :, None], c[:, None, :]))
@@ -226,23 +224,25 @@ def _entries(h, operators, squares, rows, cols):
                        for v, w in zip(operators, squares))])
 
 
-def _invariant_blocks(linked):
-    """Connected components of a symmetric bool pattern: each a sorted
-    array of 0-based coordinates, in the order of their first coordinates."""
-    unseen = np.ones(linked.shape[0], dtype=bool)
-    blocks = []
-    for start in range(linked.shape[0]):
-        if not unseen[start]:
-            continue
-        members = np.zeros_like(unseen)
-        members[start] = True
-        frontier = members.copy()
-        while frontier.any():  # breadth-first, one layer of neighbours at a time
-            frontier = linked[frontier].any(axis=0) & ~members
-            members |= frontier
-        unseen &= ~members
-        blocks.append(np.flatnonzero(members))
-    return tuple(blocks)
+def _invariant_blocks(mu, rows, cols):
+    """Connected components of the graph on range(mu) with an edge between
+    rows[i] and cols[i]: each a sorted array of 0-based coordinates, in the
+    order of their first coordinates. Each coordinate points at a smaller
+    one or at itself, a root. Each pass hooks every root to the smallest
+    root across its edges, then jumps pointers until all point at roots;
+    once a pass hooks nothing, each points at its component's smallest."""
+    ends = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(mu)
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, label[ends[0]], label[ends[1]])
+        while not np.array_equal(hooked, hooked[hooked]):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
 
 def chunks(count, entries):

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import given, settings, strategies as st
 
 from lindblad_pc import (
@@ -21,6 +23,7 @@ from lindblad_pc import (
     classify,
     commutator,
     default_sample_times,
+    excluded_coordinate,
     fedorov_residual,
     functional_commutativity,
     generator_at,
@@ -154,6 +157,22 @@ class TestStructure:
         g = assemble(cascade(d, a + a.conj().T))
         assert len(g.blocks) == 1
         assert g.blocks[0].tolist() == list(range(d * d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 80), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+    def test_blocks_are_the_connected_components(self, mu, seed, density):
+        # scipy's components as the reference, on random edge lists of
+        # mu * density edges and on a path through a shuffled order
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(mu)
+        edges = rng.integers(0, mu, size=(2, int(mu * density)))
+        for rows, cols in (edges, (order[:-1], order[1:])):
+            graph = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(mu, mu))
+            _, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
+            expected = sorted((np.flatnonzero(label == k) for k in range(label.max() + 1)),
+                              key=lambda b: b[0])
+            blocks = model._invariant_blocks(mu, rows, cols)
+            assert [b.tolist() for b in blocks] == [b.tolist() for b in expected]
 
 
 @st.composite
@@ -333,3 +352,24 @@ def test_a_large_cascade_holds_no_dense_part():
         tracemalloc.stop()
     assert assembled <= 8 * 2**20
     assert peak <= 64 * 2**20
+
+
+def test_a_large_cascade_keeps_the_gate_block_sized():
+    # the d = 32 cascade of tools/scaling.py: M has rank 994 of mu = 1024,
+    # so each dense mu x rank basis of it takes 16 MiB
+    doc = workloads.cascade_model(32, random.Random("scaling:32"), RATES)
+    loaded, _ = loads_model(json.dumps(doc))
+    rho0 = phase_state(32, [1, 2], [0.7])
+    tracemalloc.start()
+    try:
+        g = assemble(loaded)
+        tracemalloc.reset_peak()
+        report = classify(g)
+        sub = partial_subspace(g)
+        assert admissible(rho0, sub)
+        assert excluded_coordinate(sub) == (None, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.partial_rank == sub.rank == 994
+    assert peak <= 24 * 2**20

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lindblad_pc import (
     LindbladModel,
@@ -22,6 +24,8 @@ from lindblad_pc import (
     parse_rate_expr,
     phase_state,
 )
+from lindblad_pc.commutativity import EXCLUDED_TOL
+from lindblad_pc.linalg import SubspaceBasis
 from lindblad_pc.model import Jump
 from lindblad_pc.errors import NotADensityMatrixError
 
@@ -190,6 +194,67 @@ class TestPartialSubspace:
         sub = partial_subspace(g, t_max)
         assert sub.rank == expected.rank == rank
         assert np.abs(sub.projector() - expected.projector()).max() <= 1e-12
+
+
+def dense_excluded_coordinate(sub):
+    """excluded_coordinate by its dense definition: at rank mu - 1, the
+    largest entry of (I - P) - e_j e_j^T, with j the largest diagonal
+    entry of I - P, is at most EXCLUDED_TOL."""
+    mu = sub.dim
+    if sub.rank != mu - 1:
+        return None, None
+    complement = np.eye(mu) - sub.projector()
+    j = int(np.argmax(np.real(np.diagonal(complement))))
+    target = np.zeros((mu, mu))
+    target[j, j] = 1.0
+    if np.max(np.abs(complement - target)) > EXCLUDED_TOL:
+        return None, None
+    d = math.isqrt(mu)
+    return j + 1, (j % d + 1 if j % d == j // d else None)
+
+
+def random_unitary(rng, columns):
+    """A random unitary of the size of `columns`' rows whose first column
+    is the unit vector columns[:, 0] up to a phase, if `columns` has one."""
+    extra = rng.normal(size=(columns.shape[0], columns.shape[0])) * (1 + 1j)
+    q, _ = np.linalg.qr(np.column_stack([columns, extra])[:, :columns.shape[0]])
+    return q
+
+
+class TestExcludedCoordinate:
+    """Block-form subspaces of rank mu - 1 whose complement is a coordinate
+    vector e_j rotated within its block towards a random unit vector w,
+    by an angle that puts the largest entry of (I - P) - e_j e_j^T a
+    factor exp(+-log_ratio) from EXCLUDED_TOL. The diagonal of I - P
+    carries a rounding error of order eps / |u_i|^2 relative, about 1e-4
+    at the tolerance, so the factor stays at least 1 % from 1."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.floats(0.01, 1.0), st.booleans())
+    def test_matches_the_dense_definition_at_the_tolerance(self, seed, d, log_ratio, above):
+        rng = np.random.default_rng(seed)
+        mu = d * d
+        order = rng.permutation(mu)
+        cuts = np.sort(rng.choice(np.arange(3, mu), size=rng.integers(0, mu - 3), replace=False))
+        blocks = np.split(order, cuts)  # the first has at least 3 coordinates
+        j = int(blocks[0][0])
+        w = rng.normal(size=blocks[0].size - 1) + 1j * rng.normal(size=blocks[0].size - 1)
+        w /= np.linalg.norm(w)
+        entry = EXCLUDED_TOL * math.exp(log_ratio if above else -log_ratio)
+        theta = 0.5 * math.asin(2 * entry / np.abs(w).max())
+        u = np.concatenate([[math.cos(theta)], math.sin(theta) * w])
+        vectors = [random_unitary(rng, u[:, None])]
+        vectors[0][:, 0] = 0.0  # the kernel is the rest of the block
+        vectors += [random_unitary(rng, np.zeros((b.size, 0))) for b in blocks[1:]]
+        groups = []
+        for size in sorted({b.size for b in blocks}):
+            index = [i for i, b in enumerate(blocks) if b.size == size]
+            groups.append((np.array([blocks[i] for i in index]),
+                           np.array([vectors[i] for i in index])))
+        sub = SubspaceBasis(mu, tuple(groups))
+        assert sub.rank == mu - 1
+        expected = (None, None) if above else (j + 1, (j % d + 1 if j % d == j // d else None))
+        assert excluded_coordinate(sub) == dense_excluded_coordinate(sub) == expected
 
 
 class TestKernelSumLemma:

@@ -279,7 +279,7 @@ class TestNullSpace:
     def test_rank_one_projector(self):
         sub = null_space(np.diag([1.0, 0.0]))
         assert sub.rank == 1
-        assert np.abs(np.abs(sub.basis[:, 0]) - np.array([0.0, 1.0])).max() <= 1e-12
+        assert np.abs(np.abs(sub.groups[0][1][0][:, 0]) - np.array([0.0, 1.0])).max() <= 1e-12
 
     def test_basis_is_orthonormal_and_annihilated(self):
         rng = np.random.default_rng(8)
@@ -289,11 +289,11 @@ class TestNullSpace:
             a[:, :2] = 0.0  # at least a 2-dimensional kernel
             sub = null_space(a, rel_tol)
             assert sub.rank >= 2
-            gram = sub.basis.conj().T @ sub.basis
+            gram = sub.groups[0][1][0].conj().T @ sub.groups[0][1][0]
             assert np.abs(gram - np.eye(sub.rank)).max() <= 1e-12
             smax = np.linalg.svd(a, compute_uv=False)[0]
             for i in range(sub.rank):
-                assert np.linalg.norm(a @ sub.basis[:, i]) <= 10 * rel_tol * smax
+                assert np.linalg.norm(a @ sub.groups[0][1][0][:, i]) <= 10 * rel_tol * smax
 
     def test_residual_measures_membership(self):
         sub = null_space(np.diag([1.0, 0.0, 0.0]))

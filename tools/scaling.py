@@ -6,7 +6,7 @@ For the package source directories of a parent and a change, and for
 each BLAS pool setting in RUNS, one fresh interpreter times the stages
 in-process on the generated d-level cascades of the benchmark
 (`perfbench.workloads.cascade_model`, mu = d^2, rates sin^2, exp and
-cos^2 in turn), d = 3..16, 20, 24, 28 and 32:
+cos^2 in turn), d = 3..16, 20, 24, 28 and 32, for parent and change alike:
 
     assemble       model.assemble
     gate           commutativity.partial_subspace: the power cap, Gamma
@@ -17,9 +17,6 @@ cos^2 in turn), d = 3..16, 20, 24, 28 and 32:
     closed_form    exp(B(t)) vec(rho0) on 100 points of [0, 20]
     flow_residual  the flow certificate on the same points
     oracle         the RK45 oracle on the same points (and its RHS count)
-
-The parent's runs stop at d = PARENT_MAX_D, so that a parent whose gate
-is dense (minutes at d = 32) does not hold up the table.
 
 The pool settings:
 
@@ -57,7 +54,6 @@ ROOT = Path(__file__).resolve().parent.parent
 RATES = ("sin({w}*t)^2", "exp(-{a}*t)", "cos({w}*t)^2")
 STAGES = ("assemble", "gate", "classify", "closed_form", "flow_residual", "oracle")
 DIMS = (*range(3, 17), 20, 24, 28, 32)
-PARENT_MAX_D = 16
 RUNS = (("parent", "default"), ("parent", "one"),
         ("change", "default"), ("change", "one"), ("change", "cli"))
 GRID_POINTS = 100
@@ -113,16 +109,16 @@ def _stages(d):
     return out
 
 
-def worker(role, pool):
-    """Time every stage at each d of DIMS (up to PARENT_MAX_D for the
-    parent) in this process; print one JSON line."""
+def worker(pool):
+    """Time every stage at each d of DIMS in this process; print one JSON
+    line."""
     if pool == "cli":
         import lindblad_pc.cli
 
         with contextlib.redirect_stdout(io.StringIO()):
             lindblad_pc.cli.main(["--help"])
     _stages(3)  # warm-up
-    table = {str(d): _stages(d) for d in DIMS if role == "change" or d <= PARENT_MAX_D}
+    table = {str(d): _stages(d) for d in DIMS}
     from perfbench.runrecord import blas_threads
 
     print(json.dumps({"blas_threads": blas_threads(), "stages": table}))
@@ -153,7 +149,7 @@ def main(argv=None):
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(*args.worker.split(":"))
+        worker(args.worker.split(":")[1])
         return 0
     if not args.parent:
         parser.error("--parent is required")
