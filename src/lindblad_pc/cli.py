@@ -22,6 +22,21 @@ exponential and the ODE oracle are numpy code in the package. Only a
 `linalg.FRECHET_DOUBLING_MAX` coordinates imports `scipy.linalg`, for the
 flow residual of that block.
 
+A process loads only the package modules its subcommand runs. Every
+command, `--help` too, loads this module with `errors`, `expr`,
+`linalg`, `model` and `commutativity`; `solve` adds `solver` and
+`observables`, and `verify` adds `solver`, once the initial state is
+admitted; `modelfile` loads for a model file, `--emit-model` or an
+`--rho0 file:` state. So `classify --builtin` and a refused `verify`
+never compile `solver`, `observables` or `modelfile`. No module defines
+its types with `dataclasses`, whose decorators generate and `exec` the
+methods of each class at import: the expression nodes share one slotted
+value type, and the records are NamedTuples or slotted classes. With
+numpy loaded and no bytecode cache (PYTHONDONTWRITEBYTECODE=1),
+`import lindblad_pc.cli` takes 32 ms (median of 40 fresh processes on a
+2-CPU x86-64 host, BENCH_15.json), against 49 ms when it loaded every
+module and defined 19 dataclasses.
+
 The CLI runs numpy's BLAS on one thread, set in one of two places. A
 CLI process (`python -m lindblad_pc`, or the installed `lindblad-pc`
 script) starts in `lindblad_pc.__main__.main`, which sets
@@ -64,7 +79,7 @@ import sys
 
 import numpy as np
 
-from . import commutativity, errors, linalg, model, modelfile, observables, solver
+from . import commutativity, errors, linalg, model
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -169,8 +184,12 @@ def _load_model(args):
         loaded = model.builtin(args.builtin, _parse_params(args.params))
         initial_state = None
     else:
+        from . import modelfile
+
         loaded, initial_state = modelfile.load_model(args.model)
     if args.emit_model:
+        from . import modelfile
+
         modelfile.dump_model(loaded, args.emit_model, initial_state)
     return loaded, initial_state
 
@@ -196,6 +215,8 @@ def _parse_rho0(spec, d):
         phases = [float(x) for x in phases_part.split(",")] if phases_part else None
         return model.phase_state(d, levels, phases)
     if kind == "file":
+        from . import modelfile
+
         with open(rest, encoding="utf-8") as fh:
             return modelfile._parse_operator(json.load(fh), d, "state file")
     raise ValueError(f"unknown --rho0 kind {kind!r}")
@@ -310,6 +331,8 @@ def cmd_solve(args):
     g, rho0, grid, pairs, failure = _prepare(args, args.coherences)
     if failure is not None:
         return failure
+    from . import observables, solver
+
     trajectory = solver.propagate_closed_form(g, rho0, grid)
     series = observables.observable_series(trajectory, pairs)
 
@@ -327,6 +350,8 @@ def cmd_verify(args):
     g, rho0, grid, _, failure = _prepare(args)
     if failure is not None:
         return failure
+    from . import solver
+
     closed = solver.propagate_closed_form(g, rho0, grid)
     oracle = solver.ode_oracle(g, rho0, grid)
     distance = solver.compare(closed, oracle)

@@ -52,7 +52,7 @@ and end at its end, so the re-check covers the whole window too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,15 +93,17 @@ def default_sample_times(t_max=HORIZON):
     return sorted(float(t) for t in (*_STRUCTURED_TIMES, *late, window))
 
 
-@dataclass(frozen=True)
 class _Samples:
     """The generator's block groups (`g.groups`) and the
     coefficients of B(t) and L(t) at each sample time, one row per time."""
 
-    groups: tuple
-    times: np.ndarray
-    integral: np.ndarray
-    rates: np.ndarray
+    __slots__ = ("groups", "times", "integral", "rates")
+
+    def __init__(self, groups, times, integral, rates):
+        self.groups = groups
+        self.times = times
+        self.integral = integral
+        self.rates = rates
 
     @classmethod
     def of(cls, g, times):
@@ -287,8 +289,7 @@ def admissible(rho0, subspace):
     return subspace.residual(rho0.reshape(-1, order="F")) <= ADMISSIBLE_TOL
 
 
-@dataclass
-class CommutativityReport:
+class CommutativityReport(NamedTuple):
     """Classification of one generator decomposition.
 
     `excluded_coordinate` and `excluded_level` are set when the

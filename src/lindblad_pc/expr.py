@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,60 +47,80 @@ RATE_CHUNK = 65_536
 
 
 class RateExpr:
-    """Base class of rate-expression AST nodes. Nodes are immutable values."""
+    """Base class of rate-expression AST nodes. Nodes are immutable values:
+    a node's fields are its __slots__, given in that order, and two nodes
+    are equal (and hash alike) when they are of one type with equal fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} "
+                            f"fields, got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Const(RateExpr):
+    __slots__ = ("value",)  # float
+
+
+class TimeVar(RateExpr):
+    """The time variable `t`."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Const(RateExpr):
-    value: float
-
-
-@dataclass(frozen=True)
-class TimeVar(RateExpr):
-    """The time variable `t`."""
-
-
-@dataclass(frozen=True)
 class Neg(RateExpr):
-    arg: RateExpr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Add(RateExpr):
-    lhs: RateExpr
-    rhs: RateExpr
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Sub(RateExpr):
-    lhs: RateExpr
-    rhs: RateExpr
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Mul(RateExpr):
-    lhs: RateExpr
-    rhs: RateExpr
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Div(RateExpr):
-    lhs: RateExpr
-    rhs: RateExpr
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
 class Pow(RateExpr):
-    base: RateExpr
-    exponent: int
+    __slots__ = ("base", "exponent")  # exponent: int
 
 
-@dataclass(frozen=True)
 class Func(RateExpr):
-    name: str  # one of "sin", "cos", "exp"
-    arg: RateExpr
+    __slots__ = ("name", "arg")  # name: one of "sin", "cos", "exp"
 
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
@@ -422,14 +441,20 @@ def _unsigned(v):
 class Antiderivative:
     """F with F(0) = 0 and F' = f: value(t) at a time, values(times) at each."""
 
+    __slots__ = ()
+
     is_closed_form = False
 
 
-@dataclass(frozen=True)
 class ClosedFormAntiderivative(Antiderivative):
-    expr: RateExpr
+    """F given as a RateExpr, `expr`."""
+
+    __slots__ = ("expr",)
 
     is_closed_form = True
+
+    def __init__(self, expr):
+        self.expr = expr
 
     def value(self, t):
         return eval_expr(self.expr, t)

@@ -39,7 +39,7 @@ numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -345,8 +345,7 @@ def _pade(m, a, powers):
         raise NonFiniteError("the matrix exponential has a singular Pade denominator") from None
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(NamedTuple):
     """A subspace of C^dim that is a direct sum over coordinate blocks
     partitioning range(dim): one (coords (c, b), vectors (c, b, k)) pair
     in `groups` per c blocks of b coordinates. The columns of each block

@@ -30,7 +30,7 @@ each; a fully coupled generator is a single block of size d^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def jump_operator(d, target, source):
     return e
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(NamedTuple):
     """A jump operator with its time-dependent rate.
 
     `source` and `target` are set when the operator is a plain level
@@ -92,13 +91,20 @@ class Jump:
     target: int | None = None
 
 
-@dataclass
 class LindbladModel:
-    """d-level system: Hermitian Hamiltonian plus jumps with scalar rates."""
+    """d-level system: Hermitian Hamiltonian plus jumps with scalar rates.
+    Its fields can be reassigned; `jumps` defaults to a new empty list."""
 
-    dim: int
-    hamiltonian: np.ndarray
-    jumps: list[Jump] = field(default_factory=list)
+    __slots__ = ("dim", "hamiltonian", "jumps")
+
+    def __init__(self, dim, hamiltonian, jumps=None):
+        self.dim = dim
+        self.hamiltonian = hamiltonian
+        self.jumps = [] if jumps is None else jumps
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"LindbladModel({fields})"
 
     def validate(self, t_max=HORIZON):
         """Check the shapes, that H is Hermitian, and that every rate is
@@ -151,14 +157,12 @@ def _first_non_finite(rate, times):
     return bad - 1
 
 
-@dataclass(frozen=True)
-class GeneratorPart:
+class GeneratorPart(NamedTuple):
     rate: RateExpr            # gamma_k(t)
     integral: Antiderivative  # Gamma_k(t) = int_0^t gamma_k
 
 
-@dataclass(frozen=True)
-class GeneratorDecomposition:
+class GeneratorDecomposition(NamedTuple):
     """Drift plus rate-weighted constant dissipators, and the invariant
     coordinate blocks they share; see module docstring."""
 

@@ -16,7 +16,10 @@ Schema::
 Matrices are lists of rows; each entry is [re, im] (a bare number is
 accepted as a real entry). Levels are 1-based. Numbers must be finite,
 and the dimension and levels JSON integers; true and false are not
-numbers.
+numbers. Only the keys above are read, and any other key is refused
+(a misspelt "hamiltonian" would otherwise leave H = 0), as is an
+operator with both "diagonal" and "matrix", or a jump with both levels
+and a "matrix". An --rho0 state file is one operator object.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ __all__ = ["load_model", "loads_model", "model_to_dict", "dump_model"]
 # The generator of a d-level model is a d^2 x d^2 complex matrix, 16 MiB
 # at d = 32; a larger dimension is refused before anything is allocated.
 MAX_DIMENSION = 32
+
+# The keys of the schema above, by object.
+MODEL_KEYS = ("dimension", "hamiltonian", "jumps", "params", "initial_state")
+OPERATOR_KEYS = ("diagonal", "matrix")
+JUMP_KEYS = ("from", "to", "matrix", "rate")
 
 
 def _is_real(x):
@@ -67,9 +75,19 @@ def _parse_matrix(obj, d, where):
     return out
 
 
+def _check_keys(obj, allowed, where):
+    for key in obj:
+        if key not in allowed:
+            raise ModelFileError(
+                f"{where}: unknown key {key!r}; allowed: {', '.join(allowed)}")
+
+
 def _parse_operator(obj, d, where):
     if not isinstance(obj, dict):
         raise ModelFileError(f"{where}: expected an object")
+    _check_keys(obj, OPERATOR_KEYS, where)
+    if "diagonal" in obj and "matrix" in obj:
+        raise ModelFileError(f"{where}: give either 'diagonal' or 'matrix', not both")
     if "diagonal" in obj:
         diag = obj["diagonal"]
         if not isinstance(diag, list) or len(diag) != d:
@@ -101,6 +119,7 @@ def load_model(path):
 def _from_dict(doc):
     if not isinstance(doc, dict):
         raise ModelFileError("top level must be a JSON object")
+    _check_keys(doc, MODEL_KEYS, "top level")
     d = doc.get("dimension")
     if not _is_integer(d):
         raise ModelFileError("missing or invalid 'dimension': expected an integer")
@@ -122,7 +141,11 @@ def _from_dict(doc):
         where = f"jumps[{k}]"
         if not isinstance(spec, dict) or "rate" not in spec:
             raise ModelFileError(f"{where}: needs a 'rate' expression string")
+        _check_keys(spec, JUMP_KEYS, where)
         rate = parse_rate_expr(str(spec["rate"]), params)
+        if ("from" in spec or "to" in spec) and "matrix" in spec:
+            raise ModelFileError(
+                f"{where}: give either 'from'/'to' levels or a 'matrix', not both")
         if "from" in spec or "to" in spec:
             source, target = spec.get("from"), spec.get("to")
             if not (_is_integer(source) and _is_integer(target)):

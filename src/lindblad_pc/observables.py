@@ -3,8 +3,6 @@ and selected coherences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import IndexOutOfRangeError
@@ -80,15 +78,23 @@ def coherence(trajectory, i, j):
     return trajectory.states[:, i - 1, j - 1].copy()
 
 
-@dataclass
 class ObservableSeries:
-    """Everything the trajectory plots need, on one time grid."""
+    """Everything the trajectory plots need, on one time grid: `times`,
+    `populations` (n, d), `purity` and `entropy` (n,), and `coherences`,
+    (i, j) -> complex (n,), a new empty dict by default."""
 
-    times: np.ndarray
-    populations: np.ndarray               # (n, d)
-    purity: np.ndarray                    # (n,)
-    entropy: np.ndarray                   # (n,)
-    coherences: dict = field(default_factory=dict)  # (i, j) -> complex (n,)
+    __slots__ = ("times", "populations", "purity", "entropy", "coherences")
+
+    def __init__(self, times, populations, purity, entropy, coherences=None):
+        self.times = times
+        self.populations = populations
+        self.purity = purity
+        self.entropy = entropy
+        self.coherences = {} if coherences is None else coherences
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"ObservableSeries({fields})"
 
 
 def observable_series(trajectory, coherences=()):

@@ -39,7 +39,7 @@ imports scipy; only `expm_frechet` does, for a block larger than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ ORACLE_TOL = 1e-10
 ORACLE_MAX_RHS_CALLS = 100_000
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Density matrices on a time grid starting at t = 0."""
 
     times: np.ndarray   # shape (n,), strictly increasing, times[0] == 0

@@ -200,6 +200,10 @@ DEFECTS = {
         lambda tmp: ["classify", model_doc(tmp / "m.json", jumps=[
             {"matrix": [[0, 0, 0], [True, 0, 0], [0, 0, 0]], "rate": "1"}])],
         "jumps[0]: matrix entries must be finite"),
+    "model-file-misspelt-key": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json",
+                                           hamiltonain={"diagonal": [1, 0, 2]})],
+        "top level: unknown key 'hamiltonain'"),
     "model-file-huge-dimension": (
         lambda tmp: ["classify", model_doc(tmp / "m.json", dimension=10**9)],
         "dimension must lie in 2..32"),

@@ -14,6 +14,7 @@ from lindblad_pc import (
     parse_rate_expr,
 )
 from lindblad_pc.errors import ExprSyntaxError, NonFiniteError, UnboundParameterError
+from lindblad_pc.expr import Add, Const, Div, Mul, Sub, TimeVar
 
 # The time window of a run to the default t_max.
 WINDOW = 20.0
@@ -270,3 +271,42 @@ class TestFormat:
     def test_round_trip(self, text):
         f = parse_rate_expr(text, {"w": 2.5})
         assert parse_rate_expr(format_expr(f), {}) == f
+
+
+class TestNodeValues:
+    def test_equal_trees_are_equal_and_hash_alike(self):
+        text = "sin(2*t)^2 + exp(-t)/3 - t*cos(t + 1)"
+        a, b = parse_rate_expr(text), parse_rate_expr(text)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != parse_rate_expr("sin(2*t)^2 + exp(-t)/3 - t*cos(t + 2)")
+
+    def test_node_type_is_part_of_the_value(self):
+        lhs, rhs = Const(2.0), TimeVar()
+        assert Add(lhs, rhs) != Sub(lhs, rhs)
+        assert Mul(lhs, rhs) != Div(lhs, rhs)
+        assert Const(1.0) != 1.0
+
+    def test_nodes_are_dict_keys(self):
+        lhs, rhs = Const(2.0), TimeVar()
+        table = {Add(lhs, rhs): "add", Sub(lhs, rhs): "sub", parse_rate_expr("t*2"): "mul"}
+        assert len(table) == 3
+        assert table[parse_rate_expr("2 + t")] == "add"
+        assert table[Sub(Const(2.0), TimeVar())] == "sub"
+        assert table[Mul(TimeVar(), Const(2.0))] == "mul"
+
+    def test_assignment_raises(self):
+        node = parse_rate_expr("t + 1")
+        with pytest.raises(AttributeError):
+            node.lhs = Const(3.0)
+        with pytest.raises(AttributeError):
+            node.other = 1
+        with pytest.raises(AttributeError):
+            del node.rhs
+        assert node == Add(TimeVar(), Const(1.0))
+
+    def test_repr_names_the_type(self):
+        assert repr(Add(Const(1.5), TimeVar())) == "Add(lhs=Const(value=1.5), rhs=TimeVar())"
+        assert repr(parse_rate_expr("sin(t)^2")) == \
+            "Pow(base=Func(name='sin', arg=TimeVar()), exponent=2)"

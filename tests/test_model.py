@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from lindblad_pc import (
     integral_at,
     jump_operator,
     loads_model,
+    model_to_dict,
     parse_rate_expr,
     phase_state,
     unvec,
@@ -259,6 +262,50 @@ class TestBuiltin:
         assert model.validate(5e4) is model
         with pytest.raises(ValueError, match=message):
             model.validate(1e5)
+
+
+LEVEL_JUMP = {"from": 3, "to": 2, "rate": "1"}
+MATRIX = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+
+
+class TestModelFileKeys:
+    @pytest.mark.parametrize("doc, message", [
+        ({"hamiltonain": {"diagonal": [1, 0, 2]}}, "top level: unknown key 'hamiltonain'"),
+        ({"jump": [LEVEL_JUMP]}, "top level: unknown key 'jump'"),
+        ({"hamiltonian": {"diagonal": [1, 0, 2], "matrix": MATRIX}},
+         "hamiltonian: give either 'diagonal' or 'matrix', not both"),
+        ({"hamiltonian": {"diag": [1, 0, 2]}}, "hamiltonian: unknown key 'diag'"),
+        ({"jumps": [{**LEVEL_JUMP, "matrix": MATRIX}]},
+         "jumps[0]: give either 'from'/'to' levels or a 'matrix', not both"),
+        ({"jumps": [{"to": 2, "matrix": MATRIX, "rate": "1"}]},
+         "jumps[0]: give either 'from'/'to' levels or a 'matrix', not both"),
+        ({"jumps": [LEVEL_JUMP, {**LEVEL_JUMP, "rates": "2"}]},
+         "jumps[1]: unknown key 'rates'"),
+        ({"initial_state": {"diagonal": [1, 0, 0], "trace": 1}},
+         "initial_state: unknown key 'trace'"),
+    ], ids=["top-level-typo", "top-level-unknown", "operator-ambiguous", "operator-unknown",
+            "jump-ambiguous", "jump-half-ambiguous", "jump-unknown", "state-unknown"])
+    def test_unknown_or_ambiguous_key_is_refused(self, doc, message):
+        with pytest.raises(ModelFileError) as err:
+            loads_model(json.dumps({"dimension": 3, **doc}))
+        assert str(err.value).startswith(message)
+
+    def test_dumped_model_loads_back(self):
+        # level and matrix jumps, a matrix H and a state: every kind of
+        # object model_to_dict writes (built-ins: test_cli's --emit-model case)
+        rng = np.random.default_rng(15)
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        v = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        jumps = [Jump(v, parse_rate_expr("exp(-t)")),
+                 Jump(jump_operator(3, 2, 3), parse_rate_expr("sin(t)^2"), 3, 2)]
+        model = LindbladModel(3, h + h.conj().T, jumps)
+        state = phase_state(3, [1, 2], [0.4])
+        loaded, initial_state = loads_model(json.dumps(model_to_dict(model, state)))
+        assert np.array_equal(loaded.hamiltonian, model.hamiltonian)
+        assert [(j.source, j.target, j.rate) for j in loaded.jumps] == \
+            [(None, None, jumps[0].rate), (3, 2, jumps[1].rate)]
+        assert all(np.array_equal(a.operator, b.operator) for a, b in zip(loaded.jumps, jumps))
+        assert np.array_equal(initial_state, state)
 
 
 class TestPhaseState:

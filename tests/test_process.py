@@ -12,7 +12,6 @@ import math
 import os
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +121,47 @@ def test_verify_past_the_doubling_size_loads_scipy_linalg_only(tmp_path):
     assert not any(m.startswith("scipy.integrate") for m in result["scipy"])
 
 
+# The exit code of `python -m lindblad_pc ARGV` (argv[1]), run in this
+# process, and which of the modules named in argv[2] it loaded.
+MODULES_SNIPPET = """
+import json, runpy, sys
+argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+sys.argv = ["lindblad-pc", *argv]
+try:
+    runpy.run_module("lindblad_pc", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "loaded": sorted(m for m in watched if m in sys.modules)}))
+"""
+
+# The package modules that only solve, verify and model files use.
+PROPAGATION_MODULES = ("lindblad_pc.solver", "lindblad_pc.observables",
+                       "lindblad_pc.modelfile")
+
+
+def loaded_modules(argv, watched):
+    result = run_snippet(MODULES_SNIPPET, json.dumps(argv), json.dumps(watched))
+    return result["code"], result["loaded"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("classify", *CASCADE3, "--json"), 0),
+    (("verify", *CASCADE3, "--rho0", "diag:0.3,0.3,0.4"), 4),
+], ids=["classify", "refused-verify"])
+def test_runs_that_never_propagate_load_no_solver(argv, code):
+    assert loaded_modules(argv, PROPAGATION_MODULES) == (code, [])
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("classify", *CASCADE3, "--json"),
+    ("solve", *BUILTINS["cascade4"], "--rho0", "pure:1", "--steps", "5"),
+    ("verify", *BUILTINS["v3"], "--rho0", "pure:1", "--t-max", "2", "--steps", "5"),
+], ids=["help", "classify", "solve", "verify"])
+def test_no_run_loads_dataclasses(argv):
+    assert loaded_modules(argv, ["dataclasses"]) == (0, [])
+
+
 def _skip_unless_capping_can_show(before):
     if before is None:
         pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter "
@@ -213,6 +253,7 @@ print(json.dumps({"code": code, "out": out.getvalue()}))
 
 
 def test_installed_script_runs_the_cli():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     with open(ROOT / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["lindblad-pc"]
     result = run_snippet(SCRIPT_SNIPPET, target, json.dumps(["classify", *CASCADE3, "--json"]))
