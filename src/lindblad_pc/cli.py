@@ -16,11 +16,9 @@ infinite; `--steps` such that steps x d^2 passes MAX_GRID_ENTRIES (the
 message names the largest `--steps` for that d); and a `verify --tol`
 that is not positive and finite.
 
-No subcommand loads scipy on the models of the benchmark: the matrix
-exponential and the ODE oracle are numpy code in the package. Only a
-`verify` whose generator has an invariant block larger than
-`linalg.FRECHET_DOUBLING_MAX` coordinates imports `scipy.linalg`, for the
-flow residual of that block.
+No subcommand loads scipy: the matrix exponential, its Frechet
+derivative (the flow residual) and the ODE oracle are numpy code in the
+package.
 
 A process loads only the package modules its subcommand runs. Every
 command, `--help` too, loads this module with `errors`, `expr`,
@@ -40,13 +38,13 @@ module and defined 19 dataclasses.
 The CLI runs numpy's BLAS on one thread, set in one of two places. A
 CLI process (`python -m lindblad_pc`, or the installed `lindblad-pc`
 script) starts in `lindblad_pc.__main__.main`, which sets
-OPENBLAS_NUM_THREADS=1 before numpy loads, so the OpenBLAS of numpy (and
-of scipy, when a large block loads it) never starts a worker pool. A pool
-capped only after numpy has loaded has already spun its worker during the
-load: on a 2-CPU x86-64 host a bare `import numpy` takes 0.31 s of CPU
-for 0.19 s of wall time (0.18 s for 0.18 s with the variable set), and a
-`classify` process on cascade3 takes 0.43 s of CPU that way against
-0.27 s when started through `__main__.main`. An in-process caller of
+OPENBLAS_NUM_THREADS=1 before numpy loads, so the OpenBLAS of numpy
+never starts a worker pool. A pool capped only after numpy has loaded
+has already spun its worker during the load: on a 2-CPU x86-64 host a
+bare `import numpy` takes 0.31 s of CPU for 0.19 s of wall time (0.18 s
+for 0.18 s with the variable set), and a `classify` process on cascade3
+takes 0.43 s of CPU that way against 0.27 s when started through
+`__main__.main`. An in-process caller of
 :func:`main`, whose numpy is already loaded, gets its one thread from
 :func:`_use_one_blas_thread`, which :func:`main` calls before anything
 else: it sets the pool of the OpenBLAS that the numpy wheels for Linux
@@ -56,16 +54,13 @@ That setting holds for the rest of the calling process, so an in-process
 caller (a test, a tracer) keeps one BLAS thread afterwards; code that
 imports the package and never calls :func:`main` keeps its own pool.
 
-A second thread would not pay. On the same host
-(`tools/scaling.py`, generated d-level cascades, 100 time points;
-BENCH_11.json), two threads no longer help any stage beyond the
-run-to-run spread. At d = 7..16 two threads against one take
-0.007-0.020 s against 0.007-0.022 s for the closed form, 0.017-0.059 s
-against 0.016-0.060 s for the flow residual, and 0.004-0.020 s against
-0.004-0.011 s for the blocked admissibility gate (0.011 s both at
-d = 16, 0.036 and 0.035 s at d = 32). Past d = 16, where the flow
-residual takes scipy's expm_frechet slice by slice, two threads slow it:
-0.158 and 0.191 s against 0.060 and 0.088 s at d = 24 and 32.
+A second thread would not pay. On the same host (`tools/scaling.py`,
+generated d-level cascades, 100 time points; BENCH_17.json), two threads
+against one help no stage beyond the run-to-run spread. At d = 7..16
+they take 0.006-0.022 s against 0.007-0.022 s for the closed form,
+0.006-0.022 s against 0.007-0.022 s for the flow residual, and
+0.004-0.011 s both for the blocked admissibility gate; at d = 32, 0.062
+against 0.063 s, 0.067 against 0.066 s and 0.029 s both.
 """
 
 from __future__ import annotations

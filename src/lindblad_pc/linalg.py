@@ -23,18 +23,17 @@ diagonal and first off-diagonal are set from their exact values after
 each squaring (their Code Fragment 2.1). Only the slices that still need
 a squaring take it, and a stack is worked through SLAB_BYTES at a time.
 
-Up to FRECHET_DOUBLING_MAX, the Frechet derivative is the upper-right
-block of exp([[A, E], [0, A]]) (Mathias 1996; Higham, *Functions of
-Matrices*, SIAM 2008, section 3.2): one exponential of twice the size,
-which a stack takes as readily as a single matrix. Past that size the
-doubled matrix costs more (see FRECHET_DOUBLING_MAX) than scipy's own
-expm_frechet (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 30 (2009)
-1639-1657), which then takes the stack one slice at a time.
+The Frechet derivative L(A, E) comes with exp(A) from Algorithm 6.4 of
+Al-Mohy and Higham ("Computing the Frechet derivative of the matrix
+exponential, with an application to condition number estimation", SIAM
+J. Matrix Anal. Appl. 30 (2009) 1639-1657), stacked the same way: the
+Pade approximant of degree m in {3, 5, 7, 9, 13} and its derivative share
+the even powers of A, so the pair costs about three exponentials. Each
+slice gets its own degree from its 1-norm, and at m = 13 its own scaling
+s; the squarings L <- RL + LR, R <- R^2 run only on the slices that
+still need one, SLAB_BYTES of the stack at a time.
 
-That branch is the package's only use of scipy: expm_frechet imports
-`scipy.linalg` when it first meets a slice larger than
-FRECHET_DOUBLING_MAX. Importing this module, and every other call, loads
-numpy alone.
+The module, and with it the package, uses numpy alone.
 """
 
 from __future__ import annotations
@@ -51,17 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_REL_TOL = 1e-10
-
-# The largest n for which expm_frechet exponentiates the doubled 2n x 2n
-# matrix. Per slice, on one OpenBLAS thread of a 2-CPU x86-64 host (stacks
-# of 256 random complex slices of 1-norm about 2), the doubled form against
-# scipy.linalg.expm_frechet takes 194-220 us against 210-300 us at n = 12,
-# 255-290 us against 270-330 us at n = 13..15, 330-450 us against
-# 280-380 us at n = 16 and 0.8-1.2 ms against 0.4-0.55 ms at n = 24. The
-# doubled form is kept up to n = 16 (a fully coupled 4-level model),
-# where it still spares a process the import of scipy.linalg: 0.27-0.33 s
-# under `python -X importtime`, more than the difference on a 400-point grid.
-FRECHET_DOUBLING_MAX = 16
 
 # Singular values at or below this are treated as exact zeros even when
 # they dominate the spectrum (the whole matrix is numerically zero).
@@ -124,37 +112,36 @@ def expm(a):
     result overflows or a Pade denominator is singular."""
     a = _as_square_stack(a)
     _require_finite(a, "expm input")
-    out = np.empty(a.shape, dtype=complex)
-    _expm_into(a, out)
+    out = np.empty_like(a)
+    n = a.shape[-1]
+    if out.size == 0:
+        return out
+    flat, flat_out = a.reshape(-1, n, n), out.reshape(-1, n, n)
+    for rows in _slabs(flat.shape[0], n):
+        flat_out[rows] = _expm_slab(flat[rows])
     return out
 
 
 def expm_frechet(a, e):
     """exp(A) and its Frechet derivative at A in the direction E,
     returned as the pair (exp(A), L(A, E)), for matrices or stacks of
-    them of one shape (..., n, n). Up to n = FRECHET_DOUBLING_MAX both
-    come from exp([[A, E], [0, A]]) = [[exp(A), L(A, E)], [0, exp(A)]],
-    past it from scipy.linalg.expm_frechet slice by slice; see the
-    module docstring."""
+    them of one shape (..., n, n): see the module docstring. Raises
+    NonFiniteError when a result overflows or a Pade denominator is
+    singular."""
     a = _as_square_stack(a)
     e = _as_square_stack(e)
     if a.shape != e.shape:
         raise DimensionMismatchError(f"expm_frechet of {a.shape} along {e.shape}")
     _require_finite(a, "expm_frechet input")
     _require_finite(e, "expm_frechet direction")
+    exp_a, frechet = np.empty_like(a), np.empty_like(a)
     n = a.shape[-1]
-    if n > FRECHET_DOUBLING_MAX:
-        import scipy.linalg  # on first use: see the module docstring
-        exp_a, frechet = np.empty_like(a), np.empty_like(a)
-        for i in np.ndindex(a.shape[:-2]):
-            exp_a[i], frechet[i] = scipy.linalg.expm_frechet(a[i], e[i])
+    if a.size == 0:
         return exp_a, frechet
-    doubled = np.zeros((*a.shape[:-2], 2 * n, 2 * n), dtype=complex)
-    doubled[..., :n, :n] = a
-    doubled[..., :n, n:] = e
-    doubled[..., n:, n:] = a
-    _expm_into(doubled, doubled)
-    return doubled[..., :n, :n], doubled[..., :n, n:]
+    flat_a, flat_e, flat_exp, flat_frechet = (x.reshape(-1, n, n) for x in (a, e, exp_a, frechet))
+    for rows in _slabs(flat_a.shape[0], n):
+        flat_exp[rows], flat_frechet[rows] = _frechet_slab(flat_a[rows], flat_e[rows])
+    return exp_a, frechet
 
 
 # Pade degree m -> theta_m, the largest 1-norm on which the [m/m] Pade
@@ -165,6 +152,11 @@ _THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932
           9: 2.097847961257068e0, 13: 4.25}
 _BACKWARD = {3: 1 / 100800, 5: 1 / 10059033600, 7: 1 / 4487938430976000,
              9: 1 / 5914384781877411840000, 13: 1 / 113250775606021113483283660800000000}
+# Pade degree m -> ell_m, the largest 1-norm of A on which the [m/m] Pade
+# approximant of exp and its Frechet derivative have backward errors
+# below 2^-53 (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 30 (2009)
+# 1639-1657, Table 6.1).
+_ELL = {3: 1.08e-2, 5: 2.00e-1, 7: 7.83e-1, 9: 1.78e0, 13: 4.74e0}
 # Coefficients b_0..b_m of the numerator p_m(x) of the [m/m] Pade
 # approximant of exp; its denominator is p_m(-x) (Higham 2005, eq. (2.3)).
 _PADE = {
@@ -177,22 +169,19 @@ _PADE = {
          1187353796428800., 129060195264000., 10559470521600., 670442572800.,
          33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.),
 }
-# Bytes of input per slab: expm works through a stack this much at a
-# time, so that its temporaries (16-21 times SLAB_BYTES at the peak,
-# measured at n = 6 and 64) do not grow with the stack.
+# Bytes of input per slab: expm and expm_frechet work through a stack
+# this much at a time (of A alone for expm_frechet), so that their
+# temporaries do not grow with the stack. At the peak these are 16-21
+# times SLAB_BYTES for expm, measured at n = 6 and 64, and 15-16 times for
+# expm_frechet at n = 3..64.
 SLAB_BYTES = 2**18
 
 
-def _expm_into(a, out):
-    """Write exp of each slice of the stack `a` to `out`, slab by slab;
-    `out` may be `a` itself."""
-    n = a.shape[-1]
-    if a.size == 0:
-        return
-    flat, flat_out = a.reshape(-1, n, n), out.reshape(-1, n, n)
+def _slabs(count, n):
+    """Slices that cover range(count), a stack of count n x n matrices,
+    SLAB_BYTES of it at a time."""
     step = max(1, SLAB_BYTES // (16 * n * n))
-    for start in range(0, flat.shape[0], step):
-        flat_out[start:start + step] = _expm_slab(flat[start:start + step])
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _expm_slab(a):
@@ -341,6 +330,84 @@ def _pade(m, a, powers):
         v = sum(b[2 * j] * x for j, x in enumerate(even))
     try:
         return np.linalg.solve(v - u, v + u)
+    except np.linalg.LinAlgError:
+        raise NonFiniteError("the matrix exponential has a singular Pade denominator") from None
+
+
+def _frechet_slab(a, e):
+    """exp(A) and L(A, E) of each slice pair of `a` and `e`, shape
+    (k, n, n): Algorithm 6.4 of Al-Mohy and Higham's Frechet paper (see
+    the module docstring). Each slice gets its own Pade degree m, the
+    least with ||A||_1 <= ell_m, or m = 13 and its own scaling s, so its
+    result does not depend on the rest of the stack; then L <- RL + LR
+    and R <- R^2 on the slices that still need a squaring."""
+    norm = _norm1(a)
+    if not np.all(np.isfinite(norm)):
+        raise NonFiniteError("the matrix exponential overflows")
+    degree = np.full(a.shape[0], 13)
+    for m in (9, 7, 5, 3):
+        degree[norm <= _ELL[m]] = m
+    scaling = np.zeros(a.shape[0], dtype=int)
+    large = degree == 13
+    scaling[large] = np.maximum(0, np.ceil(np.log2(norm[large] / _ELL[13])))
+    # Sorted by degree, then by scaling, the slices of each degree are one
+    # run of the stack, and those that still need a squaring are its tail.
+    # The scaled slices are overwritten by R and L.
+    order = np.lexsort((scaling, degree))
+    degree, scaling = degree[order], scaling[order]
+    scale = 2.0 ** -scaling[:, None, None]
+    r, l = a[order] * scale, e[order] * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for m in _ELL:
+            run = slice(*np.searchsorted(degree, (m, m + 1)))
+            if run.start < run.stop:
+                r[run], l[run] = _pade_frechet(m, r[run], l[run])
+        for step in range(1, scaling[-1] + 1):
+            live = slice(np.searchsorted(scaling, step), None)
+            l[live] = r[live] @ l[live] + l[live] @ r[live]
+            r[live] = r[live] @ r[live]
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
+        raise NonFiniteError("the matrix exponential overflows")
+    inverse = np.argsort(order)
+    return r[inverse], l[inverse]
+
+
+def _pade_frechet(m, a, e):
+    """The [m/m] Pade approximant R = (V - U)^-1 (U + V) of exp at each
+    slice of `a` and its Frechet derivative L in the direction `e` (the
+    Frechet paper, eqs. (6.11)-(6.13) and Algorithm 6.4). U = AW and V are
+    polynomials in A^2; their derivatives L_U = A L_W + E W and L_V come
+    from those of the even powers, M_2 = AE + EA and M_2j = A^(2j-2) M_2 +
+    M_(2j-2) A^2; and L = (V - U)^-1 (L_U + L_V + (L_U - L_V) R)."""
+    b = _PADE[m]
+    a2 = a @ a
+    powers, derivatives = [a2], [a @ e + e @ a]
+    for _ in range(2, 4 if m == 13 else (m + 1) // 2):
+        derivatives.append(powers[-1] @ derivatives[0] + derivatives[-1] @ a2)
+        powers.append(powers[-1] @ a2)
+
+    def series(coefficients, matrices):  # summed from the highest power down
+        return sum(c * x for c, x in reversed(list(zip(coefficients, matrices))))
+
+    def polynomial(c):
+        """sum_j c_j A^2j and its derivative; at m = 13 the terms from
+        A^8 on as A^6 times a polynomial in A^2."""
+        p, dp = series(c[1:], powers) + c[0] * np.eye(a.shape[-1]), series(c[1:], derivatives)
+        if m == 13:
+            high = series(c[4:], powers)
+            p += powers[2] @ high
+            dp += powers[2] @ series(c[4:], derivatives) + derivatives[2] @ high
+        return p, dp
+
+    w, l_w = polynomial(b[1::2])
+    u, l_u = a @ w, a @ l_w + e @ w
+    del w, l_w  # each stack dropped once used keeps the slab's peak down
+    v, l_v = polynomial(b[0::2])
+    del powers, derivatives, a2
+    q = v - u
+    try:
+        r = np.linalg.solve(q, u + v)
+        return r, np.linalg.solve(q, l_u + l_v + (l_u - l_v) @ r)
     except np.linalg.LinAlgError:
         raise NonFiniteError("the matrix exponential has a singular Pade denominator") from None
 

@@ -136,10 +136,15 @@ def _from_dict(doc):
     hamiltonian = _parse_operator(doc.get("hamiltonian", {"diagonal": [0.0] * d}),
                                   d, "hamiltonian")
 
+    specs = doc.get("jumps", [])
+    if not isinstance(specs, list):
+        raise ModelFileError("'jumps' must be a list of jump objects")
     jumps = []
-    for k, spec in enumerate(doc.get("jumps", [])):
+    for k, spec in enumerate(specs):
         where = f"jumps[{k}]"
-        if not isinstance(spec, dict) or "rate" not in spec:
+        if not isinstance(spec, dict):
+            raise ModelFileError(f"{where}: a jump must be an object")
+        if "rate" not in spec:
             raise ModelFileError(f"{where}: needs a 'rate' expression string")
         _check_keys(spec, JUMP_KEYS, where)
         rate = parse_rate_expr(str(spec["rate"]), params)

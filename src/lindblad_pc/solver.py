@@ -32,9 +32,9 @@ The oracle is the Dormand-Prince 5(4) pair (Dormand and Prince, J.
 Comput. Appl. Math. 6 (1980) 19-26) with the coefficients, step control
 and dense output of scipy.integrate's RK45, written out here so that
 `verify` needs no scipy: it takes the steps solve_ivp(method="RK45")
-takes at rtol = atol = ORACLE_TOL. Neither it nor the closed form
-imports scipy; only `expm_frechet` does, for a block larger than
-`linalg.FRECHET_DOUBLING_MAX`.
+takes at rtol = atol = ORACLE_TOL. Neither it, nor the closed form, nor
+the residual imports scipy: `expm` and `expm_frechet` are numpy code in
+:mod:`lindblad_pc.linalg`.
 """
 
 from __future__ import annotations

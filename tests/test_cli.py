@@ -200,6 +200,10 @@ DEFECTS = {
         lambda tmp: ["classify", model_doc(tmp / "m.json", jumps=[
             {"matrix": [[0, 0, 0], [True, 0, 0], [0, 0, 0]], "rate": "1"}])],
         "jumps[0]: matrix entries must be finite"),
+    "model-file-jumps-not-a-list": (
+        lambda tmp: ["classify", model_doc(tmp / "m.json",
+                                           jumps={"from": 3, "to": 2, "rate": "1"})],
+        "'jumps' must be a list of jump objects"),
     "model-file-misspelt-key": (
         lambda tmp: ["classify", model_doc(tmp / "m.json",
                                            hamiltonain={"diagonal": [1, 0, 2]})],

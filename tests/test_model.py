@@ -290,6 +290,19 @@ class TestModelFileKeys:
             loads_model(json.dumps({"dimension": 3, **doc}))
         assert str(err.value).startswith(message)
 
+    @pytest.mark.parametrize("jumps, message", [
+        ("ab", "'jumps' must be a list of jump objects"),
+        ({"from": 3, "to": 2, "rate": "1"}, "'jumps' must be a list of jump objects"),
+        (None, "'jumps' must be a list of jump objects"),
+        ([LEVEL_JUMP, "3->2"], "jumps[1]: a jump must be an object"),
+        ([[3, 2, "1"]], "jumps[0]: a jump must be an object"),
+        ([{"from": 3, "to": 2}], "jumps[0]: needs a 'rate' expression string"),
+    ], ids=["string", "object", "null", "string-entry", "list-entry", "no-rate"])
+    def test_jumps_must_be_a_list_of_objects(self, jumps, message):
+        with pytest.raises(ModelFileError) as err:
+            loads_model(json.dumps({"dimension": 3, "jumps": jumps}))
+        assert str(err.value) == message
+
     def test_dumped_model_loads_back(self):
         # level and matrix jumps, a matrix H and a state: every kind of
         # object model_to_dict writes (built-ins: test_cli's --emit-model case)
