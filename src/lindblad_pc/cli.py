@@ -9,6 +9,16 @@ Three subcommands over a model (a JSON file or a built-in name):
 * ``verify`` runs the closed form against the brute-force ODE oracle and
   reports the largest trace distance and the flow residual.
 
+`solve` holds one row block of the grid at a time: the closed form of a
+block of consecutive grid points (`solver.closed_form_blocks`, about one
+slab of arrays, see `linalg.SLAB_BYTES`), its observables and its CSV
+text. Only the text is kept, about 250 bytes per grid point at d = 6
+with two coherences, and it is written once the last block has passed:
+a failed `solve` prints nothing to stdout and neither creates nor
+changes the `--out` file. A non-finite state anywhere on the grid exits
+3; otherwise an eigenvalue or trace failure exits 2, raised by the first
+block that fails and naming that block's lowest eigenvalue.
+
 Exit codes: 0 success, 2 input error, 3 numeric failure or out of memory,
 4 inadmissible initial state without --force, 5 verification failure.
 Exit 2 also refuses, before any work: a `--params` value that is NaN or
@@ -84,13 +94,14 @@ EXIT_VERIFY = 5
 
 DEFAULT_STEPS = 400
 DEFAULT_VERIFY_TOL = 1e-6
-# The most steps x d^2 that solve and verify take: each holds a few
+# The most steps x d^2 that solve and verify take. verify holds a few
 # complex arrays of that many entries (the closed-form and oracle states
-# and their copies as d x d matrices), 64 MiB each at the bound. At the
-# bound on v3 (466,033 steps) solve peaks at 206 MB resident and verify
-# at 250 MB.
+# and their copies as d x d matrices), 64 MiB each at the bound; solve
+# holds the CSV text and the coefficient table of the whole grid, and one
+# row block of the rest. At the bound on v3 (466,033 steps; 2-CPU x86-64
+# host, one process each) solve peaks at 106 MB resident (121 MB with one
+# coherence pair) and verify at 247 MB.
 MAX_GRID_ENTRIES = 2**22
-_CSV_BLOCK_ROWS = 4096  # CSV lines per formatted piece, whatever --steps is
 T_MAX_HELP = (f"end of the time grid (default {model.HORIZON:g}, at most "
               f"{model.MAX_T_MAX:g}); rates and sample times are checked on the "
               f"window [0, max({model.HORIZON:g}, t-max)]")
@@ -305,21 +316,19 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def _csv_pieces(series):
-    """The CSV of an observable series in pieces of _CSV_BLOCK_ROWS lines
-    after the header: one line per time, every value written as %.12e."""
+def _csv_rows(series, header):
+    """The CSV lines of an observable series, one per time, every value
+    written as %.12e; after a header line when `header` is true."""
     d = series.populations.shape[1]
-    header = ["t"] + [f"p_{i}" for i in range(1, d + 1)] + ["purity", "entropy"]
+    names = ["t"] + [f"p_{i}" for i in range(1, d + 1)] + ["purity", "entropy"]
     columns = [series.times, *series.populations.T, series.purity, series.entropy]
     for (i, j), values in series.coherences.items():
-        header += [f"re_{i}{j}", f"im_{i}{j}"]
+        names += [f"re_{i}{j}", f"im_{i}{j}"]
         columns += [values.real, values.imag]
     table = np.column_stack(columns) + 0.0  # + 0.0 turns negative zero into zero
     row = ",".join(["%.12e"] * len(columns)) + "\n"
-    yield ",".join(header) + "\n"
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        yield row * len(block) % tuple(block.ravel().tolist())
+    text = row * len(table) % tuple(table.ravel().tolist())
+    return ",".join(names) + "\n" + text if header else text
 
 
 def cmd_solve(args):
@@ -328,14 +337,28 @@ def cmd_solve(args):
         return failure
     from . import observables, solver
 
-    trajectory = solver.propagate_closed_form(g, rho0, grid)
-    series = observables.observable_series(trajectory, pairs)
-
+    # One row block of the closed form at a time, through the observables
+    # and into CSV text; the text is written once every block has passed,
+    # so a failed solve writes nothing. After a spectrum failure the closed
+    # form still runs to the end of the grid, so that a non-finite state
+    # anywhere fails the run as a numeric failure first.
+    pieces, spectrum_failure = [], None
+    for block in solver.closed_form_blocks(g, rho0, grid):
+        if spectrum_failure is not None:
+            continue
+        try:
+            series = observables.observable_series(block, pairs)
+        except ValueError as exc:
+            spectrum_failure, pieces = exc, []
+            continue
+        pieces.append(_csv_rows(series, header=not pieces))
+    if spectrum_failure is not None:
+        raise spectrum_failure
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(_csv_pieces(series))
+            fh.writelines(pieces)
     else:
-        sys.stdout.writelines(_csv_pieces(series))
+        sys.stdout.writelines(pieces)
     return EXIT_OK
 
 

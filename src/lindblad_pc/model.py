@@ -21,10 +21,12 @@ coordinate blocks. L(t), B(t) and exp(B(t)) vanish between blocks at
 every t, so each block can be propagated, and tested for admissibility,
 on its own: `assemble` also stacks the blocks of each size (`groups`),
 and `integral_table` and `rate_table` give the coefficients of B(t) and
-L(t) on a grid of times, which `chunks` cuts to STACK_BYTES, for `solver`
-and `commutativity` alike. A level-transition model with a diagonal H
-has one d x d block of populations and d^2 - d blocks of one coherence
-each; a fully coupled generator is a single block of size d^2.
+L(t) on a grid of times, for `solver` and `commutativity` alike.
+`commutativity` cuts its sample times to STACK_BYTES with `chunks`;
+`solver` sizes its row blocks from `linalg.SLAB_BYTES`. A
+level-transition model with a diagonal H has one d x d block of
+populations and d^2 - d blocks of one coherence each; a fully coupled
+generator is a single block of size d^2.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ RATE_SAMPLE_COUNT = 81
 # The largest t_max the CLI accepts: the rate check of a run to 1e6 takes
 # 4e6 samples per rate.
 MAX_T_MAX = 1e6
-# Bytes per stack of one block size over a chunk of time points, in the
-# closed form, the flow residual and the commutator chain (see `chunks`).
+# Bytes per stack of one block size over a chunk of sample times, in the
+# commutator chain (see `chunks`).
 STACK_BYTES = 8 * 2**20
 
 

@@ -1,5 +1,11 @@
 """Derived quantities along a trajectory: populations, purity, entropy,
-and selected coherences."""
+and selected coherences.
+
+Each quantity is computed state by state, so the series of a
+trajectory's row blocks (`solver.closed_form_blocks`, as the CLI's
+`solve` takes them) are those of the whole trajectory, cut at the same
+rows. A failed spectrum check names the lowest eigenvalue of the
+trajectory it was given: in `solve`, of the first block that fails."""
 
 from __future__ import annotations
 

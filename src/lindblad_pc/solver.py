@@ -16,14 +16,24 @@ The closed form and the residual work block by block (see
 :mod:`lindblad_pc.model`): B(t) and L(t) vanish between the generator's
 invariant blocks, so exp(B(t)) is the direct sum of the exponentials of
 the blocks. The coefficients of B(t) on the drift and on each
-dissipator, [t, Gamma_k(t)], are tabulated over the grid
-(`model.integral_table`), and for the residual those of L(t),
-[1, gamma_k(t)] (`model.rate_table`). The c blocks of each size b
-(`g.groups`) make one (points, c, b, b) stack per chunk of grid points
-(`model.chunks`; `commutativity` chunks its commutator chain the same
-way): through `expm` for the closed form (np.exp of the diagonal when
-b = 1), and through `expm_frechet` for the residual, which skips b = 1,
-where it vanishes. The oracle's mu x mu L(t) (`generator_at`) is
+dissipator, [t, Gamma_k(t)], are tabulated over the whole grid
+(`model.integral_table`, one `values` call per rate), and for the
+residual those of L(t), [1, gamma_k(t)] (`model.rate_table`). The grid
+then goes through in row blocks of consecutive points (`_row_blocks`),
+each of as many points as keep the row block's own arrays, its states
+and the stacks of its largest group, within one slab
+(`linalg.SLAB_BYTES`): the c blocks of each size b (`g.groups`) make one
+(points, c, b, b) stack per row block, through `expm` for the closed
+form (np.exp of the diagonal when b = 1), and through `expm_frechet` for
+the residual, which skips b = 1, where it vanishes; those cut each stack
+into slabs of their own working set. So neither holds more than about
+two slabs of arrays at a time, whatever the number of grid points, and a
+64 x 64 block still takes a few points per row block, where one slab of
+`expm` holds a single slice: `closed_form_blocks` yields the closed form
+one row block at a time, for a caller that consumes it so (the CLI's
+`solve`), and `propagate_closed_form` fills the whole trajectory from
+it. Each point's state does not depend on the block it falls in. The
+oracle's mu x mu L(t) (`generator_at`) is
 scattered from the generator's table of nonzero entries, not from the
 blocks: it shares no code with them, so `verify` still tests them
 against an integration that does not assume them.
@@ -44,14 +54,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatchError, NonFiniteError, StepSizeUnderflowError
+from . import linalg
 from .linalg import expm, expm_frechet, unvec, vec
-from .model import chunks, generator_at, integral_table, rate_table
+from .model import generator_at, integral_table, rate_table
 # integral_at is not called here, but perfbench's tracer wraps the name in
 # this module, so it stays bound.
 from .model import integral_at  # noqa: F401
 
 __all__ = [
-    "Trajectory", "propagate_closed_form", "ode_oracle",
+    "Trajectory", "closed_form_blocks", "propagate_closed_form", "ode_oracle",
     "fedorov_residual", "compare", "trace_distance",
 ]
 
@@ -87,9 +98,25 @@ def _check_grid(grid):
     return grid
 
 
-def propagate_closed_form(g, rho0, grid):
-    """Evaluate rho(t) = unvec(exp(B(t)) vec(rho0)) on the grid, block by
-    block and chunk by chunk (see the module docstring).
+def _row_blocks(g, count, frechet=False):
+    """Slices that cover range(count), a grid of count points, each with
+    as many points (at least one) as keep a row block's own arrays within
+    one slab of :mod:`lindblad_pc.linalg` (SLAB_BYTES): its states and,
+    for the largest group, its (points, c, b, b) stacks, three for the
+    closed form (B(t), exp(B(t)) and its product with vec(rho0)) and four
+    for the residual (A, E, exp(A) and L(A, E)). `expm` and `expm_frechet`
+    cut each stack into slabs of their own working set."""
+    stacks = 4 if frechet else 3
+    largest = max((coords.shape[0] * coords.shape[1] ** 2 for coords, _ in g.groups
+                   if not frechet or coords.shape[1] > 1), default=0)
+    step = max(1, linalg.SLAB_BYTES // (16 * (g.mu + stacks * largest)))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def closed_form_blocks(g, rho0, grid):
+    """rho(t) = unvec(exp(B(t)) vec(rho0)) on the grid, one Trajectory of
+    consecutive grid points per row block (see the module docstring).
+    Raises NonFiniteError at the first block with a non-finite state.
 
     The formula is applied as written even for initial states outside the
     admissible subspace (callers use that for negative controls); it is a
@@ -98,26 +125,40 @@ def propagate_closed_form(g, rho0, grid):
     grid = _check_grid(grid)
     v0 = vec(np.asarray(rho0, dtype=complex))
     table = integral_table(g, grid)
-    out = np.empty((grid.size, g.mu), dtype=complex)
     norms = 0.0  # the largest 1-norm over the blocks of the drift and each dissipator
-    for coords, terms in g.groups:
+    for _, terms in g.groups:
         norms = np.maximum(norms, np.abs(terms).sum(axis=-2).max(axis=(-1, -2)))
-        v = v0[coords][:, None, :]
-        for rows in chunks(grid.size, terms[0].size):
-            # a sum of products, not matmul, rounds exp(x) * v of a 1 x 1 block
-            # as np.exp did; one expression frees each stack before the next
-            out[rows, coords] = np.sum(expm(np.tensordot(table[rows], terms, axes=1)) * v,
-                                       axis=-1)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("closed-form propagation produced non-finite entries")
     # The forward error of a scaling-and-squaring exponential grows like
     # eps ||B(t)||, and ||B(t)||_1 <= sum_k |Gamma_k(t)| norms_k. Twice
     # that: the noise eigenvalues of pure states under random jump-free
     # models (d = 2..5, windows up to 1e5) stayed below 0.83 of
     # d eps (1 + that bound).
     rounding = 2 * np.finfo(float).eps * (1 + np.abs(table) @ norms)
-    return Trajectory(times=grid, states=unvec(out, g.dim), method="closed-form",
-                      rounding=rounding)
+    for rows in _row_blocks(g, grid.size):
+        out = np.empty((rows.stop - rows.start, g.mu), dtype=complex)
+        for coords, terms in g.groups:
+            # a sum of products, not matmul, rounds exp(x) * v of a 1 x 1 block
+            # as np.exp did; one expression frees each stack before the next
+            out[:, coords] = np.sum(expm(np.tensordot(table[rows], terms, axes=1))
+                                    * v0[coords][:, None, :], axis=-1)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteError("closed-form propagation produced non-finite entries")
+        yield Trajectory(times=grid[rows], states=unvec(out, g.dim), method="closed-form",
+                         rounding=rounding[rows])
+
+
+def propagate_closed_form(g, rho0, grid):
+    """The whole trajectory of :func:`closed_form_blocks`, filled in block
+    by block."""
+    grid = _check_grid(grid)
+    states = np.empty((grid.size, g.dim, g.dim), dtype=complex)
+    rounding = np.empty(grid.size)
+    start = 0
+    for block in closed_form_blocks(g, rho0, grid):
+        rows = slice(start, start + block.times.size)
+        states[rows], rounding[rows] = block.states, block.rounding
+        start = rows.stop
+    return Trajectory(times=grid, states=states, method="closed-form", rounding=rounding)
 
 
 def ode_oracle(g, rho0, grid):
@@ -257,10 +298,10 @@ def fedorov_residual(g, alpha, grid):
     Zero at t = 0; near machine precision for admissible alpha; order
     one for inadmissible alpha.
 
-    Blocks and chunks as in :func:`propagate_closed_form`. The group of
-    one-coordinate blocks adds nothing and is skipped: there the
-    derivative of exp(Gamma(t)) is gamma(t) exp(Gamma(t)) exactly, so its
-    residual vanishes.
+    Blocks and row blocks as in :func:`closed_form_blocks`, with four
+    stacks per point of a row block. The group of one-coordinate blocks
+    adds nothing and is skipped: there the derivative of exp(Gamma(t)) is
+    gamma(t) exp(Gamma(t)) exactly, so its residual vanishes.
     """
     grid = _check_grid(grid)
     alpha = np.asarray(alpha, dtype=complex).reshape(-1)
@@ -269,12 +310,12 @@ def fedorov_residual(g, alpha, grid):
         return 0.0
     integral, rates = integral_table(g, grid), rate_table(g, grid)
     squares = np.zeros(grid.size)
+    blocks = _row_blocks(g, grid.size, frechet=True)
     for coords, terms in g.groups:
         if coords.shape[1] == 1:
             continue
         a = alpha[coords][..., None]
-        # four b x b stacks: A, E, exp(A) and L(A, E)
-        for rows in chunks(grid.size, 4 * terms[0].size):
+        for rows in blocks:
             gen = np.tensordot(rates[rows], terms, axes=1)
             flow, derivative = expm_frechet(np.tensordot(integral[rows], terms, axes=1), gen)
             residual = derivative @ a - gen @ (flow @ a)

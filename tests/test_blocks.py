@@ -43,7 +43,7 @@ from lindblad_pc import (
 )
 from lindblad_pc.linalg import DEFAULT_REL_TOL
 from lindblad_pc.model import Jump
-from lindblad_pc import commutativity, model, solver
+from lindblad_pc import commutativity, linalg, model, solver
 from lindblad_pc.cli import _use_one_blas_thread
 from lindblad_pc.model import STACK_BYTES
 
@@ -243,9 +243,13 @@ class TestAgainstDense:
         g = assemble(cascade(4), 40.0)
         rho0 = phase_state(4, [1, 2, 4], [0.3, 1.1])
         grid = np.linspace(0.0, 40.0, 1500)
-        # 128 points per stack of the 4 x 4 population block
-        monkeypatch.setattr(model, "STACK_BYTES", 16 * 16 * 128)
-        assert len(model.chunks(grid.size, 16)) > 2
+        # 64 points per row block of the closed form and 51 of the residual,
+        # whose stacks expm and expm_frechet cut into slabs of 23 and 14
+        # 4 x 4 slices
+        monkeypatch.setattr(linalg, "SLAB_BYTES", 2**16)
+        assert len(solver._row_blocks(g, grid.size)) > 2
+        assert len(solver._row_blocks(g, grid.size, frechet=True)) > 2
+        assert 1 < linalg.slab_size(4, frechet=True) < linalg.slab_size(4) < 51
         whole = propagate_closed_form(g, rho0, grid).states
         alone = np.array([propagate_closed_form(g, rho0, np.array([0.0, t])).states[-1]
                           for t in grid[1:]])
@@ -289,8 +293,10 @@ class TestGateAgainstDense:
 
 
 class TestMemory:
-    """A fully coupled generator is one block of size d^2: its stacks are
-    cut to STACK_BYTES bytes, whatever the number of time points."""
+    """A fully coupled generator is one block of size d^2: its row blocks
+    hold one slab of stacks (linalg.SLAB_BYTES), and expm and expm_frechet
+    work through each a slab of working set at a time, whatever the number
+    of time points."""
 
     @pytest.fixture(autouse=True)
     def one_blas_thread(self):
@@ -317,7 +323,9 @@ class TestMemory:
         propagate_closed_form(g, rho0, grid)
         fedorov_residual(g, vec(rho0), grid)
         assert max(stacks) <= STACK_BYTES
-        assert len(stacks) == 3 + 10  # 128 points per closed-form stack, 32 per residual stack
+        assert max(stacks) <= linalg.SLAB_BYTES
+        # five points per closed-form row block, three per residual one
+        assert len(stacks) == 60 + 100
 
     def test_peak_memory_does_not_grow_with_the_chunk(self):
         # 300 points in one stack would take 19 MiB for the closed form

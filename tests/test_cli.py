@@ -7,15 +7,22 @@ ends in a one-line message on stderr and never in a traceback.
 
 import csv
 import json
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lindblad_pc import cli, solver
+from lindblad_pc import cli, linalg, model, modelfile, solver
+from lindblad_pc.errors import NonFiniteError
 from lindblad_pc.observables import ObservableSeries
 
 from conftest import MODEL_NAMES, MODEL_PARAMS, run_capped_cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import workloads  # noqa: E402
 
 # (rank of M, excluded level, power cap) at the suite's parameter sets.
 CLASSIFICATION = {
@@ -82,7 +89,7 @@ def test_csv_cells_keep_their_text():
         purity=np.array([1.0, -0.0]),
         entropy=np.array([-0.0, 1e5]),
         coherences={(1, 2): np.array([complex(-0.0, -5e-324), complex(3e-310, -7.5e-17)])})
-    header, *rows = "".join(cli._csv_pieces(series)).splitlines()
+    header, *rows = cli._csv_rows(series, header=True).splitlines()
     assert header == "t,p_1,p_2,purity,entropy,re_12,im_12"
     expected = [[0.0, -0.0, 1.0, 1.0, -0.0, -0.0, -5e-324],
                 [1e-320, 2e-301, 0.5, -0.0, 1e5, 3e-310, -7.5e-17]]
@@ -257,7 +264,7 @@ def test_coherences_are_checked_before_propagating(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("propagated before checking --coherences")
 
-    monkeypatch.setattr("lindblad_pc.solver.propagate_closed_form", refuse)
+    monkeypatch.setattr("lindblad_pc.solver.closed_form_blocks", refuse)
     code, out, err = run(capsys, "solve", "--builtin", "cascade3", "--rho0", "pure:1",
                          "--steps", "20000", "--coherences", "1,7")
     assert (code, out, err) == (cli.EXIT_PARSE, "", "error: levels (1, 7) outside 1..3\n")
@@ -374,3 +381,104 @@ def test_many_jumps_classify_in_bounded_memory(tmp_path):
     done = run_capped_cli("classify", path, "--json")
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["ambient_dim"] == d * d
+
+
+class TestSolveInRowBlocks:
+    """`solve` takes the closed form, the observables and the CSV text one
+    row block at a time (one slab of `expm` work), and writes the text once
+    the last block has passed."""
+
+    @staticmethod
+    def argv(tmp_path, steps):
+        """The d = 6 solve of the quadrature-solve benchmark workload (seed
+        1: 1500 points on [0, 40], two coherences, to CSV), at `steps`."""
+        ops = workloads.build("quadrature-solve", 1, tmp_path)
+        argv = list(next(op for op in ops if op.command == "solve" and op.dim == 6).argv)
+        argv[argv.index("--steps") + 1] = str(steps)
+        return argv
+
+    @staticmethod
+    def blocks_of(rows, argv, monkeypatch):
+        """Set linalg.SLAB_BYTES to the least budget that gives this solve
+        row blocks of `rows` points."""
+        g = model.assemble(modelfile.load_model(argv[1])[0], 40.0)
+        low, high = 0, 2**40
+        while high - low > 1:
+            mid = (low + high) // 2
+            monkeypatch.setattr(linalg, "SLAB_BYTES", mid)
+            if solver._row_blocks(g, rows + 1)[0].stop >= rows:
+                high = mid
+            else:
+                low = mid
+        monkeypatch.setattr(linalg, "SLAB_BYTES", high)
+        assert solver._row_blocks(g, rows + 1)[0].stop == rows
+        return len(g.groups)
+
+    def test_memory_does_not_grow_with_the_steps(self, tmp_path, capsys):
+        # The whole trajectory and its observables took about 1.9 KB per
+        # grid point. What is left grows by about 250 B of CSV text and
+        # 64 B of coefficient table, grid and rounding bound per point.
+        assert cli.main(self.argv(tmp_path, 2)) == cli.EXIT_OK  # imports, first calls
+        peaks = []
+        for steps in (1500, 24000):
+            argv = self.argv(tmp_path, steps)
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == cli.EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr().err == ""
+        assert (peaks[1] - peaks[0]) / (24000 - 1500) <= 512
+
+    @pytest.mark.parametrize("rows", [1, 7, 455])
+    def test_csv_does_not_depend_on_the_row_blocks(self, tmp_path, capsys, monkeypatch, rows):
+        argv = self.argv(tmp_path, 1000)
+        out = Path(argv[argv.index("--out") + 1])
+        assert cli.main(argv) == cli.EXIT_OK
+        whole = out.read_bytes()
+        self.blocks_of(1000, argv, monkeypatch)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert out.read_bytes() == whole  # one block
+        self.blocks_of(rows, argv, monkeypatch)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert out.read_bytes() == whole
+        lines = whole.decode().splitlines()
+        assert len(lines) == 1 + 1000 and lines[0].startswith("t,p_1,")
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            f"{t:.12e}" for t in np.linspace(0.0, 40.0, 1000)]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("negated, overflow, code, message", [
+        (False, True, cli.EXIT_NUMERIC, "numeric failure: the matrix exponential overflows\n"),
+        (True, False, cli.EXIT_PARSE, "error: state has eigenvalue -"),
+        (True, True, cli.EXIT_NUMERIC, "numeric failure: the matrix exponential overflows\n"),
+    ], ids=["overflow", "spectrum", "spectrum-then-overflow"])
+    def test_a_failed_block_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                           negated, overflow, code, message):
+        # The first row block's states negated, so that its spectrum check
+        # fails; the first stack of the second row block overflowing; or
+        # both. A non-finite state fails the run first, wherever it is on
+        # the grid, as when the whole grid went through the closed form
+        # before the observables.
+        argv = self.argv(tmp_path, 1000)
+        out = Path(argv[argv.index("--out") + 1])
+        out.write_text("kept\n")
+        groups = self.blocks_of(7, argv, monkeypatch)
+        expm, calls = solver.expm, []
+
+        def failing(a):
+            calls.append(a.shape)
+            if overflow and len(calls) > groups:
+                raise NonFiniteError("the matrix exponential overflows")
+            return -expm(a) if negated and len(calls) <= groups else expm(a)
+
+        monkeypatch.setattr(solver, "expm", failing)
+        for argv in (argv, argv[:argv.index("--out")]):
+            calls.clear()
+            done = run(capsys, *argv)
+            assert done[:2] == (code, "")
+            assert done[2].startswith(message) and done[2].count("\n") == 1
+            # the closed form stops at an overflow, and only there
+            assert len(calls) == (groups + 1 if overflow else groups * -(-1000 // 7))
+        assert out.read_text() == "kept\n"

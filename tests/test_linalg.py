@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,7 @@ from lindblad_pc import (
     unvec,
     vec,
 )
+from lindblad_pc import linalg
 from lindblad_pc.errors import DimensionMismatchError, NonFiniteError
 from lindblad_pc.linalg import expm_frechet
 
@@ -207,6 +210,29 @@ class TestStacks:
             assert (np.linalg.norm(frechet[i] - ref_frechet)
                     <= 1e-13 * np.linalg.norm(ref_frechet))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 16])
+    def test_each_expm_slice_as_it_comes_out_alone(self, n, monkeypatch):
+        # zero, diagonal, upper and lower triangular and general slices,
+        # with 1-norms from 1e-3 to 1e3: every Pade degree, and up to eight
+        # squarings at degree 13, across slabs of a few slices each
+        rng = np.random.default_rng(n)
+        norms = 10.0 ** np.linspace(-3, 3, 30)
+        a = random_complex(rng, norms.size, n, n)
+        a *= (norms / norm1(a))[:, None, None]
+        a[3::5] = np.triu(a[3::5])
+        a[4::5] = np.tril(a[4::5])
+        a[::10] = 0
+        a[5::10] = np.einsum("kii->ki", a[5::10])[:, :, None] * np.eye(n)
+        monkeypatch.setattr(linalg, "SLAB_BYTES", 1024 * n * n)
+        assert 1 < linalg.slab_size(n) < norms.size
+        order = rng.permutation(norms.size)
+        for stack in (a, a[order]):
+            before = stack.copy()
+            out = expm(stack)
+            assert np.array_equal(stack, before)
+            for i in range(norms.size):
+                assert np.array_equal(out[i], expm(stack[i]))
+
     def test_stacked_frechet_rejects_non_finite_slices(self):
         a = np.zeros((3, 2, 2))
         e = np.zeros((3, 2, 2))
@@ -215,6 +241,53 @@ class TestStacks:
             expm_frechet(a, e)
         with pytest.raises(DimensionMismatchError):
             expm_frechet(a, np.zeros((2, 2, 2)))
+
+
+class TestWorkingSet:
+    """expm and expm_frechet hold one slab of work at a time: on a stack of
+    four or more slabs, what a call allocates beyond its results stays
+    within linalg.SLAB_BYTES, and its inputs come back unchanged."""
+
+    @staticmethod
+    def stack(n, rng):
+        # four slabs of SLAB_BYTES bytes of input, whatever a slab holds;
+        # 1-norms from 1e-3 to 1e2 in order, so that some slabs are all of
+        # degree 13 with up to five squarings
+        count = 4 * max(1, linalg.SLAB_BYTES // (16 * n * n))
+        a = random_complex(rng, count, n, n)
+        a *= (10.0 ** np.linspace(-3, 2, count) / norm1(a))[:, None, None]
+        return a, random_complex(rng, count, n, n)
+
+    @staticmethod
+    def traced(fn, *args):
+        """fn(*args) and the peak bytes it allocated beyond its results."""
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(x.nbytes for x in (result if isinstance(result, tuple) else (result,)))
+        return result, peak - kept
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 16, 32, 64])
+    def test_expm_holds_one_slab(self, n):
+        a, _ = self.stack(n, np.random.default_rng(n))
+        before = a.copy()
+        out, extra = self.traced(expm, a)
+        assert np.array_equal(a, before)
+        assert extra <= linalg.SLAB_BYTES
+        assert np.array_equal(out[-1], expm(a[-1]))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 16, 32, 64])
+    def test_expm_frechet_holds_one_slab(self, n):
+        a, e = self.stack(n, np.random.default_rng(n))
+        before = a.copy(), e.copy()
+        (exp_a, frechet), extra = self.traced(expm_frechet, a, e)
+        assert np.array_equal(a, before[0]) and np.array_equal(e, before[1])
+        assert extra <= linalg.SLAB_BYTES
+        alone = expm_frechet(a[-1], e[-1])
+        assert np.array_equal(exp_a[-1], alone[0]) and np.array_equal(frechet[-1], alone[1])
 
 
 SLICE_KINDS = ("random", "cascade", "ladder", "nilpotent", "zero", "diagonal")

@@ -29,8 +29,10 @@ The pool settings:
              the parent's cli.main leaves the pool at its default
 
 One warm-up pass at d = 3 takes the imports and first-call costs. Each
-stage then runs up to REPEATS times while its samples stay within
-BUDGET_S, and the median, minimum and maximum are kept. The processes
+stage then runs once, untimed, under tracemalloc, whose peak (the bytes
+the stage allocates at once, "peak_mib") is kept next to its times; then
+up to REPEATS times while its samples stay within BUDGET_S, and the
+median, minimum and maximum are kept. The processes
 run one at a time. The OpenBLAS thread counts a process ends with are
 stored next to its table; the JSON names sources by role, never by path.
 """
@@ -48,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,14 +65,21 @@ BUDGET_S = 1.0
 
 
 def _measure(fn):
-    """(last result, timing summary) of up to REPEATS calls of fn."""
+    """(last result, summary) of fn: the tracemalloc peak of one untimed
+    call, then the times of up to REPEATS calls."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     samples = []
     while len(samples) < REPEATS and sum(samples) < BUDGET_S:
         start = time.perf_counter()
         result = fn()
         samples.append(time.perf_counter() - start)
     return result, {"median_s": statistics.median(samples), "min_s": min(samples),
-                    "max_s": max(samples), "samples": len(samples)}
+                    "max_s": max(samples), "samples": len(samples), "peak_mib": peak / 2**20}
 
 
 def _stages(d):
@@ -105,7 +115,7 @@ def _stages(d):
         _, out["oracle"] = _measure(lambda: solver.ode_oracle(g, rho0, grid))
     finally:
         solver.generator_at = generator_at
-    out["oracle_rhs_calls"] = calls // out["oracle"]["samples"]
+    out["oracle_rhs_calls"] = calls // (out["oracle"]["samples"] + 1)  # and the traced call
     return out
 
 
