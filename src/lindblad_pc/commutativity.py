@@ -24,12 +24,13 @@ Everything here works on the generator's invariant blocks (see
 Gamma are block diagonal and M is the direct sum of the kernels of the
 blocks of Gamma, which is how M is kept: a linalg.SubspaceBasis with the
 generator's groups of blocks. A block of one coordinate commutes with
-everything: its C_n vanish and its coordinate lies in M. `_commutator_chain` is the one
-routine that builds the C_n: for each chunk of sample times (at most
-model.STACK_BYTES per stack) and each n, one (times, c, b, b) stack per
+everything: its C_n vanish and its coordinate lies in M.
+`_commutator_chain` is the one routine that builds the C_n: for each run
+of consecutive sample times and each n, one (times, c, b, b) stack per
 group of c blocks of size b > 1. Gamma, the re-check in `classify`,
 integral commutativity and `gamma_operator` all iterate it, from one
-table of the coefficients of L(t) and B(t) over the sample times.
+table of the coefficients of L(t) and B(t) over the sample times. Each
+run keeps the chain's whole working set within linalg.SLAB_BYTES.
 
 The chain stops at the power cap: the largest numerical degree, less
 one, of the minimal polynomial of a block of B(t) over the blocks and the
@@ -57,11 +58,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteError, NotADensityMatrixError
-from .linalg import ABSOLUTE_FLOOR, DEFAULT_REL_TOL, SubspaceBasis, minimal_poly_degree
+from .linalg import (ABSOLUTE_FLOOR, DEFAULT_REL_TOL, SubspaceBasis, _row_slices,
+                     minimal_poly_degree)
 # null_space, generator_at and integral_at are not called here, but
 # perfbench's tracer wraps the names in this module, so they stay bound.
 from .linalg import null_space  # noqa: F401
-from .model import HORIZON, chunks, integral_table, rate_table, time_window
+from .model import HORIZON, integral_table, rate_table, time_window
 from .model import generator_at, integral_at  # noqa: F401
 
 __all__ = [
@@ -74,6 +76,12 @@ ADMISSIBLE_TOL = 1e-8
 # Largest entry of (complement projector - a coordinate projector) that
 # still counts as that single excluded coordinate.
 EXCLUDED_TOL = 1e-6
+# The working set per sample time of the chain, as Gamma and the re-check
+# iterate it, in stacks of all groups (sum of c b^2 complex numbers), and
+# of the power cap in stacks of power vectors ((b + 1) c b^2 per group): at
+# most 8.7 and 4.9 under tracemalloc (cascades d = 3..32, blocks b = 2..64).
+_CHAIN_STACKS = 9
+_POWER_CAP_STACKS = 5
 
 # Six fixed sample times in (0, HORIZON / 2], where decaying rates act (a
 # long window that scaled them too lost those constraints), five fixed
@@ -154,7 +162,7 @@ def functional_commutativity(g):
 
 
 def _commutator_chain(samples, power_cap):
-    """Yield (rows, stacks) for each chunk of sample times and each
+    """Yield (rows, stacks) for each run of sample times and each
     n = 1..power_cap: stacks[i] holds C_n = [L(t), B(t)^n] / ||B(t)^n||
     on the blocks of samples.groups[i], shape (rows, c, b, b), or is None
     for the one-coordinate blocks, where it vanishes. ||B(t)^n|| is the
@@ -162,7 +170,7 @@ def _commutator_chain(samples, power_cap):
     vanishes. Raises NonFiniteError once a power of B(t), its norm or
     C_n overflows."""
     entries = sum(coords.size * coords.shape[1] for coords, _ in samples.groups)
-    for rows in chunks(samples.times.size, entries):
+    for rows in _row_slices(samples.times.size, _CHAIN_STACKS * 16 * entries):
         integral = samples.stacks(samples.integral, rows)
         gen = samples.stacks(samples.rates, rows)
         single = [coords.shape[1] == 1 for coords, _ in samples.groups]
@@ -233,13 +241,14 @@ def gamma_operator(g, t, power_cap):
 def _power_cap(samples):
     """The chain length the sample times need: the largest
     minimal-polynomial degree of a block of B(t) with more than one
-    coordinate, less one, and at least 1."""
+    coordinate, less one, and at least 1. Its runs of sample times keep
+    minimal_poly_degree's working set within linalg.SLAB_BYTES."""
     degree = 1
     for coords, terms in samples.groups:
         c, b = coords.shape
         if b == 1:
             continue
-        for rows in chunks(samples.times.size, (b + 1) * c * b * b):
+        for rows in _row_slices(samples.times.size, _POWER_CAP_STACKS * 16 * (b + 1) * c * b * b):
             stack = np.tensordot(samples.integral[rows], terms, axes=1)
             degree = max(degree, int(np.max(minimal_poly_degree(stack))))
     return degree - 1 if degree > 1 else 1

@@ -35,7 +35,8 @@ still need one.
 
 Both work through a stack one slab at a time: as many slices as keep
 the slab's whole working set, its input, its share of the output and
-every temporary, within SLAB_BYTES (`slab_size`). A slab is sorted by
+every temporary, within SLAB_BYTES (`_slice_bytes`), the package's one
+memory budget for every stacked loop (`_row_slices`). A slab is sorted by
 Pade degree and then by scaling, so each degree is one run of it and the
 slices that still need a squaring are its tail: the approximants and the
 squarings work on views of one sorted copy, their sums accumulate in
@@ -132,7 +133,7 @@ def expm(a):
     if out.size == 0:
         return out
     flat, flat_out = a.reshape(-1, n, n), out.reshape(-1, n, n)
-    for rows in _slabs(flat.shape[0], n):
+    for rows in _row_slices(flat.shape[0], _slice_bytes(n)):
         _expm_slab(flat[rows], flat_out[rows])
     return out
 
@@ -154,7 +155,7 @@ def expm_frechet(a, e):
     if a.size == 0:
         return exp_a, frechet
     flat_a, flat_e, flat_exp, flat_frechet = (x.reshape(-1, n, n) for x in (a, e, exp_a, frechet))
-    for rows in _slabs(flat_a.shape[0], n, frechet=True):
+    for rows in _row_slices(flat_a.shape[0], _slice_bytes(n, frechet=True)):
         _frechet_slab(flat_a[rows], flat_e[rows], flat_exp[rows], flat_frechet[rows])
     return exp_a, frechet
 
@@ -184,30 +185,30 @@ _PADE = {
          1187353796428800., 129060195264000., 10559470521600., 670442572800.,
          33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.),
 }
-# Bytes of the whole working set of one slab: expm and expm_frechet work
-# through a stack as many slices at a time as keep a slab's input, its
-# share of the output and every temporary within this (see `slab_size`),
-# so that their memory does not grow with the stack. The solver's row
-# blocks hold about this much of states and stacks (`solver._row_blocks`).
+# Bytes of the whole working set of one slab: every stacked loop of the
+# package (expm and expm_frechet, the solver's row blocks, the commutator
+# chain and its power cap) goes through its stack as many rows at a time
+# as keep their working set within this (see `_row_slices`), so that its
+# memory does not grow with the stack.
 SLAB_BYTES = 2**20
 
 
-def slab_size(n, frechet=False):
-    """How many n x n slices expm, or expm_frechet, takes per slab. At its
-    peak a slab of expm holds up to 11 arrays of its input's size (the
-    input, its output, A sorted, A^2, A^4, A^6, two sums, the Pade
-    solution and index arrays), and one of expm_frechet up to 18 (A and E,
-    both outputs, A and E sorted, the even powers of A and their
-    derivatives up to the sixth, and four sums); measured under
+def _row_slices(count, row_bytes):
+    """Slices that cover range(count), each of as many consecutive rows
+    (at least one) as keep row_bytes per row within SLAB_BYTES."""
+    step = max(1, SLAB_BYTES // row_bytes)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _slice_bytes(n, frechet=False):
+    """Working set of one n x n slice of a slab of expm, or of
+    expm_frechet. At its peak a slab of expm holds up to 11 arrays of its
+    input's size (the input, its output, A sorted, A^2, A^4, A^6, two
+    sums, the Pade solution and index arrays), and one of expm_frechet up
+    to 18 (A and E, both outputs, A and E sorted, the even powers of A and
+    their derivatives up to the sixth, and four sums); measured under
     tracemalloc at n = 2..64, on stacks of every Pade degree."""
-    return max(1, SLAB_BYTES // ((18 if frechet else 11) * 16 * n * n))
-
-
-def _slabs(count, n, frechet=False):
-    """Slices that cover range(count), a stack of count n x n matrices, one
-    slab at a time."""
-    step = slab_size(n, frechet)
-    return [slice(start, start + step) for start in range(0, count, step)]
+    return (18 if frechet else 11) * 16 * n * n
 
 
 def _runs(degree):

@@ -19,14 +19,13 @@ pattern: one (1 + K, nnz) table. The oracle's `generator_at` and
 The connected components of that pattern are the generator's invariant
 coordinate blocks. L(t), B(t) and exp(B(t)) vanish between blocks at
 every t, so each block can be propagated, and tested for admissibility,
-on its own: `assemble` also stacks the blocks of each size (`groups`),
-and `integral_table` and `rate_table` give the coefficients of B(t) and
-L(t) on a grid of times, for `solver` and `commutativity` alike.
-`commutativity` cuts its sample times to STACK_BYTES with `chunks`;
-`solver` sizes its row blocks from `linalg.SLAB_BYTES`. A
-level-transition model with a diagonal H has one d x d block of
-populations and d^2 - d blocks of one coherence each; a fully coupled
-generator is a single block of size d^2.
+on its own: `assemble` stacks the blocks of each size (`groups`), and
+`integral_table` and `rate_table` give the coefficients of B(t) and
+L(t) on a grid of times, for `solver` and `commutativity` alike. Both
+go through their times in runs of consecutive points cut to one memory
+budget, `linalg.SLAB_BYTES`. A level-transition model with a diagonal H
+has one d x d block of populations and d^2 - d blocks of one coherence
+each; a fully coupled generator is a single block of size d^2.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ from .expr import Antiderivative, RateExpr, antiderivative, eval_expr, parse_rat
 
 __all__ = [
     "Jump", "LindbladModel", "GeneratorPart", "GeneratorDecomposition",
-    "jump_operator", "assemble", "STACK_BYTES", "chunks", "integral_table",
-    "rate_table", "generator_at", "integral_at", "builtin", "builtin_names",
-    "phase_state",
+    "jump_operator", "assemble", "integral_table", "rate_table", "generator_at",
+    "integral_at", "builtin", "builtin_names", "phase_state",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -58,9 +56,6 @@ RATE_SAMPLE_COUNT = 81
 # The largest t_max the CLI accepts: the rate check of a run to 1e6 takes
 # 4e6 samples per rate.
 MAX_T_MAX = 1e6
-# Bytes per stack of one block size over a chunk of sample times, in the
-# commutator chain (see `chunks`).
-STACK_BYTES = 8 * 2**20
 
 
 def time_window(t_max):
@@ -173,10 +168,9 @@ class GeneratorDecomposition(NamedTuple):
     rows: np.ndarray    # (nnz,) coordinates of the union nonzero pattern
     cols: np.ndarray
     values: np.ndarray  # (1 + K, nnz): the drift's entries, then each part's
-    # Sorted 0-based coordinates of each block, ordered by first coordinate.
-    blocks: tuple[np.ndarray, ...]
-    # Per block size b, smallest first: the coordinates of its c blocks,
-    # shape (c, b), and their entries as in `values`, shape (1 + K, c, b, b).
+    # Per block size b, smallest first: the sorted 0-based coordinates of
+    # its c blocks, in the order of their first coordinates, shape (c, b),
+    # and their entries as in `values`, shape (1 + K, c, b, b).
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
@@ -214,7 +208,7 @@ def assemble(model, t_max=HORIZON):
     parts = tuple(GeneratorPart(jump.rate, antiderivative(jump.rate, time_window(t_max)))
                   for jump in model.jumps)
     return GeneratorDecomposition(dim=d, parts=parts, rows=rows, cols=cols, values=values,
-                                  blocks=blocks, groups=groups)
+                                  groups=groups)
 
 
 def _entries(h, operators, squares, rows, cols):
@@ -249,13 +243,6 @@ def _invariant_blocks(mu, rows, cols):
         label = hooked
     order = np.argsort(label, kind="stable")
     return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
-
-
-def chunks(count, entries):
-    """Slices that cover range(count), each with as many points (at least
-    one) as fit in STACK_BYTES at `entries` complex numbers per point."""
-    step = max(1, STACK_BYTES // (16 * entries))
-    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def integral_table(g, times):

@@ -21,8 +21,9 @@ dissipator, [t, Gamma_k(t)], are tabulated over the whole grid
 residual those of L(t), [1, gamma_k(t)] (`model.rate_table`). The grid
 then goes through in row blocks of consecutive points (`_row_blocks`),
 each of as many points as keep the row block's own arrays, its states
-and the stacks of its largest group, within one slab
-(`linalg.SLAB_BYTES`): the c blocks of each size b (`g.groups`) make one
+and the stacks of its largest group, within the package's one memory
+budget (`linalg.SLAB_BYTES`, cut by `linalg._row_slices` as every
+stacked loop is): the c blocks of each size b (`g.groups`) make one
 (points, c, b, b) stack per row block, through `expm` for the closed
 form (np.exp of the diagonal when b = 1), and through `expm_frechet` for
 the residual, which skips b = 1, where it vanishes; those cut each stack
@@ -109,8 +110,7 @@ def _row_blocks(g, count, frechet=False):
     stacks = 4 if frechet else 3
     largest = max((coords.shape[0] * coords.shape[1] ** 2 for coords, _ in g.groups
                    if not frechet or coords.shape[1] > 1), default=0)
-    step = max(1, linalg.SLAB_BYTES // (16 * (g.mu + stacks * largest)))
-    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+    return linalg._row_slices(count, 16 * (g.mu + stacks * largest))
 
 
 def closed_form_blocks(g, rho0, grid):

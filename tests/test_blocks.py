@@ -45,7 +45,6 @@ from lindblad_pc.linalg import DEFAULT_REL_TOL
 from lindblad_pc.model import Jump
 from lindblad_pc import commutativity, linalg, model, solver
 from lindblad_pc.cli import _use_one_blas_thread
-from lindblad_pc.model import STACK_BYTES
 
 from conftest import MODEL_NAMES, MODEL_PARAMS
 
@@ -140,23 +139,27 @@ class TestStructure:
     @pytest.mark.parametrize("d", [2, 3, 6, 9])
     def test_cascade_has_one_population_block_and_single_coherences(self, d):
         g = assemble(cascade(d))
-        sizes = sorted(b.size for b in g.blocks)
-        assert sizes == [1] * (d * d - d) + [d]
-        population = next(b for b in g.blocks if b.size == d)
+        assert [coords.shape for coords, _ in g.groups] == [(d * d - d, 1), (1, d)]
+        population = g.groups[-1][0][0]
         assert population.tolist() == [k * (d + 1) for k in range(d)]  # rho_kk
 
     def test_blocks_partition_the_coordinates(self):
         g = assemble(cascade(5))
-        assert np.array_equal(np.sort(np.concatenate(g.blocks)), np.arange(25))
-        assert [b[0] for b in g.blocks] == sorted(b[0] for b in g.blocks)
+        coords = [c for c, _ in g.groups]
+        assert np.array_equal(np.sort(np.concatenate([c.ravel() for c in coords])),
+                              np.arange(25))
+        assert [c.shape[1] for c in coords] == sorted({c.shape[1] for c in coords})
+        for c in coords:  # each block sorted, the blocks by first coordinate
+            assert np.all(np.diff(c, axis=1) > 0)
+            assert np.all(np.diff(c[:, 0]) > 0)
 
     def test_full_hamiltonian_is_one_block(self):
         d = 4
         rng = np.random.default_rng(11)
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         g = assemble(cascade(d, a + a.conj().T))
-        assert len(g.blocks) == 1
-        assert g.blocks[0].tolist() == list(range(d * d))
+        assert len(g.groups) == 1
+        assert g.groups[0][0].tolist() == [list(range(d * d))]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 80), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
@@ -225,8 +228,8 @@ class TestAgainstDense:
             Jump(jump_operator(4, 1, 1), parse_rate_expr("sin(t)^2")),
             Jump(jump_operator(4, 3, 3), parse_rate_expr("exp(-t)"))])
         g = assemble(model, 3.0)
-        assert [b.tolist() for b in g.blocks] == [
-            [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
+        assert [coords.tolist() for coords, _ in g.groups] == [
+            [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]]
         rho0 = phase_state(4, [1, 2, 3, 4], [0.3, 1.1, 2.0])
         grid = np.linspace(0.0, 3.0, 25)
         calls = []
@@ -249,7 +252,8 @@ class TestAgainstDense:
         monkeypatch.setattr(linalg, "SLAB_BYTES", 2**16)
         assert len(solver._row_blocks(g, grid.size)) > 2
         assert len(solver._row_blocks(g, grid.size, frechet=True)) > 2
-        assert 1 < linalg.slab_size(4, frechet=True) < linalg.slab_size(4) < 51
+        frechet, plain = (linalg.SLAB_BYTES // linalg._slice_bytes(4, f) for f in (True, False))
+        assert 1 < frechet < plain < 51
         whole = propagate_closed_form(g, rho0, grid).states
         alone = np.array([propagate_closed_form(g, rho0, np.array([0.0, t])).states[-1]
                           for t in grid[1:]])
@@ -280,6 +284,29 @@ class TestGateAgainstDense:
     def test_cascades(self, d):
         assert_gate_matches_dense(cascade(d))
 
+    @pytest.mark.parametrize("which", ["cascade4", "quadrature6"])
+    def test_chain_runs_of_one_sample_time_keep_the_report(self, which, monkeypatch, tmp_path):
+        # the commutator chain and the power cap cut their sample times to
+        # linalg.SLAB_BYTES; one time per run puts a run boundary between
+        # every two, in the gate's Gamma sum and in the re-check
+        if which == "cascade4":
+            g = assemble(builtin("cascade4", MODEL_PARAMS["cascade4"]))
+        else:
+            workloads.build("quadrature-solve", 1, tmp_path)
+            g = assemble(load_model(tmp_path / "inputs" / "quadrature6.json")[0])
+        whole = classify(g)
+        runs = []
+        row_slices = commutativity._row_slices
+        monkeypatch.setattr(commutativity, "_row_slices",
+                            lambda *args: runs.append(row_slices(*args)) or runs[-1])
+        monkeypatch.setattr(linalg, "SLAB_BYTES", 2**10)
+        alone = classify(g)
+        assert all(s.stop - s.start == 1 for slices in runs for s in slices)
+        assert {len(slices) for slices in runs} >= {12, 120}
+        assert (alone.partial_rank, alone.power_cap, alone.integral, alone.residual_max) == (
+            whole.partial_rank, whole.power_cap, whole.integral, whole.residual_max)
+        assert np.abs(alone.subspace.projector() - whole.subspace.projector()).max() <= 1e-12
+
     def test_classify_builds_no_dense_generator(self, monkeypatch):
         def dense(*args):
             raise AssertionError("dense L(t) or B(t) built")
@@ -308,7 +335,7 @@ class TestMemory:
         rng = np.random.default_rng(d)
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         g = assemble(cascade(d, (a + a.conj().T) / (2 * d)))
-        assert [b.size for b in g.blocks] == [d * d]
+        assert [coords.shape for coords, _ in g.groups] == [(1, d * d)]
         return g, phase_state(d, [1, d], [0.4])
 
     def test_stacks_stay_within_the_budget(self, monkeypatch):
@@ -322,7 +349,6 @@ class TestMemory:
         grid = np.linspace(0.0, 20.0, 300)
         propagate_closed_form(g, rho0, grid)
         fedorov_residual(g, vec(rho0), grid)
-        assert max(stacks) <= STACK_BYTES
         assert max(stacks) <= linalg.SLAB_BYTES
         # five points per closed-form row block, three per residual one
         assert len(stacks) == 60 + 100
@@ -339,7 +365,7 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * STACK_BYTES
+        assert peak <= 24 * 2**20
 
 
 def test_a_large_cascade_holds_no_dense_part():
@@ -364,7 +390,9 @@ def test_a_large_cascade_holds_no_dense_part():
 
 def test_a_large_cascade_keeps_the_gate_block_sized():
     # the d = 32 cascade of tools/scaling.py: M has rank 994 of mu = 1024,
-    # so each dense mu x rank basis of it takes 16 MiB
+    # so each dense mu x rank basis of it takes 16 MiB; the commutator
+    # chain and the power cap hold about one linalg.SLAB_BYTES at a time
+    # (about 3.1 MiB at the peak)
     doc = workloads.cascade_model(32, random.Random("scaling:32"), RATES)
     loaded, _ = loads_model(json.dumps(doc))
     rho0 = phase_state(32, [1, 2], [0.7])
@@ -380,4 +408,5 @@ def test_a_large_cascade_keeps_the_gate_block_sized():
     finally:
         tracemalloc.stop()
     assert report.partial_rank == sub.rank == 994
-    assert peak <= 24 * 2**20
+    assert report.power_cap == 10
+    assert peak <= 6 * 2**20

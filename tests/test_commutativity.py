@@ -345,7 +345,8 @@ class TestClassify:
         g = make_generator(name)
         report = classify(g)
         degree = max(minimal_poly_degree(integral_at(g, t)[np.ix_(block, block)])
-                     for t in report.sample_times for block in g.blocks if block.size > 1)
+                     for t in report.sample_times for coords, _ in g.groups
+                     for block in coords if block.size > 1)
         assert report.power_cap == max(1, degree - 1)
 
     def test_implication_chain(self):

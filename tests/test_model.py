@@ -163,7 +163,7 @@ class TestGeneratorAt:
             model = builtin("cascade3", params)
             model.jumps[2:] = [Jump(v, parse_rate_expr(rate)) for v, rate, _ in jumps[2:count]]
             g = assemble(model)
-            assert len(g.blocks) == blocks
+            assert sum(len(coords) for coords, _ in g.groups) == blocks
             for t in (0.0, 0.7, 2.9):
                 direct = 1j * (np.kron(h.T, eye) - np.kron(eye, h))
                 for v, _, gamma in jumps[:count]:

@@ -2,9 +2,9 @@
 
     python tools/scaling.py --parent ../parent/src [--change src] [--out BENCH.json]
 
-For the package source directories of a parent and a change, and for
-each BLAS pool setting in RUNS, one fresh interpreter times the stages
-in-process on the generated d-level cascades of the benchmark
+For the package source directories of a parent and a change, fresh
+interpreters time the stages in-process on the generated d-level
+cascades of the benchmark
 (`perfbench.workloads.cascade_model`, mu = d^2, rates sin^2, exp and
 cos^2 in turn), d = 3..16, 20, 24, 28 and 32, for parent and change alike:
 
@@ -18,6 +18,12 @@ cos^2 in turn), d = 3..16, 20, 24, 28 and 32, for parent and change alike:
     flow_residual  the flow certificate on the same points
     oracle         the RK45 oracle on the same points (and its RHS count)
 
+Parent and change are timed at one BLAS thread in ROUNDS rounds, one
+process each per round, alternating (parent first in even rounds, change
+first in odd ones), so that a drift of the host over the run falls on
+both. Each stage's median per process is summarized across the rounds
+("one_thread": the median of the rounds, with their minimum and
+maximum). Then one process each runs the other pool settings of RUNS.
 The pool settings:
 
     default  the pool the interpreter starts with (OpenBLAS takes one
@@ -57,8 +63,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RATES = ("sin({w}*t)^2", "exp(-{a}*t)", "cos({w}*t)^2")
 STAGES = ("assemble", "gate", "classify", "closed_form", "flow_residual", "oracle")
 DIMS = (*range(3, 17), 20, 24, 28, 32)
-RUNS = (("parent", "default"), ("parent", "one"),
-        ("change", "default"), ("change", "one"), ("change", "cli"))
+ROUNDS = 5
+RUNS = (("parent", "default"), ("change", "default"), ("change", "cli"))
 GRID_POINTS = 100
 REPEATS = 5
 BUDGET_S = 1.0
@@ -147,6 +153,18 @@ def _run_worker(role, src, pool):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _across_rounds(runs):
+    """d -> stage -> the median, minimum and maximum over the runs of the
+    stage's median per run."""
+    table = {}
+    for d in runs[0]["stages"]:
+        medians = {stage: [run["stages"][d][stage]["median_s"] for run in runs]
+                   for stage in STAGES}
+        table[d] = {stage: {"median_s": statistics.median(m), "min_s": min(m), "max_s": max(m)}
+                    for stage, m in medians.items()}
+    return table
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="the parent's package source directory")
@@ -155,7 +173,8 @@ def main(argv=None):
                              "(default: src of this checkout)")
     parser.add_argument("--out", help="JSON file to write the table into "
                                       "(its other keys are kept); default stdout")
-    parser.add_argument("--worker", choices={f"{role}:{pool}" for role, pool in RUNS},
+    parser.add_argument("--worker", choices={f"{role}:{pool}" for role in ("parent", "change")
+                                             for pool in ("default", "one", "cli")},
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -166,6 +185,11 @@ def main(argv=None):
 
     sources = {"parent": args.parent, "change": args.change}
     runs = []
+    for r in range(ROUNDS):
+        for role in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            print(f"round {r}: {role} one ...", file=sys.stderr, flush=True)
+            runs.append({"src": role, "pool": "one", "round": r,
+                         **_run_worker(role, sources[role], "one")})
     for role, pool in RUNS:
         print(f"{role} {pool} ...", file=sys.stderr, flush=True)
         runs.append({"src": role, "pool": pool, **_run_worker(role, sources[role], pool)})
@@ -179,6 +203,10 @@ def main(argv=None):
                  "scipy": scipy.__version__},
         "rates": list(RATES),
         "grid": f"{GRID_POINTS} points on [0, 20]",
+        "rounds": ROUNDS,
+        "one_thread": {role: _across_rounds([run for run in runs
+                                             if run["src"] == role and run["pool"] == "one"])
+                       for role in sources},
         "runs": runs,
     }
     if args.out:
