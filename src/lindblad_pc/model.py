@@ -13,8 +13,10 @@ antiderivatives; no matrix-valued quadrature is ever needed.
 
 `assemble` stores no part as a d^2 x d^2 matrix, but the values of the
 entries of L_H and every L_k (see `_entries`) on their union nonzero
-pattern: one (1 + K, nnz) table. The oracle's `generator_at` and
-`integral_at` scatter a combination of its rows into a zero mu x mu matrix.
+pattern: one (1 + K, nnz) table. `generator_at` and `integral_at` scatter
+a combination of its rows into a zero mu x mu matrix; no run calls them
+(the oracle applies the table itself), they serve the tests' dense
+references and perfbench's tracer.
 
 The connected components of that pattern are the generator's invariant
 coordinate blocks. L(t), B(t) and exp(B(t)) vanish between blocks at

@@ -47,6 +47,23 @@ def run_capped_cli(*argv, limit=2**30):
                           text=True, env=env, preexec_fn=cap, timeout=300)
 
 
+def assert_oracle_matches_scipy(g, rho0, grid, bound):
+    """The oracle takes the steps of scipy's DOP853 on the dense
+    L(t) @ y at the oracle's tolerance: the same number of right-hand-side
+    evaluations, and states within `bound` of scipy's."""
+    from scipy.integrate import solve_ivp
+
+    from lindblad_pc import generator_at, ode_oracle, solver, unvec, vec
+
+    ours = ode_oracle(g, rho0, grid)
+    ref = solve_ivp(lambda t, y: generator_at(g, t) @ y, (0.0, grid[-1]), vec(rho0),
+                    method="DOP853", rtol=solver.ORACLE_TOL, atol=solver.ORACLE_TOL,
+                    t_eval=grid)
+    assert ref.success
+    assert ours.rhs_calls == ref.nfev
+    assert np.abs(ours.states - unvec(ref.y.T, g.dim)).max() <= bound
+
+
 def diag_state(*populations):
     return np.diag(populations).astype(complex)
 

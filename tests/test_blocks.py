@@ -46,7 +46,7 @@ from lindblad_pc.model import Jump
 from lindblad_pc import commutativity, linalg, model, solver
 from lindblad_pc.cli import _use_one_blas_thread
 
-from conftest import MODEL_NAMES, MODEL_PARAMS
+from conftest import MODEL_NAMES, MODEL_PARAMS, assert_oracle_matches_scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import workloads  # noqa: E402
@@ -319,6 +319,16 @@ class TestGateAgainstDense:
         assert report.residual_max <= 1e-15
 
 
+def coupled(d):
+    """A cascade under a random full Hamiltonian: one block of size d^2,
+    and an initial state in it."""
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    g = assemble(cascade(d, (a + a.conj().T) / (2 * d)))
+    assert [coords.shape for coords, _ in g.groups] == [(1, d * d)]
+    return g, phase_state(d, [1, d], [0.4])
+
+
 class TestMemory:
     """A fully coupled generator is one block of size d^2: its row blocks
     hold one slab of stacks (linalg.SLAB_BYTES), and expm and expm_frechet
@@ -331,15 +341,8 @@ class TestMemory:
         # exponentials about 20 times slower (see the cli module docstring)
         _use_one_blas_thread()
 
-    def coupled(self, d):
-        rng = np.random.default_rng(d)
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        g = assemble(cascade(d, (a + a.conj().T) / (2 * d)))
-        assert [coords.shape for coords, _ in g.groups] == [(1, d * d)]
-        return g, phase_state(d, [1, d], [0.4])
-
     def test_stacks_stay_within_the_budget(self, monkeypatch):
-        g, rho0 = self.coupled(8)
+        g, rho0 = coupled(8)
         stacks = []
         expm, expm_frechet = solver.expm, solver.expm_frechet
         monkeypatch.setattr(solver, "expm", lambda a: stacks.append(a.nbytes) or expm(a))
@@ -356,7 +359,7 @@ class TestMemory:
     def test_peak_memory_does_not_grow_with_the_chunk(self):
         # 300 points in one stack would take 19 MiB for the closed form
         # and 75 MiB for the residual
-        g, rho0 = self.coupled(8)
+        g, rho0 = coupled(8)
         grid = np.linspace(0.0, 20.0, 300)
         tracemalloc.start()
         try:
@@ -366,6 +369,24 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * 2**20
+
+
+class TestOracleAgainstScipyOnLargeGenerators:
+    """The oracle against scipy's DOP853 on the dense L(t) @ y where the
+    entry table is large: the same number of right-hand-side evaluations,
+    and states within 1e-14 (4.4e-16 and 1.5e-15 measured)."""
+
+    GRID = np.linspace(0.0, model.HORIZON, 400)
+
+    def test_d16_cascade(self):
+        # the d = 16 cascade of tools/scaling.py, mu = 256
+        doc = workloads.cascade_model(16, random.Random("scaling:16"), RATES)
+        g = assemble(loads_model(json.dumps(doc))[0])
+        assert_oracle_matches_scipy(g, phase_state(16, [1, 2], [0.7]), self.GRID, 1e-14)
+
+    def test_fully_coupled_d8(self):
+        g, rho0 = coupled(8)
+        assert_oracle_matches_scipy(g, rho0, self.GRID, 1e-14)
 
 
 def test_a_large_cascade_holds_no_dense_part():

@@ -302,13 +302,19 @@ def test_oracle_work_is_bounded(capsys, tmp_path):
 
 
 def test_oracle_step_size_underflow_exits_3(capsys, monkeypatch):
-    # No rate expression jumps, so the oracle's right-hand side is given
-    # one: from t = 0.5 on, L(t) gains 1e10 times the identity. A step across
-    # the jump is too inaccurate at any size down to the float spacing.
-    dense = solver.generator_at
-    monkeypatch.setattr(solver, "generator_at",
-                        lambda g, t: dense(g, t) + (1e10 if t > 0.5 else 0.0) * np.eye(g.mu))
-    code, out, err = run(capsys, "verify", *builtin_args("cascade3"), "--rho0", "pure:1")
+    # No rate expression jumps, so the oracle's rates are given one: from
+    # t = 0.5 on, every rate is 1e10, and v3's jump from level 1 empties
+    # the initial state at that rate. A step across the jump is too
+    # inaccurate at any size down to the float spacing.
+    rates = solver.rate_table
+
+    def jumping(g, times):
+        table = rates(g, times)
+        table[times > 0.5, 1:] = 1e10
+        return table
+
+    monkeypatch.setattr(solver, "rate_table", jumping)
+    code, out, err = run(capsys, "verify", *builtin_args("v3"), "--rho0", "pure:1")
     assert (code, out) == (cli.EXIT_NUMERIC, "")
     assert err.startswith("numeric failure: ODE oracle step size fell below ")
     assert "at t=0.5 of 20" in err and err.count("\n") == 1

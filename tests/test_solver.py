@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from lindblad_pc import (
     LindbladModel,
@@ -22,11 +21,18 @@ from lindblad_pc import (
     unvec,
     vec,
 )
-from lindblad_pc import cli, model, modelfile, solver
+from lindblad_pc import cli, model, modelfile
 from lindblad_pc.model import Jump
 from lindblad_pc.errors import GridMismatchError
 
-from conftest import MODEL_NAMES, MODEL_PARAMS, admissible_bank, diag_state, make_generator
+from conftest import (
+    MODEL_NAMES,
+    MODEL_PARAMS,
+    admissible_bank,
+    assert_oracle_matches_scipy,
+    diag_state,
+    make_generator,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -113,6 +119,17 @@ class TestOracle:
         tr = ode_oracle(g, rho0, GRID)
         assert max(np.abs(tr.states[i] - rho0).max() for i in range(GRID.size)) <= 1e-9
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_reads_no_blocks(self, name):
+        # the oracle integrates the entry table alone, so `verify` tests the
+        # blocks against an integration that does not assume them
+        g = make_generator(name)
+        rho0 = admissible_bank(name)[-1]
+        whole, bare = ode_oracle(g, rho0, GRID), ode_oracle(g._replace(groups=()), rho0, GRID)
+        assert np.array_equal(whole.states, bare.states)
+        assert whole.rhs_calls == bare.rhs_calls > 0
+        assert propagate_closed_form(g, rho0, GRID).rhs_calls is None
+
 
 def quadrature_verifies(seed, directory):
     """(model, initial state) of each verify of the benchmark's seeded
@@ -128,32 +145,22 @@ def quadrature_verifies(seed, directory):
 
 
 class TestOracleAgainstScipy:
-    """The in-package Dormand-Prince loop takes the steps of scipy's RK45
-    on the CLI's default grid: the same number of right-hand-side
-    evaluations, and the same states to rounding."""
+    """The in-package DOP853 loop takes the steps of scipy's DOP853 on the
+    CLI's default grid: the same number of right-hand-side evaluations,
+    and the same states to rounding."""
 
-    def check(self, monkeypatch, loaded, rho0):
-        g = model.assemble(loaded)
+    def check(self, loaded, rho0):
         grid = np.linspace(0.0, model.HORIZON, cli.DEFAULT_STEPS)
-        calls = []
-        dense = solver.generator_at
-        monkeypatch.setattr(solver, "generator_at", lambda g, t: calls.append(t) or dense(g, t))
-        ours = ode_oracle(g, rho0, grid)
-        ref = solve_ivp(lambda t, y: dense(g, t) @ y, (0.0, grid[-1]), vec(rho0),
-                        method="RK45", rtol=solver.ORACLE_TOL, atol=solver.ORACLE_TOL,
-                        t_eval=grid)
-        assert ref.success
-        assert len(calls) == ref.nfev
-        assert np.abs(ours.states - unvec(ref.y.T, g.dim)).max() <= 1e-14
+        assert_oracle_matches_scipy(model.assemble(loaded), rho0, grid, 1e-14)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_builtins(self, monkeypatch, name):
-        self.check(monkeypatch, model.builtin(name, MODEL_PARAMS[name]), admissible_bank(name)[-1])
+    def test_builtins(self, name):
+        self.check(model.builtin(name, MODEL_PARAMS[name]), admissible_bank(name)[-1])
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_quadrature_cascades(self, monkeypatch, tmp_path, seed):
+    def test_quadrature_cascades(self, tmp_path, seed):
         for loaded, rho0 in quadrature_verifies(seed, tmp_path):
-            self.check(monkeypatch, loaded, rho0)
+            self.check(loaded, rho0)
 
 
 def central_difference_residual(g, alpha, grid):

@@ -16,7 +16,8 @@ cos^2 in turn), d = 3..16, 20, 24, 28 and 32, for parent and change alike:
                    and the rank of M are stored too)
     closed_form    exp(B(t)) vec(rho0) on 100 points of [0, 20]
     flow_residual  the flow certificate on the same points
-    oracle         the RK45 oracle on the same points (and its RHS count)
+    oracle         the DOP853 oracle on the same points (and its count of
+                   right-hand-side evaluations, `Trajectory.rhs_calls`)
 
 Parent and change are timed at one BLAS thread in ROUNDS rounds, one
 process each per round, alternating (parent first in even rounds, change
@@ -89,8 +90,9 @@ def _measure(fn):
 
 
 def _stages(d):
-    """Stage name -> timing summary for the d-level cascade, plus the RHS
-    count of one oracle run. Runs in the worker process."""
+    """Stage name -> timing summary for the d-level cascade, plus the
+    oracle's count of right-hand-side evaluations. Runs in the worker
+    process."""
     import numpy as np
     from lindblad_pc import commutativity, linalg, model, modelfile, solver
     from perfbench.workloads import cascade_model
@@ -108,20 +110,9 @@ def _stages(d):
     _, out["closed_form"] = _measure(lambda: solver.propagate_closed_form(g, rho0, grid))
     _, out["flow_residual"] = _measure(
         lambda: solver.fedorov_residual(g, linalg.vec(rho0), grid))
-    calls = 0
-    generator_at = solver.generator_at
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return generator_at(*args)
-
-    solver.generator_at = counted
-    try:
-        _, out["oracle"] = _measure(lambda: solver.ode_oracle(g, rho0, grid))
-    finally:
-        solver.generator_at = generator_at
-    out["oracle_rhs_calls"] = calls // (out["oracle"]["samples"] + 1)  # and the traced call
+    oracle, out["oracle"] = _measure(lambda: solver.ode_oracle(g, rho0, grid))
+    # None for a tree whose oracle did not count its evaluations
+    out["oracle_rhs_calls"] = getattr(oracle, "rhs_calls", None)
     return out
 
 
