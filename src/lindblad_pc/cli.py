@@ -121,7 +121,7 @@ def build_parser():
                        help="model parameters, e.g. omega=2,eps=1 "
                             "(lambda3 also takes f1=..., f2=...)")
         p.add_argument("--emit-model", metavar="PATH",
-                       help="write the loaded model back out as a JSON file")
+                       help="write the model, once checked, back out as a JSON file")
 
     classify = sub.add_parser("classify", help="commutativity classification")
     add_model_arguments(classify)
@@ -187,17 +187,21 @@ def _load_model(args):
         raise ValueError("--params applies to built-in models only; "
                          "model files bind their own \"params\"")
     if args.builtin is not None:
-        loaded = model.builtin(args.builtin, _parse_params(args.params))
-        initial_state = None
-    else:
-        from . import modelfile
+        return model.builtin(args.builtin, _parse_params(args.params)), None
+    from . import modelfile
 
-        loaded, initial_state = modelfile.load_model(args.model)
+    return modelfile.load_model(args.model)
+
+
+def _assemble(args, loaded, initial_state, t_max=model.HORIZON):
+    """Assemble the model for a run to t_max (the one check of its H and
+    rates), then write it to --emit-model, if given."""
+    g = model.assemble(loaded, t_max)
     if args.emit_model:
         from . import modelfile
 
         modelfile.dump_model(loaded, args.emit_model, initial_state)
-    return loaded, initial_state
+    return g
 
 
 def _parse_rho0(spec, d):
@@ -256,9 +260,9 @@ def _coherence_pairs(items, d):
 
 def _prepare(args, coherences=()):
     """The prologue of solve and verify: load the model, resolve rho0,
-    check the grid and the coherence pairs, assemble (which validates the
-    rates on the run's time window), and run the admissibility gate with
-    sample times spanning that window.
+    check the grid and the coherence pairs, assemble for --t-max (the one
+    check of H and the rates, on the window g.window), write
+    --emit-model, and run the admissibility gate on g.window.
 
     Returns (g, rho0, grid, coherence pairs, exit code or None when
     propagation may proceed).
@@ -274,9 +278,9 @@ def _prepare(args, coherences=()):
                          f"for a {loaded.dim}-level model")
     grid = np.linspace(0.0, args.t_max, args.steps)
     pairs = _coherence_pairs(coherences, loaded.dim)
-    g = model.assemble(loaded, args.t_max)
+    g = _assemble(args, loaded, initial_state, args.t_max)
 
-    subspace = commutativity.partial_subspace(g, args.t_max)
+    subspace = commutativity.partial_subspace(g)
     if commutativity.admissible(rho0, subspace):
         return g, rho0, grid, pairs, None
     if args.force:
@@ -293,8 +297,7 @@ def _prepare(args, coherences=()):
 
 
 def cmd_classify(args):
-    loaded, _ = _load_model(args)
-    report = commutativity.classify(model.assemble(loaded))
+    report = commutativity.classify(_assemble(args, *_load_model(args)))
     if args.as_json:
         print(json.dumps({
             "functional": report.functional,

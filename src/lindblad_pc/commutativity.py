@@ -46,8 +46,8 @@ cuts the dense Gamma: at DEFAULT_REL_TOL times the largest singular
 value over all blocks, and nowhere when that is at most
 linalg.ABSOLUTE_FLOOR.
 
-The sample times span the time window (0, max(HORIZON, t_max)] of a run
-and end at its end, so the re-check covers the whole window too.
+The sample times span the window (0, g.window] that `model.assemble`
+checked the rates on, and end at its end, as the re-check does.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .linalg import (ABSOLUTE_FLOOR, DEFAULT_REL_TOL, SubspaceBasis, _row_slices
 # null_space, generator_at and integral_at are not called here, but
 # perfbench's tracer wraps the names in this module, so they stay bound.
 from .linalg import null_space  # noqa: F401
-from .model import HORIZON, integral_table, rate_table, time_window
+from .model import HORIZON, integral_table, rate_table
 from .model import generator_at, integral_at  # noqa: F401
 
 __all__ = [
@@ -93,10 +93,9 @@ _LATE_FRACTIONS = (0.8869780242779817, 0.7194392198760262, 0.9292989599556912,
                    0.8486840145296819, 0.5470886739438248)
 
 
-def default_sample_times(t_max=HORIZON):
-    """Twelve deterministic sample times in the window (0, max(HORIZON,
-    t_max)] of a run to t_max; the largest is the end of the window."""
-    window = time_window(t_max)
+def default_sample_times(window=HORIZON):
+    """Twelve deterministic sample times in (0, window], for a window of at
+    least HORIZON (as `g.window` is); the largest is the end of the window."""
     late = (fraction * window for fraction in _LATE_FRACTIONS)
     return sorted(float(t) for t in (*_STRUCTURED_TIMES, *late, window))
 
@@ -194,8 +193,8 @@ def _commutator_chain(samples, power_cap):
 
 
 def integral_commutativity(g):
-    """Whether [L(t), B(t)] vanishes at every default sample time."""
-    return _integral_commutes(_Samples.of(g, default_sample_times()))
+    """Whether [L(t), B(t)] vanishes at every sample time of g.window."""
+    return _integral_commutes(_Samples.of(g, default_sample_times(g.window)))
 
 
 def _integral_commutes(samples):
@@ -274,11 +273,11 @@ def _subspace(samples):
     return SubspaceBasis(sum(c.size for c, _ in samples.groups), tuple(groups)), cap
 
 
-def partial_subspace(g, t_max=HORIZON):
-    """Basis of M, the subspace of admissible initial vectors of a run
-    to t_max: the kernel of Gamma(t) summed over default_sample_times(t_max).
+def partial_subspace(g):
+    """Basis of M, the subspace of admissible initial vectors on g.window:
+    the kernel of Gamma(t) summed over default_sample_times(g.window).
     """
-    return _subspace(_Samples.of(g, default_sample_times(t_max)))[0]
+    return _subspace(_Samples.of(g, default_sample_times(g.window)))[0]
 
 
 def admissible(rho0, subspace):
@@ -362,14 +361,14 @@ def excluded_coordinate(subspace):
 def classify(g):
     """Run all three criteria and verify the reported subspace.
 
-    After computing M from the default sample times, the defining property
-    [L(t), B(t)^n] alpha = 0 is re-checked for every basis vector on a
-    ten-fold denser time grid; `residual_max` records the largest
+    After computing M from the sample times of g.window, the defining
+    property [L(t), B(t)^n] alpha = 0 is re-checked for every basis vector
+    on a ten-fold denser time grid; `residual_max` records the largest
     ||[L(t), B^n(t)] b_i|| / ||B^n(t)|| seen there. This is a numerical
     verification over grids, not a proof for all t. The coefficients of
     L(t) and B(t) are tabulated once, over the sample times and the grid.
     """
-    times = default_sample_times()
+    times = default_sample_times(g.window)
     grid = np.linspace(min(times), max(times), 10 * len(times))
     samples = _Samples.of(g, np.concatenate([times, grid]))
     at_times, on_grid = samples[:len(times)], samples[len(times):]

@@ -11,6 +11,13 @@ dissipator L_k per jump. Because only the scalar rates depend on time,
 the exact integral B(t) = int_0^t L(tau) dtau is assembled from scalar
 antiderivatives; no matrix-valued quadrature is ever needed.
 
+`builtin` and the model-file loader only build a model; `assemble` is
+where it is checked, once per run: the shapes, a Hermitian H, and every
+rate finite and nonnegative on the run's window [0, max(HORIZON,
+t_max)], which the generator keeps as `g.window`. The antiderivatives
+are built on that window, the commutativity sample times span it, and
+the solver refuses a grid that ends past it.
+
 `assemble` stores no part as a d^2 x d^2 matrix, but the values of the
 entries of L_H and every L_k (see `_entries`) on their union nonzero
 pattern: one (1 + K, nnz) table. `generator_at` and `integral_at` scatter
@@ -49,20 +56,14 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 
-# A run to t_max has the time window [0, max(HORIZON, t_max)]. Rates must
-# be finite and nonnegative there (sampled at RATE_SAMPLE_COUNT points per
-# HORIZON time units, expr.RATE_CHUNK points per evaluation), and the
-# commutativity sample times span it.
+# A run to t_max has the window [0, max(HORIZON, t_max)]; `assemble`
+# samples each rate there at RATE_SAMPLE_COUNT points per HORIZON time
+# units, expr.RATE_CHUNK points per evaluation.
 HORIZON = 20.0
 RATE_SAMPLE_COUNT = 81
 # The largest t_max the CLI accepts: the rate check of a run to 1e6 takes
 # 4e6 samples per rate.
 MAX_T_MAX = 1e6
-
-
-def time_window(t_max):
-    """The end of the time window of a run to t_max."""
-    return max(HORIZON, t_max)
 
 
 def jump_operator(d, target, source):
@@ -105,24 +106,8 @@ class LindbladModel:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"LindbladModel({fields})"
 
-    def validate(self, t_max=HORIZON):
-        """Check the shapes, that H is Hermitian, and that every rate is
-        finite and nonnegative on [0, max(HORIZON, t_max)]."""
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.shape != (self.dim, self.dim):
-            raise ValueError(f"Hamiltonian shape {h.shape} for dimension {self.dim}")
-        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("Hamiltonian is not Hermitian")
-        for k, jump in enumerate(self.jumps):
-            v = np.asarray(jump.operator, dtype=complex)
-            if v.shape != (self.dim, self.dim):
-                raise ValueError(f"jump operator {k} has shape {v.shape}")
-            _check_rate(jump.rate, t_max)
-        return self
 
-
-def _check_rate(rate, t_max):
-    window = time_window(t_max)
+def _check_rate(rate, window):
     count = math.ceil((RATE_SAMPLE_COUNT - 1) * window / HORIZON) + 1
     for start in range(0, count, _expr.RATE_CHUNK):
         times = window * np.arange(start, min(start + _expr.RATE_CHUNK, count)) / (count - 1)
@@ -174,6 +159,7 @@ class GeneratorDecomposition(NamedTuple):
     # its c blocks, in the order of their first coordinates, shape (c, b),
     # and their entries as in `values`, shape (1 + K, c, b, b).
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    window: float  # the run's window [0, window]: rates checked and integrated there
 
     @property
     def mu(self):
@@ -182,11 +168,20 @@ class GeneratorDecomposition(NamedTuple):
 
 
 def assemble(model, t_max=HORIZON):
-    """Build the vectorized generator decomposition for a run to t_max."""
-    model.validate(t_max)
+    """Check the model on the window of a run to t_max (see the module
+    docstring) and build its vectorized generator decomposition there."""
+    window = max(HORIZON, t_max)
     d = model.dim
     h = np.asarray(model.hamiltonian, dtype=complex)
+    if h.shape != (d, d):
+        raise ValueError(f"Hamiltonian shape {h.shape} for dimension {d}")
+    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+        raise ValueError("Hamiltonian is not Hermitian")
     operators = [np.asarray(jump.operator, dtype=complex) for jump in model.jumps]
+    for k, (jump, v) in enumerate(zip(model.jumps, operators)):
+        if v.shape != (d, d):
+            raise ValueError(f"jump operator {k} has shape {v.shape}")
+        _check_rate(jump.rate, window)
     eye = np.eye(d, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         squares = [v.conj().T @ v for v in operators]
@@ -207,10 +202,10 @@ def assemble(model, t_max=HORIZON):
               for size in sorted({b.size for b in blocks})]
     groups = tuple((c, _entries(h, operators, squares, c[:, :, None], c[:, None, :]))
                    for c in coords)
-    parts = tuple(GeneratorPart(jump.rate, antiderivative(jump.rate, time_window(t_max)))
+    parts = tuple(GeneratorPart(jump.rate, antiderivative(jump.rate, window))
                   for jump in model.jumps)
     return GeneratorDecomposition(dim=d, parts=parts, rows=rows, cols=cols, values=values,
-                                  groups=groups)
+                                  groups=groups, window=window)
 
 
 def _entries(h, operators, squares, rows, cols):
@@ -392,4 +387,4 @@ def builtin(name, params=None):
     except KeyError:
         raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(builtin_names())}") from None
-    return build(params).validate()
+    return build(params)

@@ -20,6 +20,9 @@ numbers. Only the keys above are read, and any other key is refused
 (a misspelt "hamiltonian" would otherwise leave H = 0), as is an
 operator with both "diagonal" and "matrix", or a jump with both levels
 and a "matrix". An --rho0 state file is one operator object.
+
+The loader checks the schema only: `model.assemble` checks that H is
+Hermitian and every rate finite and nonnegative, on the run's window.
 """
 
 from __future__ import annotations
@@ -163,16 +166,10 @@ def _from_dict(doc):
         else:
             raise ModelFileError(f"{where}: needs 'from'/'to' levels or a 'matrix'")
 
-    model = LindbladModel(d, hamiltonian, jumps)
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise ModelFileError(str(exc)) from exc
-
     initial_state = None
     if "initial_state" in doc:
         initial_state = _parse_operator(doc["initial_state"], d, "initial_state")
-    return model, initial_state
+    return LindbladModel(d, hamiltonian, jumps), initial_state
 
 
 def _matrix_json(m):

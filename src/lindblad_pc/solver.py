@@ -10,7 +10,8 @@ agreement between the two is a genuine cross-check rather than a
 tautology. The flow ("Fedorov") residual
 certifies the closed form directly: it inserts exp(B(t)) alpha into the
 master equation, with the time derivative taken exactly from the Frechet
-derivative of the matrix exponential.
+derivative of the matrix exponential. All three refuse a grid that ends past
+`g.window`, where `model.assemble` checked and integrated the rates.
 
 The closed form and the residual work block by block (see
 :mod:`lindblad_pc.model`): B(t) and L(t) vanish between the generator's
@@ -84,7 +85,6 @@ class Trajectory(NamedTuple):
 
     times: np.ndarray   # shape (n,), strictly increasing, times[0] == 0
     states: np.ndarray  # shape (n, d, d)
-    method: str         # "closed-form" or "ode-oracle"
     # shape (n,): a bound on the rounding error of each entry of each
     # state, or None when not known (the oracle's error is truncation)
     rounding: np.ndarray | None = None
@@ -97,7 +97,7 @@ class Trajectory(NamedTuple):
         return self.states.shape[1]
 
 
-def _check_grid(grid):
+def _check_grid(g, grid):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("time grid must be a 1-d array")
@@ -105,6 +105,9 @@ def _check_grid(grid):
         raise ValueError("time grid must start at 0")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("time grid must be strictly increasing")
+    if grid[-1] > g.window:
+        raise ValueError(f"time grid ends at t={grid[-1]:g}, past the window "
+                         f"[0, {g.window:g}] of the generator; assemble it for that t_max")
     return grid
 
 
@@ -131,7 +134,7 @@ def closed_form_blocks(g, rho0, grid):
     admissible subspace (callers use that for negative controls); it is a
     solution of the master equation only on the subspace.
     """
-    grid = _check_grid(grid)
+    grid = _check_grid(g, grid)
     v0 = vec(np.asarray(rho0, dtype=complex))
     table = integral_table(g, grid)
     norms = 0.0  # the largest 1-norm over the blocks of the drift and each dissipator
@@ -152,14 +155,13 @@ def closed_form_blocks(g, rho0, grid):
                                     * v0[coords][:, None, :], axis=-1)
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("closed-form propagation produced non-finite entries")
-        yield Trajectory(times=grid[rows], states=unvec(out, g.dim), method="closed-form",
-                         rounding=rounding[rows])
+        yield Trajectory(times=grid[rows], states=unvec(out, g.dim), rounding=rounding[rows])
 
 
 def propagate_closed_form(g, rho0, grid):
     """The whole trajectory of :func:`closed_form_blocks`, filled in block
     by block."""
-    grid = _check_grid(grid)
+    grid = _check_grid(g, grid)
     states = np.empty((grid.size, g.dim, g.dim), dtype=complex)
     rounding = np.empty(grid.size)
     start = 0
@@ -167,7 +169,7 @@ def propagate_closed_form(g, rho0, grid):
         rows = slice(start, start + block.times.size)
         states[rows], rounding[rows] = block.states, block.rounding
         start = rows.stop
-    return Trajectory(times=grid, states=states, method="closed-form", rounding=rounding)
+    return Trajectory(times=grid, states=states, rounding=rounding)
 
 
 def ode_oracle(g, rho0, grid):
@@ -185,7 +187,7 @@ def ode_oracle(g, rho0, grid):
     the right-hand side (a stiff or fast-growing rate), or when the step it
     needs falls below ten times the float spacing at the current time.
     """
-    grid = _check_grid(grid)
+    grid = _check_grid(g, grid)
     v0 = vec(np.asarray(rho0, dtype=complex))
     # a zero entry on the diagonal of each row that has none, so that
     # every row of L(t) y is one sum over a run of the sorted entries
@@ -213,8 +215,7 @@ def ode_oracle(g, rho0, grid):
         return apply
 
     states = _dop853(generator, v0, grid)
-    return Trajectory(times=grid, states=unvec(states, g.dim), method="ode-oracle",
-                      rhs_calls=calls)
+    return Trajectory(times=grid, states=unvec(states, g.dim), rhs_calls=calls)
 
 
 # The Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett and Wanner,
@@ -449,7 +450,7 @@ def fedorov_residual(g, alpha, grid):
     adds nothing and is skipped: there the derivative of exp(Gamma(t)) is
     gamma(t) exp(Gamma(t)) exactly, so its residual vanishes.
     """
-    grid = _check_grid(grid)
+    grid = _check_grid(g, grid)
     alpha = np.asarray(alpha, dtype=complex).reshape(-1)
     norm_alpha = float(np.linalg.norm(alpha))
     if norm_alpha == 0.0:

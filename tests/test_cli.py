@@ -17,6 +17,7 @@ import pytest
 
 from lindblad_pc import cli, linalg, model, modelfile, solver
 from lindblad_pc.errors import NonFiniteError
+from lindblad_pc.expr import format_expr
 from lindblad_pc.observables import ObservableSeries
 
 from conftest import MODEL_NAMES, MODEL_PARAMS, run_capped_cli
@@ -258,6 +259,47 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case):
     assert (code, out) == (cli.EXIT_PARSE, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["solve", "--builtin", "lambda3", "--params", "f1=t-5,f2=exp(-t)",
+                 "--rho0", "pure:1"],
+    lambda tmp: ["verify", model_file(tmp / "m.json", "25-t"), "--rho0", "pure:2",
+                 "--t-max", "40"],
+], ids=["builtin-negative-rate", "model-file-rate-negative-beyond-20"])
+def test_emit_model_writes_only_a_checked_model(capsys, tmp_path, argv):
+    path = tmp_path / "emitted.json"
+    code, out, err = run(capsys, *argv(tmp_path), "--emit-model", str(path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("error: rate ") and "is negative" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, window", [
+    (lambda tmp: ["classify", "--builtin", "v3"], 20.0),
+    (lambda tmp: ["solve", model_doc(tmp / "m.json", jumps=[
+        {"from": 3, "to": 2, "rate": "sin(t)^2"}, {"from": 2, "to": 1, "rate": "exp(-t)"}]),
+        "--rho0", "pure:1", "--t-max", "40", "--steps", "5"], 40.0),
+], ids=["classify-builtin", "solve-model-file"])
+def test_each_rate_is_checked_once_on_the_window(capsys, monkeypatch, tmp_path, argv, window):
+    checks, generators = [], []
+    check, assemble = model._check_rate, model.assemble
+
+    def counting_check(rate, end):
+        checks.append((format_expr(rate), end))
+        return check(rate, end)
+
+    def recording_assemble(*args):
+        generators.append(assemble(*args))
+        return generators[-1]
+
+    monkeypatch.setattr(model, "_check_rate", counting_check)
+    monkeypatch.setattr(model, "assemble", recording_assemble)
+    code, _, err = run(capsys, *argv(tmp_path))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert len(checks) == 2 and len({rate for rate, _ in checks}) == 2
+    assert [g.window for g in generators] == [window]
+    assert [end for _, end in checks] == [window, window]
 
 
 def test_coherences_are_checked_before_propagating(capsys, monkeypatch):

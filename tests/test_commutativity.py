@@ -8,6 +8,7 @@ from lindblad_pc import (
     LindbladModel,
     admissible,
     assemble,
+    builtin,
     classify,
     commutator,
     default_sample_times,
@@ -68,11 +69,13 @@ class TestDefaultSampleTimes:
 
     @given(st.floats(min_value=1e-3, max_value=1e6))
     def test_span_the_window_of_the_run(self, t_max):
-        times = default_sample_times(t_max)
-        assert times == default_sample_times(t_max)
+        g = assemble(LindbladModel(3, np.zeros((3, 3), dtype=complex), []), t_max)
+        assert g.window == max(20.0, t_max)
+        times = default_sample_times(g.window)
+        assert times == default_sample_times(g.window)
         assert len(set(times)) == 12
         assert min(times) > 0
-        assert max(times) == max(20.0, t_max)
+        assert max(times) == g.window
 
     @pytest.mark.parametrize("t_max", [20.0, 40.0, 1e5, 1e6])
     def test_late_times_are_the_seeded_draws(self, t_max):
@@ -179,19 +182,19 @@ class TestPartialSubspace:
     def test_long_window_keeps_the_early_constraints(self):
         # These rates act only early; sample times spread over the window of
         # a run to 1e5 alone miss the constraint and return the full space.
-        g = make_generator("lambda3", {"f1": "t*exp(-t)", "f2": "1/(1 + t^2)"})
-        sub = partial_subspace(g, 1e5)
+        model = builtin("lambda3", {"f1": "t*exp(-t)", "f2": "1/(1 + t^2)"})
+        sub = partial_subspace(assemble(model, 1e5))
         assert excluded_coordinate(sub) == (5, 2)
 
     @pytest.mark.parametrize("t_max, rank", [(20.0, 9), (40.0, 8)])
     def test_is_the_kernel_of_gamma_summed_over_the_sample_times(self, t_max, rank):
         g = late_rate_cascade(t_max)
-        times = default_sample_times(t_max)
+        times = default_sample_times(g.window)
         degree = max(minimal_poly_degree(integral_at(g, t)) for t in times)
         cap = min(g.mu - 1, degree - 1)
         total = sum(gamma_operator(g, t, cap) for t in times)
         expected = null_space(total)
-        sub = partial_subspace(g, t_max)
+        sub = partial_subspace(g)
         assert sub.rank == expected.rank == rank
         assert np.abs(sub.projector() - expected.projector()).max() <= 1e-12
 
@@ -306,6 +309,11 @@ class TestAdmissible:
 
 
 class TestClassify:
+    def test_samples_the_window_of_the_generator(self):
+        model = builtin("cascade3", {"eps": 1.0})
+        assert classify(assemble(model)).sample_times[-1] == 20.0
+        assert classify(assemble(model, 40.0)).sample_times[-1] == 40.0
+
     def test_v3_report(self):
         report = classify(make_generator("v3"))
         assert report.functional is True

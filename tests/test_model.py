@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -225,28 +226,31 @@ class TestBuiltin:
         assert model.jumps[0].rate == parse_rate_expr("t", {})
         assert model.jumps[1].rate == parse_rate_expr("exp(-t)", {})
 
+    # builtin() and the loader only build a model; assemble checks it.
     def test_lambda3_rejects_negative_rate(self):
+        model = builtin("lambda3", {"f1": "t-5", "f2": "exp(-t)"})
         with pytest.raises(ValueError):
-            builtin("lambda3", {"f1": "t-5", "f2": "exp(-t)"})
+            assemble(model)
 
     def test_model_file_rejects_negative_rate(self):
         doc = '{"dimension": 3, "jumps": [{"from": 3, "to": 2, "rate": "t-5"}]}'
-        with pytest.raises(ModelFileError, match="negative"):
-            loads_model(doc)
-
+        model, _ = loads_model(doc)
+        with pytest.raises(ValueError, match="negative"):
+            assemble(model)
 
     def test_rates_are_checked_up_to_the_requested_horizon(self):
         doc = '{"dimension": 3, "jumps": [{"from": 3, "to": 2, "rate": "25-t"}]}'
         model, _ = loads_model(doc)
-        assert model.validate(25.0) is model
+        assert assemble(model, 25.0).window == 25.0
         with pytest.raises(ValueError, match=r"negative at t=25\.25"):
-            model.validate(40.0)
+            assemble(model, 40.0)
 
     def test_a_negative_time_before_a_non_finite_one_is_named(self):
         # the same chunk also holds t = 10, where the rate is not finite
         doc = '{"dimension": 2, "jumps": [{"from": 2, "to": 1, "rate": "(1 - t)/(t - 10)"}]}'
+        model, _ = loads_model(doc)
         with pytest.raises(ValueError, match=r"negative at t=0;"):
-            loads_model(doc)
+            assemble(model)
 
     @pytest.mark.parametrize("rate, message", [
         ("70000 - t", r"negative at t=70000\.2;"),
@@ -259,9 +263,17 @@ class TestBuiltin:
         # 405k samples on a 1e5 window, so the bad time lies in a later chunk
         doc = f'{{"dimension": 2, "jumps": [{{"from": 2, "to": 1, "rate": "{rate}"}}]}}'
         model, _ = loads_model(doc)
-        assert model.validate(5e4) is model
+        assert assemble(model, 5e4).window == 5e4
         with pytest.raises(ValueError, match=message):
-            model.validate(1e5)
+            assemble(model, 1e5)
+
+    def test_antiderivatives_are_built_on_the_window(self):
+        # built on the default window [0, 20], this integral is off by 1.9e-2 at t = 1e4
+        jump = Jump(jump_operator(2, 1, 2), parse_rate_expr("1/(1 + 1.1*t^2)"))
+        g = assemble(LindbladModel(2, np.zeros((2, 2), dtype=complex), [jump]), 1e4)
+        assert g.window == 1e4
+        exact = math.atan(math.sqrt(1.1) * 1e4) / math.sqrt(1.1)
+        assert g.parts[0].integral.value(1e4) == pytest.approx(exact, rel=0, abs=4e-15)
 
 
 LEVEL_JUMP = {"from": 3, "to": 2, "rate": "1"}

@@ -26,7 +26,7 @@ GRID = np.linspace(0.0, 20.0, 400)
 def still(rho, n=3):
     """A constant trajectory, for observables of a fixed state."""
     times = np.linspace(0.0, 1.0, n)
-    return Trajectory(times=times, states=np.array([rho] * n), method="closed-form")
+    return Trajectory(times=times, states=np.array([rho] * n))
 
 
 class TestPopulations:

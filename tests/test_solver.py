@@ -24,6 +24,7 @@ from lindblad_pc import (
 from lindblad_pc import cli, model, modelfile
 from lindblad_pc.model import Jump
 from lindblad_pc.errors import GridMismatchError
+from lindblad_pc.solver import closed_form_blocks
 
 from conftest import (
     MODEL_NAMES,
@@ -94,6 +95,37 @@ class TestClosedForm:
         g = make_generator("v3")
         with pytest.raises(ValueError):
             propagate_closed_form(g, diag_state(1, 0, 0), np.linspace(1.0, 2.0, 5))
+
+
+class TestWindow:
+    """Every entry point refuses a grid that ends past g.window, where the
+    rates were checked and their antiderivatives built."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g, rho0, grid: list(closed_form_blocks(g, rho0, grid)),
+        propagate_closed_form,
+        ode_oracle,
+        lambda g, rho0, grid: fedorov_residual(g, vec(rho0), grid),
+    ], ids=["closed_form_blocks", "propagate_closed_form", "ode_oracle", "fedorov_residual"])
+    def test_a_grid_past_the_window_is_refused(self, call):
+        g = make_generator("cascade3")
+        rho0 = diag_state(1, 0, 0)
+        with pytest.raises(ValueError, match=r"t=20\.5, past the window \[0, 20\]"):
+            call(g, rho0, np.linspace(0.0, 20.5, 5))
+        call(g, rho0, np.linspace(0.0, g.window, 5))
+
+    def test_a_rate_that_turns_negative_past_the_window_is_named(self):
+        # On the default window both rates pass the check; propagating to
+        # t = 100 on that generator overflowed, where assembling for the
+        # run names the negative rate.
+        jumps = [Jump(jump_operator(3, 2, 3), parse_rate_expr("1/(1 + 1.1*t^2)"), 3, 2),
+                 Jump(jump_operator(3, 1, 2), parse_rate_expr("25 - t"), 2, 1)]
+        model = LindbladModel(3, np.diag([-1.0, 0.0, 1.0]).astype(complex), jumps)
+        g = assemble(model)
+        with pytest.raises(ValueError, match=r"past the window \[0, 20\]"):
+            propagate_closed_form(g, diag_state(0, 0, 1), np.linspace(0.0, 100.0, 5))
+        with pytest.raises(ValueError, match=r"rate '25 - t' is negative at t=25\.25"):
+            assemble(model, 1e4)
 
 
 class TestOracle:

@@ -17,7 +17,9 @@ number of differing rows, the largest absolute difference of a cell and
 the largest in units of the last printed digit (a cell is written with
 13 significant digits); for other output, the differing lines. It ends
 with a count of identical invocations and the largest flow residual
-that a passing `verify` printed on each side.
+that a passing `verify` printed on each side. It exits 0 when every
+invocation is identical and 1 when any differs or the two records hold
+different invocations, so a script can gate on it.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def compare(path_a, path_b):
         print(line)
     print(f"{identical} of {len(a)} invocations identical; largest flow residual of a "
           f"passing verify {_passing_residual(a):.3e} -> {_passing_residual(b):.3e}")
-    return 0
+    return 0 if identical == len(a) else 1
 
 
 def main(argv=None):
