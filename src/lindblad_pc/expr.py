@@ -3,10 +3,15 @@
 Relaxation rates enter the generator as scalar functions of time, so
 integrating the full generator matrix reduces to integrating scalars.
 This module parses a small expression grammar into an immutable AST,
-evaluates it at one time or at an array of times, and produces
-antiderivatives: in closed form when the expression matches a table of
-elementary patterns, otherwise through Gauss-Legendre quadrature that
-integrates all pieces of a run's window at once, in array evaluations.
+evaluates it at an array of times, and produces antiderivatives: in
+closed form when the expression matches a table of elementary patterns,
+otherwise through Gauss-Legendre quadrature that integrates all pieces
+of a run's window at once, in array evaluations.
+
+All of it has one arithmetic, numpy's: a single time is evaluated as an
+array of one, a folded literal is the value of the subtree it replaces,
+and the constants of a closed form are the values of its terms at t = 0,
+so the closed forms vanish there exactly.
 
 Grammar (whitespace insensitive)::
 
@@ -123,53 +128,42 @@ class Func(RateExpr):
     __slots__ = ("name", "arg")  # name: one of "sin", "cos", "exp"
 
 
-_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
-# The same functions over arrays of times.
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 # ---------------------------------------------------------------------------
 # Constant folding. Subtrees whose operands are all literals collapse to a
-# literal so that structural equality doubles as a canonical form.
+# literal so that structural equality doubles as a canonical form. The
+# literal is the subtree's value under eval_expr, bit for bit; a subtree
+# that does not evaluate stays, and its evaluation reports the failure.
 
-def _fold1(make, fold, a):
-    if isinstance(a, Const):
+def _fold(node, *operands):
+    if all(isinstance(x, Const) for x in operands):
         try:
-            return Const(float(fold(a.value)))
-        except (ArithmeticError, ValueError):
+            return Const(eval_expr(node, 0.0))
+        except NonFiniteError:
             pass
-    return make(a)
-
-
-def _fold2(make, fold, a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
-        try:
-            v = float(fold(a.value, b.value))
-        except (ArithmeticError, ValueError):
-            return make(a, b)  # evaluation will report the failure
-        if math.isfinite(v):
-            return Const(v)
-    return make(a, b)
+    return node
 
 
 def _neg(a):
-    return _fold1(Neg, lambda x: -x, a)
+    return _fold(Neg(a), a)
 
 
 def _add(a, b):
-    return _fold2(Add, lambda x, y: x + y, a, b)
+    return _fold(Add(a, b), a, b)
 
 
 def _sub(a, b):
-    return _fold2(Sub, lambda x, y: x - y, a, b)
+    return _fold(Sub(a, b), a, b)
 
 
 def _mul(a, b):
-    return _fold2(Mul, lambda x, y: x * y, a, b)
+    return _fold(Mul(a, b), a, b)
 
 
 def _div(a, b):
-    return _fold2(Div, lambda x, y: x / y, a, b)
+    return _fold(Div(a, b), a, b)
 
 
 def _pow(a, n):
@@ -177,18 +171,11 @@ def _pow(a, n):
         return Const(1.0)
     if n == 1:
         return a
-    if isinstance(a, Const):
-        try:
-            v = float(a.value ** n)
-        except ArithmeticError:
-            return Pow(a, n)
-        if math.isfinite(v):
-            return Const(v)
-    return Pow(a, n)
+    return _fold(Pow(a, n), a)
 
 
 def _func(name, a):
-    return _fold1(lambda x: Func(name, x), _FUNCTIONS[name], a)
+    return _fold(Func(name, a), a)
 
 
 # ---------------------------------------------------------------------------
@@ -327,58 +314,50 @@ def parse_rate_expr(text, params=None):
 
 
 def eval_expr(f, t):
-    """Evaluate `f` at time `t`, a float or a 1-d float array of times.
+    """Evaluate `f` at time `t`, one time or an array of times.
 
-    A scalar `t` gives a float through the `math` functions, an array
-    gives an array of the same shape through the numpy ufuncs. Raises
-    :class:`NonFiniteError` if the result is not finite, or if a function
-    overflows or a division is by zero, so `1/exp(1000)` raises either
-    way; an intermediate that underflows to zero is fine. The array form
-    is stricter in one case: any intermediate that overflows raises,
-    where Python float arithmetic goes on with inf. So
-    `1/(exp(t)*exp(t))` at t = 400 is 0.0 as a scalar and raises as an
-    array, and since the rate check evaluates arrays, a run whose window
-    reaches such a time is refused.
+    An array of times gives an array of the same shape, and one time (a
+    float or a 0-d array) gives a float: the value at an array of that one
+    time, so a time's value does not depend on how it is asked for. Raises :class:`NonFiniteError` if the
+    result is not finite, or if any intermediate overflows or a division
+    is by zero, so `1/exp(1000)` and `1/(exp(t)*exp(t))` at t = 400 raise;
+    an intermediate that underflows to zero is fine.
     """
-    if isinstance(t, np.ndarray):
-        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-            try:
-                v = _eval(f, t.astype(float), _UFUNCS)
-            except FloatingPointError as exc:
-                raise NonFiniteError(f"expression {exc} on t in "
-                                     f"[{t.min():g}, {t.max():g}]") from exc
-        v = np.broadcast_to(v, t.shape).astype(float)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("expression evaluated to a non-finite value")
-        return v
-    try:
-        v = _eval(f, float(t), _FUNCTIONS)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise NonFiniteError(str(exc)) from exc
-    if not math.isfinite(v):
-        raise NonFiniteError(f"expression evaluated to {v!r} at t={t}")
-    return v
+    times = np.asarray(t, dtype=float)
+    if not times.size:  # no time to evaluate at, so none to fail at
+        return np.empty(times.shape)
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        try:
+            v = _eval(f, times.reshape(-1))
+        except FloatingPointError as exc:
+            raise NonFiniteError(f"expression {exc} on t in "
+                                 f"[{times.min():g}, {times.max():g}]") from exc
+    out = np.empty(times.size)
+    out[:] = v
+    if not np.isfinite(out).all():
+        raise NonFiniteError("expression evaluated to a non-finite value")
+    return out.reshape(times.shape) if times.ndim else float(out[0])
 
 
-def _eval(f, t, functions):
+def _eval(f, t):
     if isinstance(f, Const):
-        return f.value
+        return np.float64(f.value)  # so that an unfolded 1/0 raises as arrays do
     if isinstance(f, TimeVar):
         return t
     if isinstance(f, Neg):
-        return -_eval(f.arg, t, functions)
+        return -_eval(f.arg, t)
     if isinstance(f, Add):
-        return _eval(f.lhs, t, functions) + _eval(f.rhs, t, functions)
+        return _eval(f.lhs, t) + _eval(f.rhs, t)
     if isinstance(f, Sub):
-        return _eval(f.lhs, t, functions) - _eval(f.rhs, t, functions)
+        return _eval(f.lhs, t) - _eval(f.rhs, t)
     if isinstance(f, Mul):
-        return _eval(f.lhs, t, functions) * _eval(f.rhs, t, functions)
+        return _eval(f.lhs, t) * _eval(f.rhs, t)
     if isinstance(f, Div):
-        return _eval(f.lhs, t, functions) / _eval(f.rhs, t, functions)
+        return _eval(f.lhs, t) / _eval(f.rhs, t)
     if isinstance(f, Pow):
-        return _eval(f.base, t, functions) ** f.exponent
+        return _eval(f.base, t) ** f.exponent
     if isinstance(f, Func):
-        return functions[f.name](_eval(f.arg, t, functions))
+        return _FUNCTIONS[f.name](_eval(f.arg, t))
     raise TypeError(f"not a RateExpr node: {f!r}")
 
 
@@ -673,9 +652,9 @@ def _linear(f):
             return 0.0, b ** f.exponent
         raise _NoClosedForm
     if isinstance(f, Func):
-        a, b = _linear(f.arg)
+        a, _ = _linear(f.arg)
         if a == 0.0:
-            return 0.0, _FUNCTIONS[f.name](b)
+            return 0.0, eval_expr(f, 0.0)
         raise _NoClosedForm
     raise _NoClosedForm
 
@@ -691,26 +670,30 @@ def _term_antiderivative(sign, term):
     return _mul(Const(coeff), anti)
 
 
+# sin and cos antidifferentiate to each other, exp to itself, up to sign and 1/a.
+_PARTNERS = {"sin": "cos", "cos": "sin", "exp": "exp"}
+
+
 def _core_antiderivative(core):
     if core is None:
         return TimeVar()
 
     if isinstance(core, Func):
-        a, b0 = _linear_arg(core.arg)
-        # sin(a t + b): (cos(b) - cos(a t + b)) / a
+        # sin(a t + b): (cos(b) - cos(a t + b)) / a; cos(a t + b):
+        # (sin(a t + b) - sin(b)) / a; exp(a t + b): (exp(a t + b) - exp(b)) / a.
+        # The constant is its partner's value at t = 0, so F(0) = 0 bit for bit.
+        a = _slope(core.arg)
+        partner = Func(_PARTNERS[core.name], core.arg)
+        at_zero = Const(eval_expr(partner, 0.0))
         if core.name == "sin":
-            return _div(_sub(Const(math.cos(b0)), Func("cos", core.arg)), Const(a))
-        # cos(a t + b): (sin(a t + b) - sin(b)) / a
-        if core.name == "cos":
-            return _div(_sub(Func("sin", core.arg), Const(math.sin(b0))), Const(a))
-        # exp(a t + b): (exp(a t + b) - exp(b)) / a
-        return _div(_sub(Func("exp", core.arg), Const(math.exp(b0))), Const(a))
+            return _div(_sub(at_zero, partner), Const(a))
+        return _div(_sub(partner, at_zero), Const(a))
 
     if isinstance(core, Pow) and isinstance(core.base, Func):
         if core.exponent != 2 or core.base.name not in ("sin", "cos"):
             raise _NoClosedForm
-        a, b0 = _linear_arg(core.base.arg)
-        if b0 != 0.0:
+        a = _slope(core.base.arg)
+        if eval_expr(core.base.arg, 0.0) != 0.0:
             raise _NoClosedForm
         # sin^2(a t): t/2 - sin(2 a t)/(4 a); cos^2 flips the sign
         osc = _div(Func("sin", _mul(Const(2.0 * a), TimeVar())), Const(4.0 * a))
@@ -737,13 +720,9 @@ def _core_antiderivative(core):
     return _add(ramp, _mul(Const(b), TimeVar()))
 
 
-def _linear_arg(arg):
-    """Linear decomposition of a function argument, guarded against tiny slopes.
-
-    The constant term is re-evaluated as eval_expr(arg, 0) so the assembled
-    antiderivative vanishes at t = 0 exactly, bit for bit.
-    """
+def _slope(arg):
+    """The slope a of a function argument a*t + b, guarded against tiny slopes."""
     a, _ = _linear(arg)
     if abs(a) < MIN_FREQUENCY:
         raise _NoClosedForm
-    return a, eval_expr(arg, 0.0)
+    return a

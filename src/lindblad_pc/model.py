@@ -21,9 +21,10 @@ the solver refuses a grid that ends past it.
 `assemble` stores no part as a d^2 x d^2 matrix, but the values of the
 entries of L_H and every L_k (see `_entries`) on their union nonzero
 pattern: one (1 + K, nnz) table. `generator_at` and `integral_at` scatter
-a combination of its rows into a zero mu x mu matrix; no run calls them
-(the oracle applies the table itself), they serve the tests' dense
-references and perfbench's tracer.
+one row of `rate_table` or `integral_table` times that table into a zero
+mu x mu matrix, so the coefficients [1, gamma_k] and [t, Gamma_k] have one
+formula each. No run calls them (the oracle applies the table itself);
+they serve the tests' dense references and perfbench's tracer.
 
 The connected components of that pattern are the generator's invariant
 coordinate blocks. L(t), B(t) and exp(B(t)) vanish between blocks at
@@ -32,9 +33,12 @@ on its own: `assemble` stacks the blocks of each size (`groups`), and
 `integral_table` and `rate_table` give the coefficients of B(t) and
 L(t) on a grid of times, for `solver` and `commutativity` alike. Both
 go through their times in runs of consecutive points cut to one memory
-budget, `linalg.SLAB_BYTES`. A level-transition model with a diagonal H
-has one d x d block of populations and d^2 - d blocks of one coherence
-each; a fully coupled generator is a single block of size d^2.
+budget, `linalg.SLAB_BYTES`. `integral_table` refuses a time past
+`g.window`, where the quadrature would extrapolate; `rate_table` does
+not, since the oracle's step nodes may round past the grid's end. A
+level-transition model with a diagonal H has one d x d block of
+populations and d^2 - d blocks of one coherence each; a fully coupled
+generator is a single block of size d^2.
 """
 
 from __future__ import annotations
@@ -242,9 +246,20 @@ def _invariant_blocks(mu, rows, cols):
     return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
 
+def _check_window(g, end):
+    """Refuse a time `end` past g.window, where the rates were neither
+    checked nor integrated."""
+    if end > g.window:
+        raise ValueError(f"time grid ends at t={end:g}, past the window "
+                         f"[0, {g.window:g}] of the generator; assemble it for that t_max")
+
+
 def integral_table(g, times):
     """[t, Gamma_k(t)]: one row per time, the coefficients of B(t) on the
-    drift and each dissipator (one `values` call per antiderivative)."""
+    drift and each dissipator (one `values` call per antiderivative).
+    Refuses a time past g.window."""
+    times = np.asarray(times, dtype=float)
+    _check_window(g, times.max(initial=0.0))
     return np.column_stack([times, *(part.integral.values(times) for part in g.parts)])
 
 
@@ -255,20 +270,20 @@ def rate_table(g, times):
 
 
 def generator_at(g, t):
-    """L(t) = L_H + sum_k gamma_k(t) L_k, scattered from the entry table."""
-    return _scatter(g, [1.0, *(eval_expr(part.rate, t) for part in g.parts)])
+    """L(t) = L_H + sum_k gamma_k(t) L_k: the row of `rate_table` at t."""
+    return _scatter(g, rate_table(g, [t])[0])
 
 
 def integral_at(g, t):
-    """B(t) = t L_H + sum_k Gamma_k(t) L_k, exact up to scalar quadrature."""
-    return _scatter(g, [float(t), *(part.integral.value(t) for part in g.parts)])
+    """B(t) = t L_H + sum_k Gamma_k(t) L_k: the row of `integral_table` at t."""
+    return _scatter(g, integral_table(g, [t])[0])
 
 
 def _scatter(g, coefficients):
     """The mu x mu matrix with these coefficients on the drift and each
     dissipator."""
     out = np.zeros((g.mu, g.mu), dtype=complex)
-    out[g.rows, g.cols] = np.asarray(coefficients, dtype=float) @ g.values
+    out[g.rows, g.cols] = coefficients @ g.values
     return out
 
 

@@ -63,7 +63,7 @@ import numpy as np
 from .errors import GridMismatchError, NonFiniteError, StepSizeUnderflowError
 from . import linalg
 from .linalg import expm, expm_frechet, unvec, vec
-from .model import integral_table, rate_table
+from .model import _check_window, integral_table, rate_table
 # generator_at and integral_at are not called here, but perfbench's tracer
 # wraps the names in this module, so they stay bound.
 from .model import generator_at, integral_at  # noqa: F401
@@ -105,9 +105,7 @@ def _check_grid(g, grid):
         raise ValueError("time grid must start at 0")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("time grid must be strictly increasing")
-    if grid[-1] > g.window:
-        raise ValueError(f"time grid ends at t={grid[-1]:g}, past the window "
-                         f"[0, {g.window:g}] of the generator; assemble it for that t_max")
+    _check_window(g, grid[-1])
     return grid
 
 

@@ -74,8 +74,9 @@ class TestEval:
         times = np.linspace(0.0, 30.0, 301)
         values = eval_expr(f, times)
         assert values.shape == times.shape and values.dtype == float
-        scalars = np.array([eval_expr(f, t) for t in times])
-        assert np.all(np.abs(values - scalars) <= 1e-15 * np.maximum(1.0, np.abs(scalars)))
+        scalars = [eval_expr(f, t) for t in times]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(values, scalars)
 
     @pytest.mark.parametrize("text, t", [("1/exp(t)", -1000.0), ("1/t", 0.0),
                                          ("exp(t)", 1e6), ("t^400", 10.0),
@@ -87,9 +88,11 @@ class TestEval:
         with pytest.raises(NonFiniteError):
             eval_expr(f, np.array([0.5, t, 2.0]))
 
-    def test_array_raises_on_an_intermediate_overflow_the_scalar_passes(self):
+    def test_an_intermediate_overflow_raises_either_way(self):
+        # exp(400)^2 overflows though its reciprocal underflows to 0.0
         f = parse_rate_expr("1/(exp(t)*exp(t))", {})
-        assert eval_expr(f, 400.0) == 0.0
+        with pytest.raises(NonFiniteError):
+            eval_expr(f, 400.0)
         with pytest.raises(NonFiniteError):
             eval_expr(f, np.array([0.0, 400.0]))
 
@@ -127,12 +130,32 @@ class TestAntiderivative:
             assert abs(F.value(t) - (1 - math.exp(-w * t)) / w) <= 1e-12
 
     def test_starts_at_zero_exactly(self):
+        # exp(-0.5*t + 2.992101) is 7.1e-15 at t = 0 when its constant exp(b)
+        # is rounded by another exp than the one that evaluates the rate
         texts = ["sin(3*t)^2", "cos(0.7*t)^2", "exp(-1.3*t)", "t^3", "4.0",
-                 "sin(2*t+1)", "cos(t-0.5)", "2*exp(0.5*t)-1"]
+                 "sin(2*t+1)", "cos(t-0.5)", "2*exp(0.5*t)-1", "exp(-0.5*t + 2.992101)"]
         for text in texts:
             F = antiderivative(parse_rate_expr(text, {}), WINDOW)
             assert F.is_closed_form, text
             assert F.value(0.0) == 0.0, text
+            assert F.values(np.array([0.0])).tolist() == [0.0], text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["sin(a*t + b)", "cos(a*t - b)", "exp(-a*t + b)", "sin(a*t)^2",
+                            "cos(a*t)^2", "b*t^3", "a*t + b", "b",
+                            "2*exp(a*t/9 - b) - sin(a*t)^2 + t^2"]),
+           st.floats(min_value=0.1, max_value=3.0),
+           st.floats(min_value=-3.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=WINDOW))
+    @example("exp(-a*t + b)", 0.5, 2.992101, 0.0)
+    def test_a_time_has_one_value_however_it_is_asked_for(self, text, a, b, t):
+        f = parse_rate_expr(text, {"a": a, "b": b})
+        F = antiderivative(f, WINDOW)
+        assert F.is_closed_form
+        value = eval_expr(f, t)
+        assert type(value) is float
+        assert value == eval_expr(f, np.array([t]))[0]
+        assert F.value(t) == F.values(np.array([t]))[0]
 
     def test_derivative_round_trip_bounded_rates(self):
         # central difference of F reproduces f on [0, 20]

@@ -9,6 +9,7 @@ from lindblad_pc import (
     assemble,
     builtin,
     eval_expr,
+    gamma_operator,
     generator_at,
     integral_at,
     jump_operator,
@@ -20,7 +21,7 @@ from lindblad_pc import (
     vec,
 )
 from lindblad_pc.errors import ModelFileError, UnknownModelError
-from lindblad_pc.model import Jump
+from lindblad_pc.model import Jump, integral_table
 
 from conftest import MODEL_PARAMS, make_generator
 
@@ -267,6 +268,14 @@ class TestBuiltin:
         with pytest.raises(ValueError, match=message):
             assemble(model, 1e5)
 
+    def test_a_rate_that_fails_at_every_time_is_named_at_zero(self):
+        # 1/0 does not fold, and its division fails on every prefix of the
+        # samples, the empty one too
+        doc = '{"dimension": 2, "jumps": [{"from": 2, "to": 1, "rate": "1/0 + t"}]}'
+        model, _ = loads_model(doc)
+        with pytest.raises(ValueError, match=r"not finite at t=0$"):
+            assemble(model)
+
     def test_antiderivatives_are_built_on_the_window(self):
         # built on the default window [0, 20], this integral is off by 1.9e-2 at t = 1e4
         jump = Jump(jump_operator(2, 1, 2), parse_rate_expr("1/(1 + 1.1*t^2)"))
@@ -274,6 +283,26 @@ class TestBuiltin:
         assert g.window == 1e4
         exact = math.atan(math.sqrt(1.1) * 1e4) / math.sqrt(1.1)
         assert g.parts[0].integral.value(1e4) == pytest.approx(exact, rel=0, abs=4e-15)
+
+
+class TestWindow:
+    """The coefficients of B(t) are refused past g.window, where the
+    quadrature would extrapolate: built on [0, 20], the integral of this
+    rate is 1.93e-2 off at t = 1e4."""
+
+    @pytest.mark.parametrize("call", [
+        integral_at,
+        lambda g, t: integral_table(g, [0.0, t]),
+        lambda g, t: gamma_operator(g, t, 1),
+    ], ids=["integral_at", "integral_table", "gamma_operator"])
+    def test_a_time_past_the_window_is_refused(self, call):
+        jumps = [Jump(jump_operator(3, 1, 2), parse_rate_expr("1/(1 + 1.1*t^2)"), 2, 1),
+                 Jump(jump_operator(3, 2, 3), parse_rate_expr("sin(t)^2"), 3, 2)]
+        g = assemble(LindbladModel(3, np.diag([-1.0, 0.0, 1.0]).astype(complex), jumps))
+        assert g.window == 20.0
+        with pytest.raises(ValueError, match=r"t=20\.5, past the window \[0, 20\]"):
+            call(g, 20.5)
+        assert np.all(np.isfinite(call(g, 20.0)))
 
 
 LEVEL_JUMP = {"from": 3, "to": 2, "rate": "1"}

@@ -56,6 +56,17 @@ class TestClosedForm:
         tr = propagate_closed_form(g, rho0, GRID)
         assert np.abs(tr.states[0] - rho0).max() == 0.0
 
+    def test_initial_state_is_returned_at_zero_under_a_shifted_exponential(self):
+        # Gamma(0) = (exp(b) - exp(b)) / a is 0 only when the constant exp(b)
+        # is rounded as the rate's exp is; at this b, math.exp and numpy's
+        # exp differ by one ULP
+        jumps = [Jump(jump_operator(3, 2, 3), parse_rate_expr("exp(-0.5*t + 2.992101)"), 3, 2),
+                 Jump(jump_operator(3, 1, 2), parse_rate_expr("cos(t)^2"), 2, 1)]
+        g = assemble(LindbladModel(3, np.diag([-1.0, 0.0, 1.0]).astype(complex), jumps))
+        for rho0 in (phase_state(3, [2, 3], [0.4]), diag_state(0.2, 0.3, 0.5)):
+            tr = propagate_closed_form(g, rho0, GRID)
+            assert np.abs(tr.states[0] - rho0).max() == 0.0
+
     def test_v3_populations(self):
         g = make_generator("v3")
         tr = propagate_closed_form(g, diag_state(0.5, 0, 0.5), GRID)
@@ -214,7 +225,8 @@ def central_difference_residual(g, alpha, grid):
 
 class TestFedorovResidual:
     def test_matches_central_difference_on_negative_control(self):
-        g = make_generator("cascade3")
+        # the differences reach B(t + h) at the grid's end, so the window holds that time
+        g = model.assemble(model.builtin("cascade3", MODEL_PARAMS["cascade3"]), 21.0)
         alpha = vec(diag_state(0.0, 0.0, 1.0))
         grid = np.linspace(0.0, 20.0, 400)
         exact = fedorov_residual(g, alpha, grid)
