@@ -19,6 +19,20 @@ changes the `--out` file. A non-finite state anywhere on the grid exits
 3; otherwise an eigenvalue or trace failure exits 2, raised by the first
 block that fails and naming that block's lowest eigenvalue.
 
+`verify` goes through the grid once, one row block at a time (see the
+`solver` module docstring): the closed form with its flow residual
+(`solver.flow_blocks`, one `expm_frechet` per group of blocks), then the
+oracle's dense output on the same points (`solver.oracle_blocks`). It
+keeps only the largest trace distance and residual, and prints them once
+the last block has passed. At the v3 grid bound (466,033 steps; 2-CPU
+x86-64 host) it peaks at 73 MB resident, below `solve`'s 106 MB, where
+three passes over whole trajectories took 247 MB. When the closed form
+and the oracle both fail (a non-finite state; the oracle's step size or
+count of evaluations), both exit 3, and the failure reported is the one
+in the earlier row block, and within one row block the closed form's,
+which is computed first. Three passes ran the closed form of the whole
+grid first and so reported its failure wherever on the grid it was.
+
 Exit codes: 0 success, 2 input error, 3 numeric failure or out of memory,
 4 inadmissible initial state without --force, 5 verification failure.
 Exit 2 also refuses, before any work: a `--params` value that is NaN or
@@ -94,13 +108,12 @@ EXIT_VERIFY = 5
 
 DEFAULT_STEPS = 400
 DEFAULT_VERIFY_TOL = 1e-6
-# The most steps x d^2 that solve and verify take. verify holds a few
-# complex arrays of that many entries (the closed-form and oracle states
-# and their copies as d x d matrices), 64 MiB each at the bound; solve
-# holds the CSV text and the coefficient table of the whole grid, and one
-# row block of the rest. At the bound on v3 (466,033 steps; 2-CPU x86-64
-# host, one process each) solve peaks at 106 MB resident (121 MB with one
-# coherence pair) and verify at 247 MB.
+# The most steps x d^2 that solve and verify take. Both hold one row
+# block of states at a time and some arrays over the whole grid: solve
+# the CSV text and the coefficient table, verify the coefficient and rate
+# tables, the grid and the rounding bound. At the bound on v3 (466,033
+# steps; 2-CPU x86-64 host, one process each) solve peaks at 106 MB
+# resident (121 MB with one coherence pair) and verify at 73 MB.
 MAX_GRID_ENTRIES = 2**22
 T_MAX_HELP = (f"end of the time grid (default {model.HORIZON:g}, at most "
               f"{model.MAX_T_MAX:g}); rates and sample times are checked on the "
@@ -373,10 +386,14 @@ def cmd_verify(args):
         return failure
     from . import solver
 
-    closed = solver.propagate_closed_form(g, rho0, grid)
-    oracle = solver.ode_oracle(g, rho0, grid)
-    distance = solver.compare(closed, oracle)
-    residual = solver.fedorov_residual(g, linalg.vec(rho0), grid)
+    # One pass over the grid, a row block at a time: the closed form with
+    # its flow residual, then the oracle on the same points. Only the
+    # running maxima are kept; np.maximum lets a NaN through.
+    distance = residual = 0.0
+    for (closed, block_residual), oracle in zip(solver.flow_blocks(g, linalg.vec(rho0), grid),
+                                                solver.oracle_blocks(g, rho0, grid)):
+        distance = np.maximum(distance, solver.compare(closed, oracle))
+        residual = np.maximum(residual, block_residual)
 
     print(f"max trace distance: {distance:.3e}")
     print(f"fedorov residual: {residual:.3e}")

@@ -446,20 +446,21 @@ class TestSolveInRowBlocks:
         return argv
 
     @staticmethod
-    def blocks_of(rows, argv, monkeypatch):
+    def blocks_of(rows, argv, monkeypatch, frechet=False):
         """Set linalg.SLAB_BYTES to the least budget that gives this solve
-        row blocks of `rows` points."""
-        g = model.assemble(modelfile.load_model(argv[1])[0], 40.0)
+        (or, with `frechet`, this verify) row blocks of `rows` points; the
+        row blocks do not depend on the window."""
+        g = model.assemble(cli._load_model(cli.build_parser().parse_args(argv))[0])
         low, high = 0, 2**40
         while high - low > 1:
             mid = (low + high) // 2
             monkeypatch.setattr(linalg, "SLAB_BYTES", mid)
-            if solver._row_blocks(g, rows + 1)[0].stop >= rows:
+            if solver._row_blocks(g, rows + 1, frechet)[0].stop >= rows:
                 high = mid
             else:
                 low = mid
         monkeypatch.setattr(linalg, "SLAB_BYTES", high)
-        assert solver._row_blocks(g, rows + 1)[0].stop == rows
+        assert solver._row_blocks(g, rows + 1, frechet)[0].stop == rows
         return len(g.groups)
 
     def test_memory_does_not_grow_with_the_steps(self, tmp_path, capsys):
@@ -530,3 +531,91 @@ class TestSolveInRowBlocks:
             # the closed form stops at an overflow, and only there
             assert len(calls) == (groups + 1 if overflow else groups * -(-1000 // 7))
         assert out.read_text() == "kept\n"
+
+
+class TestVerifyInRowBlocks:
+    """`verify` goes through the grid once, one row block at a time: the
+    closed form with its flow residual (`solver.flow_blocks`), then the
+    oracle's dense output on the same points (`solver.oracle_blocks`),
+    keeping only the running maxima of the distance and the residual."""
+
+    @staticmethod
+    def argv(tmp_path, steps):
+        """The d = 6 verify of the quadrature-solve benchmark workload (seed
+        1, on [0, 20]), at `steps` points."""
+        ops = workloads.build("quadrature-solve", 1, tmp_path)
+        op = next(op for op in ops if op.command == "verify" and op.dim == 6)
+        return [*op.argv, "--steps", str(steps)]
+
+    def test_memory_does_not_grow_with_the_steps(self, tmp_path, capsys):
+        # Three passes over whole trajectories took about 1.7 KB per grid
+        # point. What is left grows by the coefficient and rate tables, the
+        # grid and the rounding bound, about 112 B per point.
+        assert cli.main(self.argv(tmp_path, 2)) == cli.EXIT_OK  # imports, first calls
+        peaks = []
+        for steps in (1500, 24000):
+            argv = self.argv(tmp_path, steps)
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == cli.EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr().err == ""
+        assert (peaks[1] - peaks[0]) / (24000 - 1500) <= 256
+
+    def test_output_does_not_depend_on_the_row_blocks(self, tmp_path, capsys, monkeypatch):
+        argv = self.argv(tmp_path, 400)
+        loaded, _ = modelfile.load_model(argv[1])
+        g = model.assemble(loaded)
+        rho0 = cli._parse_rho0(argv[argv.index("--rho0") + 1], g.dim)
+        grid = np.linspace(0.0, model.HORIZON, 400)
+        printed = {}
+        for rows in (400, 7, 1):
+            TestSolveInRowBlocks.blocks_of(rows, argv, monkeypatch, frechet=True)
+            printed[rows] = run(capsys, *argv)
+            blocks = list(solver.oracle_blocks(g, rho0, grid))
+            assert [block.times.size for block in blocks][:-1] == [rows] * (len(blocks) - 1)
+            if rows == 400:
+                whole = solver.ode_oracle(g, rho0, grid)
+            else:
+                # some step's dense output runs across the end of a row block
+                assert len({block.rhs_calls for block in blocks}) < len(blocks)
+            assert np.array_equal(np.concatenate([block.states for block in blocks]),
+                                  whole.states)
+            assert blocks[-1].rhs_calls == whole.rhs_calls
+        assert printed[400][0] == cli.EXIT_OK and printed[400][2] == ""
+        assert printed[7] == printed[1] == printed[400]
+
+    @pytest.mark.parametrize("failing_block, message", [
+        (1, "numeric failure: the matrix exponential overflows\n"),
+        (2, "numeric failure: ODE oracle step size fell below "),
+    ], ids=["closed-form-first", "oracle-first"])
+    def test_the_failure_in_the_earlier_row_block_is_reported(self, capsys, monkeypatch,
+                                                              failing_block, message):
+        # From t = 0.5 on every rate is 1e10, as in
+        # test_oracle_step_size_underflow_exits_3, so the oracle fails in
+        # the second row block of 7 points (t = 0.35..0.65); the closed form
+        # fails in row block `failing_block` (v3 has one group with b > 1).
+        argv = ["verify", *builtin_args("v3"), "--rho0", "pure:1"]
+        TestSolveInRowBlocks.blocks_of(7, argv, monkeypatch, frechet=True)
+        rates, expm_frechet, calls = solver.rate_table, solver.expm_frechet, []
+
+        def jumping(g, times):
+            table = rates(g, times)
+            table[times > 0.5, 1:] = 1e10
+            return table
+
+        def failing(a, e):
+            calls.append(a.shape)
+            if len(calls) > failing_block:
+                raise NonFiniteError("the matrix exponential overflows")
+            return expm_frechet(a, e)
+
+        monkeypatch.setattr(solver, "rate_table", jumping)
+        monkeypatch.setattr(solver, "expm_frechet", failing)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (cli.EXIT_NUMERIC, "")
+        assert err.startswith(message) and err.count("\n") == 1
+        assert calls[0][1:] == (1, 3, 3)
+

@@ -21,7 +21,7 @@ from lindblad_pc import (
     unvec,
     vec,
 )
-from lindblad_pc import cli, model, modelfile
+from lindblad_pc import cli, model, modelfile, solver
 from lindblad_pc.model import Jump
 from lindblad_pc.errors import GridMismatchError
 from lindblad_pc.solver import closed_form_blocks
@@ -318,3 +318,46 @@ class TestNegativeControl:
         closed = propagate_closed_form(g, rho0, grid)
         oracle = ode_oracle(g, rho0, grid)
         assert compare(closed, oracle) > 1e-3
+
+
+def benchmark_verifies(directory):
+    """(argv, model, initial state) of each verify of the benchmark's
+    workloads at seed 1 that must pass: the four built-ins and the d = 3,
+    4, 6 quadrature cascades."""
+    cases = []
+    for name in workloads.WORKLOADS:
+        for op in workloads.build(name, 1, directory):
+            if op.command == "verify" and op.exit_code == cli.EXIT_OK:
+                args = cli.build_parser().parse_args(op.argv)
+                loaded, initial_state = cli._load_model(args)
+                cases.append((list(op.argv), loaded,
+                              cli._resolve_rho0(args, loaded.dim, initial_state)))
+    return cases
+
+
+class TestFlowBlocks:
+    """`verify`'s one pass takes the states of each group with b > 1 from
+    the exponential of `expm_frechet`, not from `expm` as `solve` does."""
+
+    @pytest.mark.parametrize("t_max", [20.0, 1e3, 1e4])
+    def test_states_are_the_closed_form_to_its_rounding(self, tmp_path, t_max):
+        # at most 0.19 of the bound was seen
+        grid = np.linspace(0.0, t_max, cli.DEFAULT_STEPS)
+        for _, loaded, rho0 in benchmark_verifies(tmp_path):
+            g = model.assemble(loaded, t_max)
+            closed = propagate_closed_form(g, rho0, grid)
+            one = np.concatenate([b.states for b, _ in solver.flow_blocks(g, vec(rho0), grid)])
+            assert np.all(np.abs(one - closed.states).max(axis=(1, 2)) <= closed.rounding)
+            single = np.concatenate([coords.ravel() for coords, _ in g.groups
+                                     if coords.shape[1] == 1])
+            assert single.size
+            flat = [np.swapaxes(s, 1, 2).reshape(grid.size, -1)[:, single]
+                    for s in (one, closed.states)]
+            assert np.array_equal(*flat)
+
+    def test_residual_is_the_one_verify_prints(self, tmp_path, capsys):
+        grid = np.linspace(0.0, model.HORIZON, cli.DEFAULT_STEPS)
+        for argv, loaded, rho0 in benchmark_verifies(tmp_path):
+            assert cli.main(argv) == cli.EXIT_OK
+            residual = fedorov_residual(model.assemble(loaded), vec(rho0), grid)
+            assert f"fedorov residual: {residual:.3e}\n" in capsys.readouterr().out

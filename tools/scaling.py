@@ -18,6 +18,11 @@ cos^2 in turn), d = 3..16, 20, 24, 28 and 32, for parent and change alike:
     flow_residual  the flow certificate on the same points
     oracle         the DOP853 oracle on the same points (and its count of
                    right-hand-side evaluations, `Trajectory.rhs_calls`)
+    verify         `lindblad_pc.cli.cmd_verify` past its prologue on the
+                   same points: the closed form, the oracle, their
+                   distance and the flow certificate, as the CLI's
+                   `verify` takes them (`cli._prepare` is replaced by the
+                   prepared model, state and grid, and stdout discarded)
 
 Parent and change are timed at one BLAS thread in ROUNDS rounds, one
 process each per round, alternating (parent first in even rounds, change
@@ -62,7 +67,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RATES = ("sin({w}*t)^2", "exp(-{a}*t)", "cos({w}*t)^2")
-STAGES = ("assemble", "gate", "classify", "closed_form", "flow_residual", "oracle")
+STAGES = ("assemble", "gate", "classify", "closed_form", "flow_residual", "oracle", "verify")
 DIMS = (*range(3, 17), 20, 24, 28, 32)
 ROUNDS = 5
 RUNS = (("parent", "default"), ("change", "default"), ("change", "cli"))
@@ -113,7 +118,24 @@ def _stages(d):
     oracle, out["oracle"] = _measure(lambda: solver.ode_oracle(g, rho0, grid))
     # None for a tree whose oracle did not count its evaluations
     out["oracle_rhs_calls"] = getattr(oracle, "rhs_calls", None)
+    _, out["verify"] = _measure(lambda: verify(g, rho0, grid))
     return out
+
+
+def verify(g, rho0, grid):
+    """The exit code of `cli.cmd_verify` on a prepared run, with
+    `cli._prepare` returning (g, rho0, grid) and stdout discarded: the
+    stage takes whatever path the tree's `verify` takes after its
+    prologue."""
+    from lindblad_pc import cli
+
+    prepare = cli._prepare
+    cli._prepare = lambda args: (g, rho0, grid, [], None)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.cmd_verify(argparse.Namespace(tol=cli.DEFAULT_VERIFY_TOL))
+    finally:
+        cli._prepare = prepare
 
 
 def worker(pool):
