@@ -29,8 +29,7 @@ _EXPORTS = {
         "RateExpr", "antiderivative", "eval_expr", "format_expr", "parse_rate_expr",
     ),
     "linalg": (
-        "SubspaceBasis", "commutator", "expm", "minimal_poly_degree",
-        "null_space", "unvec", "vec",
+        "SubspaceBasis", "commutator", "minimal_poly_degree", "null_space", "unvec", "vec",
     ),
     "model": (
         "GeneratorDecomposition", "Jump", "LindbladModel", "assemble", "builtin",
@@ -41,10 +40,12 @@ _EXPORTS = {
         "excluded_coordinate", "functional_commutativity", "gamma_operator",
         "integral_commutativity", "partial_subspace",
     ),
+    "exponential": ("expm",),
     "solver": (
         "Trajectory", "compare", "fedorov_residual", "ode_oracle",
         "propagate_closed_form", "trace_distance",
     ),
+    "dop853": (),
     "observables": (
         "ObservableSeries", "coherence", "entropy", "observable_series",
         "populations", "purity",

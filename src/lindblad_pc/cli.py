@@ -46,18 +46,26 @@ package.
 
 A process loads only the package modules its subcommand runs. Every
 command, `--help` too, loads this module with `errors`, `expr`,
-`linalg`, `model` and `commutativity`; `solve` adds `solver` and
-`observables`, and `verify` adds `solver`, once the initial state is
-admitted; `modelfile` loads for a model file, `--emit-model` or an
-`--rho0 file:` state. So `classify --builtin` and a refused `verify`
-never compile `solver`, `observables` or `modelfile`. No module defines
-its types with `dataclasses`, whose decorators generate and `exec` the
-methods of each class at import: the expression nodes share one slotted
-value type, and the records are NamedTuples or slotted classes. With
-numpy loaded and no bytecode cache (PYTHONDONTWRITEBYTECODE=1),
-`import lindblad_pc.cli` takes 32 ms (median of 40 fresh processes on a
-2-CPU x86-64 host, BENCH_15.json), against 49 ms when it loaded every
-module and defined 19 dataclasses.
+`linalg`, `model` and `commutativity`. Once the initial state is
+admitted, `solve` adds `solver`, with the matrix exponential
+(`exponential`), and `observables`; `verify` adds `solver` and
+`exponential`, and the DOP853 stepper (`dop853`) when the oracle
+starts. `modelfile`, and with it `json`, loads for a model file,
+`--emit-model` or an `--rho0 file:` state, and `json` alone for
+`classify --json`. So `--help`, `classify --builtin` and a refused
+`verify` compile none of `solver`, `exponential`, `dop853`,
+`observables` or `modelfile`, and `solve` no `dop853`. No process
+imports numpy.polynomial: the quadrature's two Gauss-Legendre rules are
+literals (`expr._gauss`). No module defines its types with
+`dataclasses`, whose decorators generate and `exec` the methods of each
+class at import: the expression nodes share one slotted value type, and
+the records are NamedTuples or slotted classes. With numpy loaded and no
+bytecode cache (PYTHONDONTWRITEBYTECODE=1), `import lindblad_pc.cli`
+takes 23.7 ms, against 32.0 ms when this module also loaded `json` and
+`linalg` held the exponential (medians of 21 alternating fresh
+processes on a 2-CPU x86-64 host, the `imports` table of
+`tools/scaling.py` in BENCH_24.json); it took 49 ms when it loaded every
+module and defined 19 dataclasses (BENCH_15.json).
 
 The CLI runs numpy's BLAS on one thread, set in one of two places. A
 CLI process (`python -m lindblad_pc`, or the installed `lindblad-pc`
@@ -91,7 +99,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import math
 import os
 import sys
@@ -238,6 +245,8 @@ def _parse_rho0(spec, d):
         phases = [float(x) for x in phases_part.split(",")] if phases_part else None
         return model.phase_state(d, levels, phases)
     if kind == "file":
+        import json
+
         from . import modelfile
 
         with open(rest, encoding="utf-8") as fh:
@@ -312,6 +321,8 @@ def _prepare(args, coherences=()):
 def cmd_classify(args):
     report = commutativity.classify(_assemble(args, *_load_model(args)))
     if args.as_json:
+        import json
+
         print(json.dumps({
             "functional": report.functional,
             "integral": report.integral,

@@ -264,9 +264,27 @@ def integral_table(g, times):
 
 
 def rate_table(g, times):
-    """[1, gamma_k(t)]: one row per time, the coefficients of L(t)."""
-    return np.column_stack([np.ones_like(times),
-                            *(eval_expr(part.rate, times) for part in g.parts)])
+    """[1, gamma_k(t)]: one row per time, the coefficients of L(t).
+
+    Each column is what `eval_expr` gives for its rate, but every rate is
+    evaluated under one floating-point check into the table, which is
+    checked for finiteness once (the oracle takes a table per step
+    attempt). On a failure each rate goes through `eval_expr` again, so
+    the first that fails raises its NonFiniteError."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    table = np.empty((times.size, 1 + len(g.parts)))
+    table[:, 0] = 1.0
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            for k, part in enumerate(g.parts, start=1):
+                table[:, k] = _expr._eval(part.rate, times)
+        if np.isfinite(table).all():
+            return table
+    except FloatingPointError:
+        pass
+    for k, part in enumerate(g.parts, start=1):
+        table[:, k] = eval_expr(part.rate, times)
+    return table
 
 
 def generator_at(g, t):

@@ -43,7 +43,7 @@ from lindblad_pc import (
 )
 from lindblad_pc.linalg import DEFAULT_REL_TOL
 from lindblad_pc.model import Jump
-from lindblad_pc import commutativity, linalg, model, solver
+from lindblad_pc import commutativity, exponential, linalg, model, solver
 from lindblad_pc.cli import _use_one_blas_thread
 
 from conftest import MODEL_NAMES, MODEL_PARAMS, assert_oracle_matches_scipy
@@ -252,7 +252,8 @@ class TestAgainstDense:
         monkeypatch.setattr(linalg, "SLAB_BYTES", 2**16)
         assert len(solver._row_blocks(g, grid.size)) > 2
         assert len(solver._row_blocks(g, grid.size, frechet=True)) > 2
-        frechet, plain = (linalg.SLAB_BYTES // linalg._slice_bytes(4, f) for f in (True, False))
+        frechet, plain = (linalg.SLAB_BYTES // exponential._slice_bytes(4, f)
+                          for f in (True, False))
         assert 1 < frechet < plain < 25
         whole = propagate_closed_form(g, rho0, grid).states
         alone = np.array([propagate_closed_form(g, rho0, np.array([0.0, t])).states[-1]

@@ -13,6 +13,7 @@ from lindblad_pc import (
     format_expr,
     parse_rate_expr,
 )
+from lindblad_pc import expr
 from lindblad_pc.errors import ExprSyntaxError, NonFiniteError, UnboundParameterError
 from lindblad_pc.expr import Add, Const, Div, Mul, Sub, TimeVar
 
@@ -197,6 +198,14 @@ class TestAntiderivative:
         assert F.value(0.0) == 0.0
         # sin(w t)^2 ~ (w t)^2 for tiny w
         assert F.value(10.0) == pytest.approx((1e-8) ** 2 * 1000.0 / 3.0, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [7, 15])
+    def test_gauss_rules_are_leggauss_bit_for_bit(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        for literal, computed in zip(expr._gauss(n), leggauss(n)):
+            assert (literal.dtype, literal.shape) == (computed.dtype, computed.shape)
+            assert literal.tobytes() == computed.tobytes()
 
     def test_quadrature_agrees_with_closed_form(self):
         f = parse_rate_expr("sin(t)^2", {})

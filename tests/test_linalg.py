@@ -16,9 +16,9 @@ from lindblad_pc import (
     unvec,
     vec,
 )
-from lindblad_pc import linalg
+from lindblad_pc import exponential, linalg
 from lindblad_pc.errors import DimensionMismatchError, NonFiniteError
-from lindblad_pc.linalg import expm_frechet
+from lindblad_pc.exponential import expm_frechet
 
 
 def random_complex(rng, *shape):
@@ -224,7 +224,7 @@ class TestStacks:
         a[::10] = 0
         a[5::10] = np.einsum("kii->ki", a[5::10])[:, :, None] * np.eye(n)
         monkeypatch.setattr(linalg, "SLAB_BYTES", 1024 * n * n)
-        assert 1 < linalg.SLAB_BYTES // linalg._slice_bytes(n) < norms.size
+        assert 1 < linalg.SLAB_BYTES // exponential._slice_bytes(n) < norms.size
         order = rng.permutation(norms.size)
         for stack in (a, a[order]):
             before = stack.copy()

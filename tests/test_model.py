@@ -20,8 +20,8 @@ from lindblad_pc import (
     unvec,
     vec,
 )
-from lindblad_pc.errors import ModelFileError, UnknownModelError
-from lindblad_pc.model import Jump, integral_table
+from lindblad_pc.errors import ModelFileError, NonFiniteError, UnknownModelError
+from lindblad_pc.model import Jump, integral_table, rate_table
 
 from conftest import MODEL_PARAMS, make_generator
 
@@ -303,6 +303,45 @@ class TestWindow:
         with pytest.raises(ValueError, match=r"t=20\.5, past the window \[0, 20\]"):
             call(g, 20.5)
         assert np.all(np.isfinite(call(g, 20.0)))
+
+
+
+class TestRateTable:
+    """rate_table against its reference, one eval_expr per rate."""
+
+    @staticmethod
+    def reference(g, times):
+        return np.column_stack([np.ones_like(times),
+                                *(eval_expr(part.rate, times) for part in g.parts)])
+
+    @staticmethod
+    def generator(*rates):
+        jumps = [Jump(jump_operator(2, 1, 2), parse_rate_expr(rate)) for rate in rates]
+        return assemble(LindbladModel(2, np.zeros((2, 2), dtype=complex), jumps))
+
+    @pytest.mark.parametrize("name", MODEL_PARAMS)
+    def test_is_the_reference_bit_for_bit(self, name):
+        g = assemble(builtin(name, MODEL_PARAMS[name]))
+        for times in (np.linspace(0.0, 20.0, 97), np.array([7.25]), np.empty(0)):
+            table = rate_table(g, times)
+            expected = self.reference(g, times)
+            assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
+            assert table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rates, times", [
+        # the first rate's value is not finite, the second raises first
+        (("t", "sin(t)^2"), [1.0, math.inf]),
+        (("1", "exp(t)"), [0.0, 800.0]),
+        (("exp(t)", "1/(30 - t)"), [10.0, 30.0]),
+    ], ids=["non-finite-value", "overflow", "division-by-zero"])
+    def test_a_failure_raises_what_the_reference_raises(self, rates, times):
+        g = self.generator(*rates)
+        times = np.array(times)
+        with pytest.raises(NonFiniteError) as expected:
+            self.reference(g, times)
+        with pytest.raises(NonFiniteError) as raised:
+            rate_table(g, times)
+        assert str(raised.value) == str(expected.value)
 
 
 LEVEL_JUMP = {"from": 3, "to": 2, "rate": "1"}

@@ -130,8 +130,8 @@ print(json.dumps({"code": code, "loaded": sorted(m for m in watched if m in sys.
 """
 
 # The package modules that only solve, verify and model files use.
-PROPAGATION_MODULES = ("lindblad_pc.solver", "lindblad_pc.observables",
-                       "lindblad_pc.modelfile")
+PROPAGATION_MODULES = ("lindblad_pc.solver", "lindblad_pc.exponential", "lindblad_pc.dop853",
+                       "lindblad_pc.observables", "lindblad_pc.modelfile")
 
 
 def loaded_modules(argv, watched):
@@ -140,11 +140,48 @@ def loaded_modules(argv, watched):
 
 
 @pytest.mark.parametrize("argv, code", [
+    (("--help",), 0),
     (("classify", *CASCADE3, "--json"), 0),
     (("verify", *CASCADE3, "--rho0", "diag:0.3,0.3,0.4"), 4),
-], ids=["classify", "refused-verify"])
+], ids=["help", "classify", "refused-verify"])
 def test_runs_that_never_propagate_load_no_solver(argv, code):
     assert loaded_modules(argv, PROPAGATION_MODULES) == (code, [])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("solve", *BUILTINS["cascade4"], "--rho0", "pure:1", "--steps", "5"),
+     ["lindblad_pc.exponential"]),
+    (("verify", *BUILTINS["v3"], "--rho0", "pure:1", "--t-max", "2", "--steps", "5"),
+     ["lindblad_pc.dop853", "lindblad_pc.exponential"]),
+], ids=["solve", "verify"])
+def test_only_verify_loads_the_oracle(argv, loaded):
+    assert loaded_modules(argv, ["lindblad_pc.exponential", "lindblad_pc.dop853"]) == (0, loaded)
+
+
+# A model file whose two rates have no closed-form antiderivative, so
+# that `assemble` integrates them by Gauss-Legendre quadrature.
+QUADRATURE_MODEL = {
+    "dimension": 3,
+    "hamiltonian": {"diagonal": [-1.0, 0.0, 1.0]},
+    "jumps": [{"from": 3, "to": 2, "rate": "1/(1 + t^2)"},
+              {"from": 2, "to": 1, "rate": "t/(1 + t^2)"}],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify",),
+    ("solve", "--rho0", "pure:2", "--steps", "5"),
+    ("verify", "--rho0", "pure:2", "--steps", "5"),
+], ids=["classify", "solve", "verify"])
+def test_quadrature_rates_load_no_numpy_polynomial(argv, tmp_path):
+    from lindblad_pc import assemble, loads_model
+
+    text = json.dumps(QUADRATURE_MODEL)
+    assert not any(part.integral.is_closed_form for part in assemble(loads_model(text)[0]).parts)
+    path = tmp_path / "quadrature.json"
+    path.write_text(text)
+    command, *options = argv
+    assert loaded_modules([command, str(path), *options], ["numpy.polynomial"]) == (0, [])
 
 
 @pytest.mark.parametrize("argv", [

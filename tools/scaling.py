@@ -47,20 +47,33 @@ up to REPEATS times while its samples stay within BUDGET_S, and the
 median, minimum and maximum are kept. The processes
 run one at a time. The OpenBLAS thread counts a process ends with are
 stored next to its table; the JSON names sources by role, never by path.
+
+The `imports` table reports import apart from compute. Each source
+directory is copied without its bytecode cache, and in IMPORT_ROUNDS
+alternating rounds one fresh interpreter per tree, with
+PYTHONDONTWRITEBYTECODE=1 and OPENBLAS_NUM_THREADS=1, loads numpy and
+then times `import lindblad_pc.cli` and each package module that loads
+only when a command first runs it (IMPORTS), each with the ones before
+it loaded: so `exponential` comes before `solver`, which imports it. A
+module a tree does not have reads null. Per tree, each module's median,
+minimum and maximum over the rounds are kept, and those of their sum.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -74,6 +87,27 @@ RUNS = (("parent", "default"), ("change", "default"), ("change", "cli"))
 GRID_POINTS = 100
 REPEATS = 5
 BUDGET_S = 1.0
+IMPORT_ROUNDS = 21
+IMPORTS = ("cli", "exponential", "solver", "dop853", "observables", "modelfile")
+# Prints the seconds each module named in argv takes to import, in that
+# order, None for a module the tree does not have. Nothing but numpy and
+# time is loaded before, so that the modules the package loads count.
+IMPORT_SNIPPET = """
+import sys, time
+import numpy
+seconds = []
+for name in sys.argv[1:]:
+    start = time.perf_counter()
+    try:
+        __import__(name)
+    except ModuleNotFoundError as exc:
+        if exc.name != name:
+            raise
+        seconds.append(None)
+        continue
+    seconds.append(time.perf_counter() - start)
+print(seconds)
+"""
 
 
 def _measure(fn):
@@ -178,6 +212,50 @@ def _across_rounds(runs):
     return table
 
 
+def _time_imports(src):
+    """Module -> seconds to import it (None where the tree has none), in
+    a fresh interpreter importing from the package source directory
+    `src`, which holds no bytecode cache."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_SNIPPET, *(f"lindblad_pc.{m}" for m in IMPORTS)],
+        capture_output=True, text=True, env=env, cwd=src, check=True)
+    return dict(zip(IMPORTS, ast.literal_eval(done.stdout.splitlines()[-1])))
+
+
+def _summary(values):
+    if None in values:
+        return None
+    return {"median_s": statistics.median(values), "min_s": min(values), "max_s": max(values)}
+
+
+def imports_table(sources):
+    """The `imports` table (see the module docstring) for the package
+    source directories of parent and change."""
+    samples = {role: [] for role in sources}
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {role: Path(tmp, role) for role in sources}
+        for role, src in sources.items():
+            shutil.copytree(src, copies[role], ignore=shutil.ignore_patterns("__pycache__"))
+        for r in range(IMPORT_ROUNDS):
+            for role in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+                print(f"imports round {r}: {role} ...", file=sys.stderr, flush=True)
+                samples[role].append(_time_imports(copies[role]))
+    table = {
+        "command": "python -c 'import numpy; <time __import__(lindblad_pc.MODULE) in order>'",
+        "environment": "a copy of each source directory without __pycache__, "
+                       "PYTHONDONTWRITEBYTECODE=1, OPENBLAS_NUM_THREADS=1",
+        "rounds": IMPORT_ROUNDS,
+        "order": [f"lindblad_pc.{m}" for m in IMPORTS],
+    }
+    for role, runs in samples.items():
+        table[role] = {m: _summary([run[m] for run in runs]) for m in IMPORTS}
+        table[role]["total"] = _summary([sum(filter(None, run.values())) for run in runs])
+    return table
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="the parent's package source directory")
@@ -222,13 +300,14 @@ def main(argv=None):
                        for role in sources},
         "runs": runs,
     }
+    tables = {"scaling": table, "imports": imports_table(sources)}
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {}
-        doc["scaling"] = table
+        doc.update(tables)
         path.write_text(json.dumps(doc, indent=1) + "\n")
     else:
-        print(json.dumps(table, indent=1))
+        print(json.dumps(tables, indent=1))
     return 0
 
 
