@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteError, NotADensityMatrixError
-from .linalg import (ABSOLUTE_FLOOR, DEFAULT_REL_TOL, SubspaceBasis, _row_slices,
+from .linalg import (ABSOLUTE_FLOOR, DEFAULT_REL_TOL, SubspaceBasis, _abs2, _row_slices,
                      minimal_poly_degree)
 # null_space, generator_at and integral_at are not called here, but
 # perfbench's tracer wraps the names in this module, so they stay bound.
@@ -77,9 +77,11 @@ ADMISSIBLE_TOL = 1e-8
 # still counts as that single excluded coordinate.
 EXCLUDED_TOL = 1e-6
 # The working set per sample time of the chain, as Gamma and the re-check
-# iterate it, in stacks of all groups (sum of c b^2 complex numbers), and
-# of the power cap in stacks of power vectors ((b + 1) c b^2 per group): at
-# most 8.7 and 4.9 under tracemalloc (cascades d = 3..32, blocks b = 2..64).
+# iterate it, in stacks of all groups (sum of c b^2 entries of each
+# group's itemsize), and of the power cap in stacks of power vectors
+# ((b + 1) c b^2 entries per group): at most 8.7 and 5.0 under tracemalloc
+# (cascades d = 3..32, whose population blocks are real, and fully coupled
+# models d = 2..8, complex blocks b = 4..64).
 _CHAIN_STACKS = 9
 _POWER_CAP_STACKS = 5
 
@@ -128,7 +130,7 @@ class _Samples:
 
 def _squared_norms(stacks):
     """sum |x|^2 over every block, one value per row of the stacks."""
-    return sum(np.sum(x.real ** 2 + x.imag ** 2, axis=(1, 2, 3)) for x in stacks)
+    return sum(np.sum(_abs2(x), axis=(1, 2, 3)) for x in stacks)
 
 
 def functional_commutativity(g):
@@ -142,21 +144,23 @@ def functional_commutativity(g):
     are block diagonal, so each commutator is taken block by block.
     """
     count = 1 + len(g.parts)
-    squares = np.zeros((count, count))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         norms = np.sqrt(_squared_norms([terms for _, terms in g.groups]))
-        for coords, terms in g.groups:
-            if coords.shape[1] == 1:
-                continue
-            for i in range(count - 1):
-                commutators = terms[i] @ terms[i + 1:] - terms[i + 1:] @ terms[i]
-                squares[i, i + 1:] += _squared_norms([commutators])
-    for i, j in zip(*np.triu_indices(count, 1)):  # pair by pair, as a dense check stops
-        num, den = math.sqrt(squares[i, j]), norms[i] * norms[j]
-        if not (math.isfinite(num) and math.isfinite(den)):
-            raise NonFiniteError("commutator norm overflows")
-        if num != 0.0 and num / den > DEFAULT_REL_TOL:
-            return False
+    # row by row of pairs, each pair as a dense check takes it, so that the
+    # first row with a failing pair ends the test
+    for i in range(count - 1):
+        squares = np.zeros(count - 1 - i)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for coords, terms in g.groups:
+                if coords.shape[1] > 1:
+                    later = terms[i + 1:]
+                    squares += _squared_norms([terms[i] @ later - later @ terms[i]])
+        for j, square in enumerate(squares, start=i + 1):
+            num, den = math.sqrt(square), norms[i] * norms[j]
+            if not (math.isfinite(num) and math.isfinite(den)):
+                raise NonFiniteError("commutator norm overflows")
+            if num != 0.0 and num / den > DEFAULT_REL_TOL:
+                return False
     return True
 
 
@@ -168,8 +172,9 @@ def _commutator_chain(samples, power_cap):
     Frobenius norm over every block, and C_n is zero at a time where it
     vanishes. Raises NonFiniteError once a power of B(t), its norm or
     C_n overflows."""
-    entries = sum(coords.size * coords.shape[1] for coords, _ in samples.groups)
-    for rows in _row_slices(samples.times.size, _CHAIN_STACKS * 16 * entries):
+    row_bytes = sum(coords.size * coords.shape[1] * terms.itemsize
+                    for coords, terms in samples.groups)
+    for rows in _row_slices(samples.times.size, _CHAIN_STACKS * row_bytes):
         integral = samples.stacks(samples.integral, rows)
         gen = samples.stacks(samples.rates, rows)
         single = [coords.shape[1] == 1 for coords, _ in samples.groups]
@@ -213,9 +218,9 @@ def _integral_commutes(samples):
 
 def _gamma(samples, power_cap):
     """Gamma summed over the sample times, one Hermitian (c, b, b) stack
-    of blocks per group."""
-    total = [np.zeros((c.shape[0], c.shape[1], c.shape[1]), dtype=complex)
-             for c, _ in samples.groups]
+    of blocks per group, of the group's dtype."""
+    total = [np.zeros((c.shape[0], c.shape[1], c.shape[1]), dtype=terms.dtype)
+             for c, terms in samples.groups]
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _subspace
         for _, stacks in _commutator_chain(samples, power_cap):
             for out, c in zip(total, stacks):
@@ -247,7 +252,8 @@ def _power_cap(samples):
         c, b = coords.shape
         if b == 1:
             continue
-        for rows in _row_slices(samples.times.size, _POWER_CAP_STACKS * 16 * (b + 1) * c * b * b):
+        row_bytes = _POWER_CAP_STACKS * terms.itemsize * (b + 1) * c * b * b
+        for rows in _row_slices(samples.times.size, row_bytes):
             stack = np.tensordot(samples.integral[rows], terms, axes=1)
             degree = max(degree, int(np.max(minimal_poly_degree(stack))))
     return degree - 1 if degree > 1 else 1
@@ -347,7 +353,7 @@ def excluded_coordinate(subspace):
         return None, None
     diag = np.ones(mu)
     for coords, vectors in subspace.groups:
-        diag[coords] -= np.sum(vectors.real ** 2 + vectors.imag ** 2, axis=-1)
+        diag[coords] -= np.sum(_abs2(vectors), axis=-1)
     diag = np.maximum(diag, 0.0)
     j = int(np.argmax(diag))
     others = np.delete(diag, j).max(initial=0.0)

@@ -44,6 +44,17 @@ times its input besides that input and its output, and one of
 expm_frechet about 13 to 14 besides A, E and the two outputs (measured
 under tracemalloc at n = 2..64, every slab of degree 13).
 
+Real in, real out: both keep the dtype of their input, float64 or
+complex128 (an integer or bool input is taken as float64), in their
+outputs and in every temporary, so that a real block of a generator
+(the dtype rule of :mod:`lindblad_pc.model`) takes real products, which
+cost a fraction of complex ones and give the same numbers up to
+rounding. A slab counts its input's itemsize, so a real one holds twice
+the slices: within the 1 MiB of `linalg.SLAB_BYTES`, a slab of expm
+holds 1489 complex or 2978 real 2 x 2 slices, 165 or 330 at n = 6, 23 or
+46 at n = 16, 5 or 11 at n = 32, and 1 or 2 at n = 64; one of
+expm_frechet 910 or 1820, 101 or 202, 14 or 28, 3 or 7, and 1 of either.
+
 The module uses numpy alone. It is apart from :mod:`lindblad_pc.linalg`
 because only `solver` runs it: a process that never propagates does not
 compile it. (It is not named `expm`: as a submodule of the package, that
@@ -62,16 +73,20 @@ __all__ = ["expm", "expm_frechet"]
 
 def expm(a):
     """Matrix exponential of a matrix or of each matrix of a stack, shape
-    (..., n, n): see the module docstring. Raises NonFiniteError when a
-    result overflows or a Pade denominator is singular."""
+    (..., n, n): see the module docstring. Real in, real out: a float64
+    stack (an integer or bool one is taken as float64) gives a float64
+    exponential, a complex one a complex128 exponential, as the real
+    blocks of a generator need (the dtype rule of :mod:`lindblad_pc.model`).
+    Raises NonFiniteError when a result overflows or a Pade denominator
+    is singular."""
     a = _as_square_stack(a)
     _require_finite(a, "expm input")
-    out = np.empty(a.shape, dtype=complex)
+    out = np.empty(a.shape, dtype=a.dtype)
     n = a.shape[-1]
     if out.size == 0:
         return out
     flat, flat_out = a.reshape(-1, n, n), out.reshape(-1, n, n)
-    for rows in _row_slices(flat.shape[0], _slice_bytes(n)):
+    for rows in _row_slices(flat.shape[0], _slice_bytes(n, a.itemsize)):
         _expm_slab(flat[rows], flat_out[rows])
     return out
 
@@ -79,7 +94,8 @@ def expm(a):
 def expm_frechet(a, e):
     """exp(A) and its Frechet derivative at A in the direction E,
     returned as the pair (exp(A), L(A, E)), for matrices or stacks of
-    them of one shape (..., n, n): see the module docstring. Raises
+    them of one shape (..., n, n): see the module docstring. Both come
+    in the result type of A and E, float64 when both are real. Raises
     NonFiniteError when a result overflows or a Pade denominator is
     singular."""
     a = _as_square_stack(a)
@@ -88,12 +104,14 @@ def expm_frechet(a, e):
         raise DimensionMismatchError(f"expm_frechet of {a.shape} along {e.shape}")
     _require_finite(a, "expm_frechet input")
     _require_finite(e, "expm_frechet direction")
-    exp_a, frechet = np.empty(a.shape, dtype=complex), np.empty(a.shape, dtype=complex)
+    dtype = np.result_type(a, e)
+    a, e = a.astype(dtype, copy=False), e.astype(dtype, copy=False)
+    exp_a, frechet = np.empty(a.shape, dtype=dtype), np.empty(a.shape, dtype=dtype)
     n = a.shape[-1]
     if a.size == 0:
         return exp_a, frechet
     flat_a, flat_e, flat_exp, flat_frechet = (x.reshape(-1, n, n) for x in (a, e, exp_a, frechet))
-    for rows in _row_slices(flat_a.shape[0], _slice_bytes(n, frechet=True)):
+    for rows in _row_slices(flat_a.shape[0], _slice_bytes(n, a.itemsize, frechet=True)):
         _frechet_slab(flat_a[rows], flat_e[rows], flat_exp[rows], flat_frechet[rows])
     return exp_a, frechet
 
@@ -123,15 +141,21 @@ _PADE = {
          1187353796428800., 129060195264000., 10559470521600., 670442572800.,
          33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.),
 }
-def _slice_bytes(n, frechet=False):
+
+
+def _slice_bytes(n, itemsize, frechet=False):
     """Working set of one n x n slice of a slab of expm, or of
-    expm_frechet. At its peak a slab of expm holds up to 11 arrays of its
-    input's size (the input, its output, A sorted, A^2, A^4, A^6, two
-    sums, the Pade solution and index arrays), and one of expm_frechet up
-    to 18 (A and E, both outputs, A and E sorted, the even powers of A and
-    their derivatives up to the sixth, and four sums); measured under
-    tracemalloc at n = 2..64, on stacks of every Pade degree."""
-    return (18 if frechet else 11) * 16 * n * n
+    expm_frechet, whose entries take itemsize bytes (16 complex, 8 real).
+    At its peak a slab of expm holds up to 11 arrays of its input's size
+    (the input, its output, A sorted, A^2, A^4, A^6, two sums, the Pade
+    solution and index arrays), and one of expm_frechet up to 18 (A and E,
+    both outputs, A and E sorted, the even powers of A and their
+    derivatives up to the sixth, and four sums); measured under
+    tracemalloc at n = 2..64, on complex and real stacks of every Pade
+    degree. Real 2 x 2 slices reach 12.4 and 18.4, since their per-slice
+    norms, degrees and indices weigh twice what they do against complex
+    ones, and a single real 64 x 64 slice of expm_frechet 18.2."""
+    return (18 if frechet else 11) * itemsize * n * n
 
 
 def _runs(degree):

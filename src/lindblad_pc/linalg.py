@@ -1,8 +1,14 @@
-"""Dense complex matrix kernel.
+"""Dense matrix kernel.
 
-Matrices are dense complex128 numpy arrays; a SubspaceBasis keeps a
+Matrices are dense numpy arrays. The one-matrix helpers (`vec`,
+`commutator`, `null_space`) work in complex128; the stacked kernels
+(`minimal_poly_degree` here, `expm` and `expm_frechet` of
+:mod:`lindblad_pc.exponential`) keep a stack's dtype, float64 or
+complex128 (`_as_square_stack` takes an integer or bool stack as
+float64), so that the real blocks of a generator (the dtype rule of
+:mod:`lindblad_pc.model`) take real arithmetic. A SubspaceBasis keeps a
 subspace as its basis vectors on each block of a partition of the
-coordinates. Vectorization stacks columns (column-major order), which is
+coordinates, real on a real block. Vectorization stacks columns (column-major order), which is
 the convention under which vec(A X B) = (B^T kron A) vec(X) holds and
 under which the coordinate indices reported elsewhere in the package
 refer to matrix entries as coordinate = (col - 1) * d + row, 1-based.
@@ -52,7 +58,10 @@ def _as_square(a):
 
 
 def _as_square_stack(a):
-    a = np.asarray(a, dtype=complex)
+    """`a` as a stack of square matrices, shape (..., n, n): complex128
+    when its entries are complex, float64 otherwise."""
+    a = np.asarray(a)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(
             f"expected a square matrix or a stack of them, got shape {a.shape}")
@@ -62,6 +71,12 @@ def _as_square_stack(a):
 def _require_finite(a, what):
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{what} contains non-finite entries")
+
+
+def _abs2(x):
+    """|x|^2 entry by entry, as a real array: re^2 + im^2 of a complex x,
+    x^2 of a real one (whose imaginary part numpy would make as zeros)."""
+    return x.real ** 2 + x.imag ** 2 if np.iscomplexobj(x) else x * x
 
 
 def vec(m):
@@ -158,7 +173,8 @@ def minimal_poly_degree(a, rel_tol=DEFAULT_REL_TOL):
     {vec(A^0), ..., vec(A^(m-1))}, decided by the rank of the Gram matrix
     of the norm-scaled power vectors. The scaling makes the result
     invariant under A -> c A. Each slice is decided on its own, and once
-    decided takes no further powers.
+    decided takes no further powers. A real stack is decided in real
+    arithmetic.
     """
     a = _as_square_stack(a)
     _require_finite(a, "minimal_poly_degree input")
@@ -166,17 +182,17 @@ def minimal_poly_degree(a, rel_tol=DEFAULT_REL_TOL):
     flat = a.reshape(-1, n, n)
     degree = np.full(flat.shape[0], n)
     live = np.flatnonzero(degree > 0)  # the undecided slices
-    vecs = np.zeros((flat.shape[0], n + 1, n * n), dtype=complex)
+    vecs = np.zeros((flat.shape[0], n + 1, n * n), dtype=a.dtype)
     vecs[:, 0] = np.eye(n).ravel() / np.sqrt(max(n, 1))
-    gram = np.zeros((flat.shape[0], n + 1, n + 1), dtype=complex)
+    gram = np.zeros((flat.shape[0], n + 1, n + 1), dtype=a.dtype)
     gram[:, 0, 0] = 1.0
-    power = np.broadcast_to(np.eye(n, dtype=complex), flat.shape)
+    power = np.broadcast_to(np.eye(n, dtype=a.dtype), flat.shape)
     for m in range(1, n + 1):
         if not live.size:
             break
         with np.errstate(over="ignore", invalid="ignore"):
             power = power @ flat[live]
-            norm = np.sqrt(np.sum(power.real ** 2 + power.imag ** 2, axis=(1, 2)))
+            norm = np.sqrt(np.sum(_abs2(power), axis=(1, 2)))
         if not np.all(np.isfinite(norm)):
             raise NonFiniteError(f"minimal_poly_degree input overflows at power {m}")
         zero = norm == 0.0  # A^m = 0 lies in every span

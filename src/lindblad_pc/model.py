@@ -37,8 +37,23 @@ budget, `linalg.SLAB_BYTES`. `integral_table` refuses a time past
 `g.window`, where the quadrature would extrapolate; `rate_table` does
 not, since the oracle's step nodes may round past the grid's end. A
 level-transition model with a diagonal H has one d x d block of
-populations and d^2 - d blocks of one coherence each; a fully coupled
-generator is a single block of size d^2.
+populations, real (the drift vanishes on populations, and real jump
+operators give real entries), and d^2 - d blocks of one coherence each,
+complex where the two levels' energies differ; a fully coupled generator
+is a single block of size d^2.
+
+The dtype rule: `assemble` stores a group's entries as float64 when
+every imaginary part is exactly zero, and as complex128 otherwise,
+decided from the data once per run. The coefficients [t, Gamma_k(t)] and
+[1, gamma_k(t)] are real, so such a group's B(t) and L(t) are real, and
+every stacked kernel keeps the dtype it is given: `exponential.expm` and
+`expm_frechet`, the solver's propagation and flow certificate, and the
+commutator chain, Gamma and power cap of `commutativity`. A real group
+is thus exponentiated, certified and gated in real arithmetic, with the
+numbers of the complex arithmetic up to rounding at a fraction of its
+cost; the byte budgets count the stack's itemsize. Only the groups
+follow the rule: the entry table `values` that the oracle reads stays
+complex, and so do the states.
 """
 
 from __future__ import annotations
@@ -161,7 +176,8 @@ class GeneratorDecomposition(NamedTuple):
     values: np.ndarray  # (1 + K, nnz): the drift's entries, then each part's
     # Per block size b, smallest first: the sorted 0-based coordinates of
     # its c blocks, in the order of their first coordinates, shape (c, b),
-    # and their entries as in `values`, shape (1 + K, c, b, b).
+    # and their entries as in `values`, shape (1 + K, c, b, b): float64
+    # when every imaginary part is exactly zero, complex128 otherwise.
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     window: float  # the run's window [0, window]: rates checked and integrated there
 
@@ -204,12 +220,14 @@ def assemble(model, t_max=HORIZON):
     blocks = _invariant_blocks(d * d, rows, cols)
     coords = [np.array([b for b in blocks if b.size == size])
               for size in sorted({b.size for b in blocks})]
-    groups = tuple((c, _entries(h, operators, squares, c[:, :, None], c[:, None, :]))
-                   for c in coords)
+    groups = []
+    for c in coords:
+        terms = _entries(h, operators, squares, c[:, :, None], c[:, None, :])
+        groups.append((c, terms if terms.imag.any() else terms.real.copy()))
     parts = tuple(GeneratorPart(jump.rate, antiderivative(jump.rate, window))
                   for jump in model.jumps)
     return GeneratorDecomposition(dim=d, parts=parts, rows=rows, cols=cols, values=values,
-                                  groups=groups, window=window)
+                                  groups=tuple(groups), window=window)
 
 
 def _entries(h, operators, squares, rows, cols):

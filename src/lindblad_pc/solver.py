@@ -31,8 +31,15 @@ residual vanishes, and such a block takes np.exp of its entry either
 way); those cut each stack into slabs of their own working set. So no
 pass holds more than about two slabs of arrays at a time, whatever the
 number of grid points, and a 64 x 64 block still takes a few points per
-row block, where one slab of `expm` holds a single slice. Each point's
-state does not depend on the block it falls in.
+row block, where one slab of `expm` holds a single complex slice (two
+real ones). Each point's state does not depend on the block it falls in.
+
+A group's stacks take the dtype of its entries (the dtype rule of
+:mod:`lindblad_pc.model`): a real group, such as the populations of a
+level-transition model, is exponentiated and certified in float64, and
+only its products with the complex initial vector are complex. A stack
+counts its itemsize in the row blocks' budget, so a real group's row
+blocks hold more points.
 
 Two callers consume the closed form so, one row block at a time. The
 CLI's `solve` reads `closed_form_blocks`, through `expm`.
@@ -132,20 +139,24 @@ def _row_blocks(g, count, frechet=False):
     as many points (at least one) as keep a row block's own arrays within
     one slab of :mod:`lindblad_pc.linalg` (SLAB_BYTES). A row block of the
     closed form (`closed_form_blocks`) holds its states and, for its
-    largest group, three (points, c, b, b) stacks: B(t), exp(B(t)) and
-    its product with vec(rho0). One of `verify`'s one pass (frechet=True:
+    largest group, three (points, c, b, b) stacks: B(t) and exp(B(t)), of
+    the group's dtype, and their product with vec(rho0), complex. One of
+    `verify`'s one pass (frechet=True:
     `flow_blocks` and `oracle_blocks` side by side) holds up to six arrays
     of states: the closed form's and the oracle's, each as vectors and as
     d x d matrices, and the last row block's two trajectories, which the
     caller keeps until it has the next pair (`compare`'s difference comes
-    after those go); and, for its largest group, four stacks where b > 1
-    (A, E, exp(A) and L(A, E)) and three where b = 1. `expm` and
-    `expm_frechet` cut each stack into slabs of their own working set."""
+    after those go); and, for its largest group, four stacks of its dtype
+    where b > 1 (A, E, exp(A) and L(A, E)) and the closed form's three
+    where b = 1. States are complex; a stack counts its group's itemsize.
+    `expm` and `expm_frechet` cut each stack into slabs of their own
+    working set."""
     states = 6 if frechet else 1
     largest = max((coords.shape[0] * coords.shape[1] ** 2
-                    * (4 if frechet and coords.shape[1] > 1 else 3)
-                    for coords, _ in g.groups), default=0)
-    return linalg._row_slices(count, 16 * (states * g.mu + largest))
+                   * (4 * terms.itemsize if frechet and coords.shape[1] > 1
+                      else 2 * terms.itemsize + 16)
+                   for coords, terms in g.groups), default=0)
+    return linalg._row_slices(count, 16 * states * g.mu + largest)
 
 
 def _propagate(g, alpha, grid, frechet):
@@ -194,7 +205,7 @@ def _flow_and_residual(integral, rates, alpha):
     share alpha (c, b) of the initial vector: exp(B(t)) alpha, shape
     (points, c, b), and the squared norm at each point of the flow
     residual L(B(t), L(t)) alpha - L(t) exp(B(t)) alpha, from one
-    `expm_frechet`."""
+    `expm_frechet` in the stacks' dtype (real for a real group)."""
     flow, derivative = expm_frechet(integral, rates)
     alpha = alpha[..., None]
     states = flow @ alpha

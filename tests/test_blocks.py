@@ -246,15 +246,17 @@ class TestAgainstDense:
         g = assemble(cascade(4), 40.0)
         rho0 = phase_state(4, [1, 2, 4], [0.3, 1.1])
         grid = np.linspace(0.0, 40.0, 1500)
-        # 64 points per row block of the closed form and 25 of the residual,
-        # whose stacks expm and expm_frechet cut into slabs of 23 and 14
-        # 4 x 4 slices
+        # 78 points per row block of the closed form and 31 of the residual,
+        # whose real 4 x 4 population stacks expm and expm_frechet cut into
+        # slabs of 46 and 28 slices
         monkeypatch.setattr(linalg, "SLAB_BYTES", 2**16)
+        assert g.groups[-1][1].dtype == float
         assert len(solver._row_blocks(g, grid.size)) > 2
         assert len(solver._row_blocks(g, grid.size, frechet=True)) > 2
-        frechet, plain = (linalg.SLAB_BYTES // exponential._slice_bytes(4, f)
+        closed, certified = (solver._row_blocks(g, grid.size, f)[0].stop for f in (False, True))
+        frechet, plain = (linalg.SLAB_BYTES // exponential._slice_bytes(4, 8, f)
                           for f in (True, False))
-        assert 1 < frechet < plain < 25
+        assert 1 < frechet < certified and 1 < plain < closed
         whole = propagate_closed_form(g, rho0, grid).states
         alone = np.array([propagate_closed_form(g, rho0, np.array([0.0, t])).states[-1]
                           for t in grid[1:]])

@@ -25,10 +25,11 @@ from lindblad_pc import (
     parse_rate_expr,
     phase_state,
 )
+from lindblad_pc import commutativity
 from lindblad_pc.commutativity import EXCLUDED_TOL
 from lindblad_pc.linalg import SubspaceBasis
 from lindblad_pc.model import Jump
-from lindblad_pc.errors import NotADensityMatrixError
+from lindblad_pc.errors import NonFiniteError, NotADensityMatrixError
 
 from conftest import diag_state, make_generator
 
@@ -99,6 +100,35 @@ class TestFunctionalCommutativity:
 
     def test_single_jump_family_commutes(self):
         assert functional_commutativity(single_jump_model()) is True
+
+    def test_stops_at_the_first_row_of_pairs_that_fails(self, monkeypatch):
+        # cascade4's drift vanishes on its population block, so the pairs
+        # (0, j) hold, and its dissipators 1 and 2 do not commute: after the
+        # norms of its 4 parts, the commutators of row 0 (3 pairs) and of
+        # row 1 (2 pairs) are formed, and none of row 2
+        formed = []
+        squared_norms = commutativity._squared_norms
+        monkeypatch.setattr(commutativity, "_squared_norms",
+                            lambda stacks: formed.append(len(stacks[0])) or squared_norms(stacks))
+        assert functional_commutativity(make_generator("cascade4")) is False
+        assert formed == [4, 3, 2]
+
+    @pytest.mark.parametrize("huge_first", [False, True])
+    def test_pairs_are_decided_in_order(self, huge_first):
+        # two jumps of strength 1e76, whose commutator's norm overflows,
+        # beside the two of a cascade: the first failing pair decides, so
+        # an overflow after it is never reached, and one before it raises
+        def jumps(scale):
+            return [Jump(scale * jump_operator(3, 2, 3), parse_rate_expr("1")),
+                    Jump(scale * jump_operator(3, 1, 2), parse_rate_expr("1"))]
+
+        parts = jumps(1e76) + jumps(1.0) if huge_first else jumps(1.0) + jumps(1e76)
+        g = assemble(LindbladModel(3, np.diag([-1.0, 0.0, 1.0]).astype(complex), parts))
+        if huge_first:
+            with pytest.raises(NonFiniteError, match="commutator norm overflows"):
+                functional_commutativity(g)
+        else:
+            assert functional_commutativity(g) is False
 
 
 class TestIntegralCommutativity:

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from lindblad_pc import (
     generator_at,
     integral_at,
     jump_operator,
+    load_model,
     loads_model,
     model_to_dict,
     parse_rate_expr,
@@ -23,7 +26,10 @@ from lindblad_pc import (
 from lindblad_pc.errors import ModelFileError, NonFiniteError, UnknownModelError
 from lindblad_pc.model import Jump, integral_table, rate_table
 
-from conftest import MODEL_PARAMS, make_generator
+from conftest import MODEL_NAMES, MODEL_PARAMS, make_generator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import workloads  # noqa: E402
 
 
 def random_density(rng, d):
@@ -117,6 +123,36 @@ class TestAssemble:
         h[0, 1] = 1.0
         with pytest.raises(ValueError):
             assemble(LindbladModel(2, h, []))
+
+
+class TestGroupDtype:
+    """A group's entries are float64 when every imaginary part is exactly
+    zero, complex128 otherwise (see the model module docstring)."""
+
+    @staticmethod
+    def dtypes(g):
+        return [(coords.shape, terms.dtype) for coords, terms in g.groups]
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_populations_are_real_and_coherences_complex(self, name):
+        g = make_generator(name)
+        d = g.dim
+        assert self.dtypes(g) == [((d * d - d, 1), np.complex128), ((1, d), np.float64)]
+
+    def test_quadrature_cascade_populations_are_real(self, tmp_path):
+        workloads.build("quadrature-solve", 1, tmp_path)
+        for d in (3, 4, 6):
+            g = assemble(load_model(tmp_path / "inputs" / f"quadrature{d}.json")[0])
+            assert self.dtypes(g) == [((d * d - d, 1), np.complex128), ((1, d), np.float64)]
+
+    def test_a_driven_block_is_complex(self):
+        # a real H_12 couples the populations to the coherences rho_12 and
+        # rho_21: one block of 5 coordinates, and two pairs of coherences
+        loaded = builtin("cascade3", MODEL_PARAMS["cascade3"])
+        loaded.hamiltonian[0, 1] = loaded.hamiltonian[1, 0] = 0.4
+        g = assemble(loaded)
+        assert self.dtypes(g) == [((2, 2), np.complex128), ((1, 5), np.complex128)]
+        assert g.groups[-1][0].tolist() == [[0, 1, 3, 4, 8]]
 
 
 class TestGeneratorAt:

@@ -7,6 +7,7 @@ import pytest
 from lindblad_pc import (
     LindbladModel,
     assemble,
+    classify,
     compare,
     expm,
     fedorov_residual,
@@ -361,3 +362,40 @@ class TestFlowBlocks:
             assert cli.main(argv) == cli.EXIT_OK
             residual = fedorov_residual(model.assemble(loaded), vec(rho0), grid)
             assert f"fedorov residual: {residual:.3e}\n" in capsys.readouterr().out
+
+
+def complex_typed(g):
+    """g with every group's entries taken as complex128: the arithmetic
+    that a float64 group replaces."""
+    return g._replace(groups=tuple((coords, terms.astype(complex)) for coords, terms in g.groups))
+
+
+class TestRealGroups:
+    """The quadrature cascades' population groups are float64 (see the
+    model module docstring): propagated, certified and gated in real
+    arithmetic, they give what the same groups taken as complex give, to
+    rounding."""
+
+    @pytest.mark.parametrize("t_max", [20.0, 1e3])
+    def test_solve_and_verify_are_the_complex_path_to_its_rounding(self, tmp_path, t_max):
+        grid = np.linspace(0.0, t_max, cli.DEFAULT_STEPS)
+        for loaded, rho0 in quadrature_verifies(1, tmp_path):
+            g = model.assemble(loaded, t_max)
+            assert g.groups[-1][1].dtype == np.float64
+            ref = complex_typed(g)
+            closed, closed_ref = (propagate_closed_form(x, rho0, grid) for x in (g, ref))
+            assert np.all(np.abs(closed.states - closed_ref.states).max(axis=(1, 2))
+                          <= closed_ref.rounding)
+            flows = [list(solver.flow_blocks(x, vec(rho0), grid)) for x in (g, ref)]
+            one, one_ref = (np.concatenate([block.states for block, _ in f]) for f in flows)
+            assert np.all(np.abs(one - one_ref).max(axis=(1, 2)) <= closed_ref.rounding)
+            assert max(residual for _, residual in flows[0]) <= 1e-15
+
+    def test_the_gate_decides_as_the_complex_path(self, tmp_path):
+        for loaded, _ in quadrature_verifies(1, tmp_path):
+            g = model.assemble(loaded)
+            ours, theirs = classify(g), classify(complex_typed(g))
+            assert (ours.functional, ours.integral, ours.partial_rank, ours.power_cap) == (
+                theirs.functional, theirs.integral, theirs.partial_rank, theirs.power_cap)
+            assert np.abs(ours.subspace.projector() - theirs.subspace.projector()).max() <= 1e-12
+            assert ours.residual_max <= 1e-15 and theirs.residual_max <= 1e-15

@@ -6,7 +6,11 @@ For the package source directories of a parent and a change, fresh
 interpreters time the stages in-process on the generated d-level
 cascades of the benchmark
 (`perfbench.workloads.cascade_model`, mu = d^2, rates sin^2, exp and
-cos^2 in turn), d = 3..16, 20, 24, 28 and 32, for parent and change alike:
+cos^2 in turn), d = 3..16, 20, 24, 28 and 32, whose population blocks are
+real, and on the driven cascades "driven<d>", d = 8, 16 and 32: the same
+cascade with H_12 = H_21 = DRIVE, which couples the populations to rho_12
+and rho_21 in one complex block of d + 2 coordinates. Parent and change
+alike time each stage:
 
     assemble       model.assemble
     gate           commutativity.partial_subspace: the power cap, Gamma
@@ -82,6 +86,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RATES = ("sin({w}*t)^2", "exp(-{a}*t)", "cos({w}*t)^2")
 STAGES = ("assemble", "gate", "classify", "closed_form", "flow_residual", "oracle", "verify")
 DIMS = (*range(3, 17), 20, 24, 28, 32)
+DRIVEN_DIMS = (8, 16, 32)
+DRIVE = 0.3
 ROUNDS = 5
 RUNS = (("parent", "default"), ("change", "default"), ("change", "cli"))
 GRID_POINTS = 100
@@ -128,16 +134,18 @@ def _measure(fn):
                     "max_s": max(samples), "samples": len(samples), "peak_mib": peak / 2**20}
 
 
-def _stages(d):
-    """Stage name -> timing summary for the d-level cascade, plus the
-    oracle's count of right-hand-side evaluations. Runs in the worker
-    process."""
+def _stages(d, driven=False):
+    """Stage name -> timing summary for the d-level cascade, or the driven
+    one, plus the oracle's count of right-hand-side evaluations. Runs in
+    the worker process."""
     import numpy as np
     from lindblad_pc import commutativity, linalg, model, modelfile, solver
     from perfbench.workloads import cascade_model
 
     doc = cascade_model(d, random.Random(f"scaling:{d}"), RATES)
     loaded, _ = modelfile.loads_model(json.dumps(doc))
+    if driven:
+        loaded.hamiltonian[0, 1] = loaded.hamiltonian[1, 0] = DRIVE
     rho0 = model.phase_state(d, [1, 2], [0.7])
     grid = np.linspace(0.0, model.HORIZON, GRID_POINTS)
     out = {}
@@ -182,6 +190,7 @@ def worker(pool):
             lindblad_pc.cli.main(["--help"])
     _stages(3)  # warm-up
     table = {str(d): _stages(d) for d in DIMS}
+    table.update({f"driven{d}": _stages(d, driven=True) for d in DRIVEN_DIMS})
     from perfbench.runrecord import blas_threads
 
     print(json.dumps({"blas_threads": blas_threads(), "stages": table}))
@@ -293,6 +302,7 @@ def main(argv=None):
                  "python": platform.python_version(), "numpy": numpy.__version__,
                  "scipy": scipy.__version__},
         "rates": list(RATES),
+        "driven": f"the cascade with H_12 = H_21 = {DRIVE}",
         "grid": f"{GRID_POINTS} points on [0, 20]",
         "rounds": ROUNDS,
         "one_thread": {role: _across_rounds([run for run in runs
