@@ -65,7 +65,11 @@ takes 23.7 ms, against 32.0 ms when this module also loaded `json` and
 `linalg` held the exponential (medians of 21 alternating fresh
 processes on a 2-CPU x86-64 host, the `imports` table of
 `tools/scaling.py` in BENCH_24.json); it took 49 ms when it loaded every
-module and defined 19 dataclasses (BENCH_15.json).
+module and defined 19 dataclasses (BENCH_15.json). A CLI process's entry
+point (`lindblad_pc.__main__.main`) freezes the collector's heap once
+the command has run, so the interpreter's last collections skip it: exit
+teardown 20-24 -> 5-7 ms (the `process` table of `tools/scaling.py` in
+BENCH_26.json).
 
 The CLI runs numpy's BLAS on one thread, set in one of two places. A
 CLI process (`python -m lindblad_pc`, or the installed `lindblad-pc`

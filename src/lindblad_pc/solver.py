@@ -36,10 +36,11 @@ real ones). Each point's state does not depend on the block it falls in.
 
 A group's stacks take the dtype of its entries (the dtype rule of
 :mod:`lindblad_pc.model`): a real group, such as the populations of a
-level-transition model, is exponentiated and certified in float64, and
-only its products with the complex initial vector are complex. A stack
-counts its itemsize in the row blocks' budget, so a real group's row
-blocks hold more points.
+level-transition model, is exponentiated and certified in float64. Only
+the closed form's products with the complex initial vector are complex:
+the certificate multiplies its real stacks by the vector's real and
+imaginary parts as one real right-hand side. A stack counts its itemsize
+in the row blocks' budget, so a real group's row blocks hold more points.
 
 Two callers consume the closed form so, one row block at a time. The
 CLI's `solve` reads `closed_form_blocks`, through `expm`.
@@ -205,12 +206,20 @@ def _flow_and_residual(integral, rates, alpha):
     share alpha (c, b) of the initial vector: exp(B(t)) alpha, shape
     (points, c, b), and the squared norm at each point of the flow
     residual L(B(t), L(t)) alpha - L(t) exp(B(t)) alpha, from one
-    `expm_frechet` in the stacks' dtype (real for a real group)."""
+    `expm_frechet` in the stacks' dtype (real for a real group).
+
+    A real group's stacks multiply one real right-hand side, alpha's real
+    and imaginary parts side by side (c, b, 2): the complex alpha would
+    cast each stack to a complex temporary, outside the row block's
+    budget (`_row_blocks`)."""
     flow, derivative = expm_frechet(integral, rates)
-    alpha = alpha[..., None]
-    states = flow @ alpha
-    residual = derivative @ alpha - rates @ states
-    return states[..., 0], np.sum(residual.real ** 2 + residual.imag ** 2, axis=(1, 2, 3))
+    real = np.isrealobj(flow)
+    rhs = np.stack([alpha.real, alpha.imag], -1) if real else alpha[..., None]
+    states = flow @ rhs
+    residual = derivative @ rhs - rates @ states
+    if real:
+        states = states.view(complex)  # each (Re, Im) pair, contiguous, as one number
+    return states[..., 0], np.sum(linalg._abs2(residual), axis=(1, 2, 3))
 
 
 def _whole(g, grid, blocks):

@@ -1,10 +1,11 @@
-"""What a fresh interpreter loads and how it sets BLAS threads.
+"""What a fresh interpreter loads, how it sets BLAS threads and the
+collector, and what a CLI process hands back when it ends.
 
 Each case runs `cli.main` (or the library, or the entry point) in a
-subprocess, because the set of loaded modules, the OpenBLAS pool and the
-threads belong to the process. The pool size is read back with the
-benchmark's run-record getter, an implementation independent of the one
-the CLI uses to set it.
+subprocess, because the set of loaded modules, the OpenBLAS pool, the
+threads and the collector's frozen heap belong to the process. The pool
+size is read back with the benchmark's run-record getter, an
+implementation independent of the one the CLI uses to set it.
 """
 
 import json
@@ -54,7 +55,11 @@ print(json.dumps({"threads": [before, runrecord.blas_threads().get("numpy")]}))
 
 
 def run_python(*args, check=True):
+    """A fresh interpreter on ARGS, its stdout block-buffered as on any
+    pipe or file without PYTHONUNBUFFERED: what a CLI process writes last
+    reaches its reader only when the interpreter flushes stdout at exit."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
@@ -266,22 +271,80 @@ def test_entry_point_starts_no_blas_worker_thread():
     assert result == {"code": 0, "tasks": 1}
 
 
+def run_module(*argv):
+    return run_python("-m", "lindblad_pc", *argv, check=False)
+
+
 def test_module_help_exits_zero():
-    done = run_python("-m", "lindblad_pc", "--help", check=False)
+    done = run_module("--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage: lindblad-pc")
 
 
+@pytest.mark.parametrize("argv, code, last", [
+    (("classify", *CASCADE3), 0, "residual max: "),
+    (("solve", *CASCADE3, "--rho0", "diag:nan,0.5,0.5"), 2, None),
+    (("verify", *CASCADE3, "--rho0", "pure:3"), 4, None),
+    (("verify", *CASCADE3, "--rho0", "pure:3", "--force", "--t-max", "5", "--steps", "51"),
+     5, "verdict: FAIL"),
+], ids=["ok", "input-error", "inadmissible", "verification-failure"])
+def test_module_exit_codes(argv, code, last):
+    done = run_module(*argv)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    if last is None:
+        assert done.stdout == "" and done.stderr.startswith("error: ")
+    else:
+        assert done.stdout.splitlines()[-1].startswith(last)
+
+
+SOLVE_STEPS = 400
+SOLVE = ("solve", *BUILTINS["cascade4"], "--rho0", "pure:1", "--steps", str(SOLVE_STEPS),
+         "--coherences", "2,3")
+
+
+def assert_whole_csv(text):
+    rows = text.splitlines()
+    assert text.endswith("\n") and len(rows) == 1 + SOLVE_STEPS
+    assert {row.count(",") for row in rows} == {rows[0].count(",")}
+    assert float(rows[-1].split(",")[0]) == 20.0
+
+
+def test_module_solve_prints_every_row():
+    done = run_module(*SOLVE)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert_whole_csv(done.stdout)
+
+
+def test_module_solve_writes_the_whole_file(tmp_path):
+    path = tmp_path / "out.csv"
+    done = run_module(*SOLVE, "--out", str(path))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert_whole_csv(path.read_text())
+
+
 # Calls the script target named by argv[1] (module:function) on the
-# arguments in argv[2] and prints its exit code and what it printed.
+# arguments in argv[2] and prints its exit code, what it printed and the
+# number of objects the collector holds frozen afterwards.
 SCRIPT_SNIPPET = """
-import contextlib, importlib, io, json, sys
+import contextlib, gc, importlib, io, json, sys
 module, _, function = sys.argv[1].partition(":")
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = getattr(importlib.import_module(module), function)(json.loads(sys.argv[2]))
-print(json.dumps({"code": code, "out": out.getvalue()}))
+print(json.dumps({"code": code, "out": out.getvalue(), "frozen": gc.get_freeze_count()}))
 """
+
+
+@pytest.mark.parametrize("target, argv, code, frozen", [
+    ("lindblad_pc.__main__:main", ("classify", *CASCADE3, "--json"), 0, True),
+    ("lindblad_pc.__main__:main", ("verify", *CASCADE3, "--rho0", "pure:3"), 4, True),
+    ("lindblad_pc.cli:main", ("classify", *CASCADE3, "--json"), 0, False),
+], ids=["entry-point", "entry-point-refused", "in-process"])
+def test_only_the_entry_point_freezes_the_heap(target, argv, code, frozen):
+    result = run_snippet(SCRIPT_SNIPPET, target, json.dumps(argv))
+    assert result["code"] == code
+    assert (result["frozen"] > 0) is frozen
 
 
 def test_installed_script_runs_the_cli():

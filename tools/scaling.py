@@ -61,6 +61,24 @@ only when a command first runs it (IMPORTS), each with the ones before
 it loaded: so `exponential` comes before `solver`, which imports it. A
 module a tree does not have reads null. Per tree, each module's median,
 minimum and maximum over the rounds are kept, and those of their sum.
+
+The `process` table reports a CLI process by phase, exit included, which
+no in-process timing can see. On the same bytecode-free copies, in
+PROCESS_ROUNDS alternating rounds, one fresh interpreter per tree and
+invocation (with PYTHONDONTWRITEBYTECODE=1 and no BLAS variable, as a
+user runs the CLI) imports `lindblad_pc.__main__.main`, calls it on the
+invocation and writes the time it returned to stderr (PROCESS_SNIPPET).
+The invocations are the benchmark's seed 1 `classify`, `solve` and
+`verify` of the cascade4 built-in (paper-cli) and of the d = 6
+quadrature cascade (quadrature-solve). Each process has two phases:
+
+    run   from just before the process is started to `main`'s return
+    exit  from `main`'s return to the end of the process, as its parent
+          sees it: the interpreter's finalization and the flush of stdout
+
+Both are read on the one monotonic clock that parent and child share
+(`time.monotonic`, CLOCK_MONOTONIC on Linux). Per tree and invocation,
+each phase's median, minimum and maximum over the rounds are kept.
 """
 
 from __future__ import annotations
@@ -95,6 +113,19 @@ REPEATS = 5
 BUDGET_S = 1.0
 IMPORT_ROUNDS = 21
 IMPORTS = ("cli", "exponential", "solver", "dop853", "observables", "modelfile")
+PROCESS_ROUNDS = 15
+# Workload, seed 1, and the argument (a built-in's name or a model file's
+# name) that picks its model.
+PROCESS_MODELS = (("paper-cli", "cascade4"), ("quadrature-solve", "quadrature6.json"))
+# Calls the CLI's entry point on the JSON argv in argv[1], then writes to
+# stderr the monotonic time at which it returned and exits with its code.
+PROCESS_SNIPPET = """
+import json, sys, time
+from lindblad_pc.__main__ import main
+code = main(json.loads(sys.argv[1]))
+sys.stderr.write(f"{time.monotonic()!r}\\n")
+raise SystemExit(code)
+"""
 # Prints the seconds each module named in argv takes to import, in that
 # order, None for a module the tree does not have. Nothing but numpy and
 # time is loaded before, so that the modules the package loads count.
@@ -240,18 +271,32 @@ def _summary(values):
     return {"median_s": statistics.median(values), "min_s": min(values), "max_s": max(values)}
 
 
-def imports_table(sources):
-    """The `imports` table (see the module docstring) for the package
-    source directories of parent and change."""
-    samples = {role: [] for role in sources}
+@contextlib.contextmanager
+def _bare_copies(sources):
+    """Role -> a copy of that package source directory without its
+    bytecode cache, for as long as the context lasts."""
     with tempfile.TemporaryDirectory() as tmp:
         copies = {role: Path(tmp, role) for role in sources}
         for role, src in sources.items():
             shutil.copytree(src, copies[role], ignore=shutil.ignore_patterns("__pycache__"))
-        for r in range(IMPORT_ROUNDS):
-            for role in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                print(f"imports round {r}: {role} ...", file=sys.stderr, flush=True)
-                samples[role].append(_time_imports(copies[role]))
+        yield copies
+
+
+def _alternating(rounds):
+    """(round, role) in the alternating order of every table: parent
+    first in even rounds, change first in odd ones."""
+    for r in range(rounds):
+        for role in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            yield r, role
+
+
+def imports_table(copies):
+    """The `imports` table (see the module docstring) for the bytecode-free
+    copies of the package source directories of parent and change."""
+    samples = {role: [] for role in copies}
+    for r, role in _alternating(IMPORT_ROUNDS):
+        print(f"imports round {r}: {role} ...", file=sys.stderr, flush=True)
+        samples[role].append(_time_imports(copies[role]))
     table = {
         "command": "python -c 'import numpy; <time __import__(lindblad_pc.MODULE) in order>'",
         "environment": "a copy of each source directory without __pycache__, "
@@ -262,6 +307,62 @@ def imports_table(sources):
     for role, runs in samples.items():
         table[role] = {m: _summary([run[m] for run in runs]) for m in IMPORTS}
         table[role]["total"] = _summary([sum(filter(None, run.values())) for run in runs])
+    return table
+
+
+def _process_invocations(workdir):
+    """Name -> argv of the process table's invocations, their inputs
+    written under `workdir`."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench import workloads
+
+    invocations = {}
+    for name, model in PROCESS_MODELS:
+        for op in workloads.build(name, 1, Path(workdir, name)):
+            if op.exit_code == 0 and any(Path(a).name == model for a in op.args):
+                invocations[f"{Path(model).stem} {op.command}"] = list(op.argv)
+    return invocations
+
+
+def _time_process(src, argv, workdir):
+    """{"run_s", "exit_s"} of one CLI process on `argv` through the entry
+    point of the package source directory `src` (see the module
+    docstring)."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    for name in ("PYTHONPYCACHEPREFIX", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", PROCESS_SNIPPET, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, cwd=workdir, check=True)
+    end = time.monotonic()
+    returned = float(done.stderr.splitlines()[-1])
+    return {"run_s": returned - start, "exit_s": end - returned}
+
+
+def process_table(copies):
+    """The `process` table (see the module docstring) for the bytecode-free
+    copies of the package source directories of parent and change."""
+    samples = {role: {} for role in copies}
+    with tempfile.TemporaryDirectory() as tmp:
+        invocations = _process_invocations(tmp)
+        for r, role in _alternating(PROCESS_ROUNDS):
+            print(f"process round {r}: {role} ...", file=sys.stderr, flush=True)
+            for name, argv in invocations.items():
+                samples[role].setdefault(name, []).append(
+                    _time_process(copies[role], argv, tmp))
+    table = {
+        "command": "python -c 'from lindblad_pc.__main__ import main; main(ARGV); "
+                   "<write time.monotonic()>'",
+        "environment": "a copy of each source directory without __pycache__, "
+                       "PYTHONDONTWRITEBYTECODE=1, no BLAS or thread variables",
+        "rounds": PROCESS_ROUNDS,
+        "invocations": {name: " ".join(argv).replace(tmp, "<work>")
+                        for name, argv in invocations.items()},
+    }
+    for role, runs in samples.items():
+        table[role] = {name: {phase: _summary([run[phase] for run in per_round])
+                              for phase in ("run_s", "exit_s")}
+                       for name, per_round in runs.items()}
     return table
 
 
@@ -285,11 +386,10 @@ def main(argv=None):
 
     sources = {"parent": args.parent, "change": args.change}
     runs = []
-    for r in range(ROUNDS):
-        for role in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-            print(f"round {r}: {role} one ...", file=sys.stderr, flush=True)
-            runs.append({"src": role, "pool": "one", "round": r,
-                         **_run_worker(role, sources[role], "one")})
+    for r, role in _alternating(ROUNDS):
+        print(f"round {r}: {role} one ...", file=sys.stderr, flush=True)
+        runs.append({"src": role, "pool": "one", "round": r,
+                     **_run_worker(role, sources[role], "one")})
     for role, pool in RUNS:
         print(f"{role} {pool} ...", file=sys.stderr, flush=True)
         runs.append({"src": role, "pool": pool, **_run_worker(role, sources[role], pool)})
@@ -310,7 +410,9 @@ def main(argv=None):
                        for role in sources},
         "runs": runs,
     }
-    tables = {"scaling": table, "imports": imports_table(sources)}
+    with _bare_copies(sources) as copies:
+        tables = {"scaling": table, "imports": imports_table(copies),
+                  "process": process_table(copies)}
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {}
