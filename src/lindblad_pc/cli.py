@@ -25,13 +25,11 @@ block that fails and naming that block's lowest eigenvalue.
 oracle's dense output on the same points (`solver.oracle_blocks`). It
 keeps only the largest trace distance and residual, and prints them once
 the last block has passed. At the v3 grid bound (466,033 steps; 2-CPU
-x86-64 host) it peaks at 73 MB resident, below `solve`'s 106 MB, where
-three passes over whole trajectories took 247 MB. When the closed form
-and the oracle both fail (a non-finite state; the oracle's step size or
-count of evaluations), both exit 3, and the failure reported is the one
-in the earlier row block, and within one row block the closed form's,
-which is computed first. Three passes ran the closed form of the whole
-grid first and so reported its failure wherever on the grid it was.
+x86-64 host) it peaks at 73 MB resident, below `solve`'s 106 MB. When
+the closed form and the oracle both fail (a non-finite state; the
+oracle's step size or count of evaluations), both exit 3, and the
+failure reported is the one in the earlier row block, and within one
+row block the closed form's, which is computed first.
 
 Exit codes: 0 success, 2 input error, 3 numeric failure or out of memory,
 4 inadmissible initial state without --force, 5 verification failure.
@@ -61,11 +59,9 @@ literals (`expr._gauss`). No module defines its types with
 class at import: the expression nodes share one slotted value type, and
 the records are NamedTuples or slotted classes. With numpy loaded and no
 bytecode cache (PYTHONDONTWRITEBYTECODE=1), `import lindblad_pc.cli`
-takes 23.7 ms, against 32.0 ms when this module also loaded `json` and
-`linalg` held the exponential (medians of 21 alternating fresh
-processes on a 2-CPU x86-64 host, the `imports` table of
-`tools/scaling.py` in BENCH_24.json); it took 49 ms when it loaded every
-module and defined 19 dataclasses (BENCH_15.json). A CLI process's entry
+takes 23.7 ms (medians of 21 alternating fresh processes on a 2-CPU
+x86-64 host, the `imports` table of `tools/scaling.py` in
+BENCH_24.json). A CLI process's entry
 point (`lindblad_pc.__main__.main`) freezes the collector's heap once
 the command has run, so the interpreter's last collections skip it: exit
 teardown 20-24 -> 5-7 ms (the `process` table of `tools/scaling.py` in

@@ -24,13 +24,13 @@ Everything here works on the generator's invariant blocks (see
 Gamma are block diagonal and M is the direct sum of the kernels of the
 blocks of Gamma, which is how M is kept: a linalg.SubspaceBasis with the
 generator's groups of blocks. A block of one coordinate commutes with
-everything: its C_n vanish and its coordinate lies in M.
-`_commutator_chain` is the one routine that builds the C_n: for each run
-of consecutive sample times and each n, one (times, c, b, b) stack per
-group of c blocks of size b > 1. Gamma, the re-check in `classify`,
-integral commutativity and `gamma_operator` all iterate it, from one
-table of the coefficients of L(t) and B(t) over the sample times. Each
-run keeps the chain's whole working set within linalg.SLAB_BYTES.
+everything: its C_n vanish, so it gets no block of Gamma, is not
+factored, and lies in M. `_commutator_chain` is the one routine that
+builds the C_n: for each run of consecutive sample times and each n, one
+(times, c, b, b) stack per group of c blocks of size b > 1. One pass over
+the sample times gives Gamma and, from the norms of C_1 and L(t), the
+integral criterion; one over a grid gives the re-check in `classify`.
+Each run keeps the chain's whole working set within linalg.SLAB_BYTES.
 
 The chain stops at the power cap: the largest numerical degree, less
 one, of the minimal polynomial of a block of B(t) over the blocks and the
@@ -58,6 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteError, NotADensityMatrixError
+from .expr import split_coefficient
 from .linalg import (ABSOLUTE_FLOOR, DEFAULT_REL_TOL, SubspaceBasis, _abs2, _row_slices,
                      minimal_poly_degree)
 # null_space, generator_at and integral_at are not called here, but
@@ -136,22 +137,32 @@ def _squared_norms(stacks):
 def functional_commutativity(g):
     """Whether L(t) and L(s) commute for all pairs of times.
 
-    Decided by the sufficient check that the constant components
-    {L_H, L_k} of the decomposition commute pairwise, with commutator
-    norms compared against DEFAULT_REL_TOL relative to the operand norms:
-    [sum a_i A_i, sum b_j A_j] = sum a_i b_j [A_i, A_j] then vanishes
-    for all coefficients, so no sampled times are needed. The components
+    The drift and the dissipators are first combined into the generator's
+    distinct time dependences: the drift plus every dissipator of constant
+    rate, then one sum per rate up to a constant factor
+    (`expr.split_coefficient`), so that L(t) = A_0 + sum_p f_p(t) A_p.
+    Decided by the sufficient check that these A_p commute pairwise, with
+    commutator norms compared against DEFAULT_REL_TOL relative to the
+    operand norms: [sum a_p A_p, sum b_q A_q] = sum a_p b_q [A_p, A_q] then
+    vanishes for all coefficients, so no sampled times are needed. The A_p
     are block diagonal, so each commutator is taken block by block.
     """
-    count = 1 + len(g.parts)
+    combined = {None: [(1.0, 0)]}
+    for k, part in enumerate(g.parts, start=1):
+        c, core = split_coefficient(part.rate)
+        combined.setdefault(core, []).append((c, k))
+    count = len(combined)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        norms = np.sqrt(_squared_norms([terms for _, terms in g.groups]))
+        groups = [(coords, np.array([sum(c * terms[k] for c, k in members)
+                                     for members in combined.values()]))
+                  for coords, terms in g.groups]
+        norms = np.sqrt(_squared_norms([terms for _, terms in groups]))
     # row by row of pairs, each pair as a dense check takes it, so that the
     # first row with a failing pair ends the test
     for i in range(count - 1):
         squares = np.zeros(count - 1 - i)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for coords, terms in g.groups:
+            for coords, terms in groups:
                 if coords.shape[1] > 1:
                     later = terms[i + 1:]
                     squares += _squared_norms([terms[i] @ later - later @ terms[i]])
@@ -165,13 +176,13 @@ def functional_commutativity(g):
 
 
 def _commutator_chain(samples, power_cap):
-    """Yield (rows, stacks) for each run of sample times and each
-    n = 1..power_cap: stacks[i] holds C_n = [L(t), B(t)^n] / ||B(t)^n||
-    on the blocks of samples.groups[i], shape (rows, c, b, b), or is None
-    for the one-coordinate blocks, where it vanishes. ||B(t)^n|| is the
-    Frobenius norm over every block, and C_n is zero at a time where it
-    vanishes. Raises NonFiniteError once a power of B(t), its norm or
-    C_n overflows."""
+    """Yield (rows, n, gen, stacks) for each run of sample times and each
+    n = 1..power_cap: gen[i] and stacks[i] hold L(t) and C_n = [L(t),
+    B(t)^n] / ||B(t)^n|| on the blocks of samples.groups[i], shape (rows,
+    c, b, b); stacks[i] is None for the one-coordinate blocks, where C_n
+    vanishes. ||B(t)^n|| is the Frobenius norm over every block, and C_n
+    is zero at a time where it vanishes. Raises NonFiniteError once a
+    power of B(t), its norm or C_n overflows."""
     row_bytes = sum(coords.size * coords.shape[1] * terms.itemsize
                     for coords, terms in samples.groups)
     for rows in _row_slices(samples.times.size, _CHAIN_STACKS * row_bytes):
@@ -194,39 +205,35 @@ def _commutator_chain(samples, power_cap):
             if bad.any():
                 t = samples.times[rows][np.argmax(bad)]
                 raise NonFiniteError(f"[L(t), B(t)^{n}] overflows at t={t:g}")
-            yield rows, stacks
+            yield rows, n, gen, stacks
 
 
 def integral_commutativity(g):
     """Whether [L(t), B(t)] vanishes at every sample time of g.window."""
-    return _integral_commutes(_Samples.of(g, default_sample_times(g.window)))
-
-
-def _integral_commutes(samples):
-    """||[L(t), B(t)]|| <= DEFAULT_REL_TOL ||L(t)|| ||B(t)|| at every
-    sample time, from C_1 = [L(t), B(t)] / ||B(t)||."""
-    squares = np.zeros(samples.times.size)
-    gen = np.zeros(samples.times.size)
-    for rows, stacks in _commutator_chain(samples, 1):
-        squares[rows] = _squared_norms([c for c in stacks if c is not None])
-        with np.errstate(over="ignore", invalid="ignore"):
-            gen[rows] = _squared_norms(samples.stacks(samples.rates, rows))
-    if not np.all(np.isfinite(gen)):
-        raise NonFiniteError("commutator norm overflows")
-    return bool(np.all(np.sqrt(squares) <= DEFAULT_REL_TOL * np.sqrt(gen)))
+    return _gamma(_Samples.of(g, default_sample_times(g.window)), 1)[1]
 
 
 def _gamma(samples, power_cap):
-    """Gamma summed over the sample times, one Hermitian (c, b, b) stack
-    of blocks per group, of the group's dtype."""
-    total = [np.zeros((c.shape[0], c.shape[1], c.shape[1]), dtype=terms.dtype)
+    """(Gamma, integral): Gamma summed over the sample times, one Hermitian
+    (c, b, b) stack of the group's dtype per group, None for a group of
+    one-coordinate blocks; integral, whether ||[L(t), B(t)]|| <=
+    DEFAULT_REL_TOL ||L(t)|| ||B(t)|| at every sample time, read from
+    C_1 = [L(t), B(t)] / ||B(t)|| in the same pass."""
+    total = [None if c.shape[1] == 1 else np.zeros((*c.shape, c.shape[1]), dtype=terms.dtype)
              for c, terms in samples.groups]
+    squares, gen = np.zeros((2, samples.times.size))  # ||C_1(t)||^2, ||L(t)||^2
     with np.errstate(over="ignore", invalid="ignore"):  # checked in _subspace
-        for _, stacks in _commutator_chain(samples, power_cap):
+        for rows, n, gen_stacks, stacks in _commutator_chain(samples, power_cap):
+            if n == 1:
+                squares[rows] = _squared_norms([c for c in stacks if c is not None])
+                gen[rows] = _squared_norms(gen_stacks)
+                if not np.all(np.isfinite(gen[rows])):
+                    raise NonFiniteError("commutator norm overflows")
             for out, c in zip(total, stacks):
                 if c is not None:
                     out += np.sum(c.conj().swapaxes(-1, -2) @ c, axis=0)
-        return [0.5 * (x + x.conj().swapaxes(-1, -2)) for x in total]
+        gammas = [x if x is None else 0.5 * (x + x.conj().swapaxes(-1, -2)) for x in total]
+    return gammas, bool(np.all(np.sqrt(squares) <= DEFAULT_REL_TOL * np.sqrt(gen)))
 
 
 def gamma_operator(g, t, power_cap):
@@ -237,8 +244,9 @@ def gamma_operator(g, t, power_cap):
         raise ValueError("power_cap must be at least 1")
     samples = _Samples.of(g, [t])
     out = np.zeros((g.mu, g.mu), dtype=complex)
-    for (coords, _), blocks in zip(samples.groups, _gamma(samples, power_cap)):
-        out[coords[:, :, None], coords[:, None, :]] = blocks
+    for (coords, _), blocks in zip(samples.groups, _gamma(samples, power_cap)[0]):
+        if blocks is not None:
+            out[coords[:, :, None], coords[:, None, :]] = blocks
     return out
 
 
@@ -260,23 +268,26 @@ def _power_cap(samples):
 
 
 def _subspace(samples):
-    """(M, power cap): M is the kernel of Gamma summed over the sample
-    times, as a SubspaceBasis of the generator's blocks. Each block keeps
-    the right singular vectors of its block of Gamma whose singular values
-    are at most DEFAULT_REL_TOL times the largest over all blocks (all of
-    them when that is at most ABSOLUTE_FLOOR), and zeros in place of the
-    others."""
+    """(M, power cap, integral criterion): M is the kernel of Gamma summed
+    over the sample times, as a SubspaceBasis of the generator's blocks.
+    Each block keeps the right singular vectors of its block of Gamma
+    whose singular values are at most DEFAULT_REL_TOL times the largest
+    over all blocks (all of them when that is at most ABSOLUTE_FLOOR), and
+    zeros in place of the others. A one-coordinate block is not factored:
+    it gets the SVD of its zero block, the singular value 0 and vector 1."""
     cap = _power_cap(samples)
-    gammas = _gamma(samples, cap)
-    if not all(np.all(np.isfinite(x)) for x in gammas):
+    gammas, integral = _gamma(samples, cap)
+    if not all(np.all(np.isfinite(x)) for x in gammas if x is not None):
         raise NonFiniteError("Gamma overflows")
-    svds = [np.linalg.svd(x)[1:] for x in gammas]
+    svds = [np.linalg.svd(x)[1:] if x is not None else
+            (np.zeros((coords.shape[0], 1)), np.ones((coords.shape[0], 1, 1), dtype=terms.dtype))
+            for x, (coords, terms) in zip(gammas, samples.groups)]
     smax = max(float(s.max()) for s, _ in svds)
     groups = []
     for (coords, _), (s, vh) in zip(samples.groups, svds):
         keep = s <= DEFAULT_REL_TOL * smax if smax > ABSOLUTE_FLOOR else np.ones(s.shape, bool)
         groups.append((coords, vh.conj().swapaxes(-1, -2) * keep[:, None, :]))
-    return SubspaceBasis(sum(c.size for c, _ in samples.groups), tuple(groups)), cap
+    return SubspaceBasis(sum(c.size for c, _ in samples.groups), tuple(groups)), cap, integral
 
 
 def partial_subspace(g):
@@ -379,12 +390,11 @@ def classify(g):
     samples = _Samples.of(g, np.concatenate([times, grid]))
     at_times, on_grid = samples[:len(times)], samples[len(times):]
     functional = functional_commutativity(g)
-    integral = _integral_commutes(at_times)
-    subspace, cap = _subspace(at_times)
+    subspace, cap, integral = _subspace(at_times)
 
     residual_max = 0.0
     if subspace.rank > 0:
-        for _, stacks in _commutator_chain(on_grid, cap):
+        for _, _, _, stacks in _commutator_chain(on_grid, cap):
             for c, (_, vectors) in zip(stacks, subspace.groups):
                 if c is not None:
                     residual_max = max(residual_max,

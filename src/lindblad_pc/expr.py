@@ -39,7 +39,7 @@ __all__ = [
     "RateExpr", "Const", "TimeVar", "Neg", "Add", "Sub", "Mul", "Div",
     "Pow", "Func", "parse_rate_expr", "eval_expr", "format_expr",
     "Antiderivative", "ClosedFormAntiderivative", "QuadratureAntiderivative",
-    "antiderivative",
+    "antiderivative", "split_coefficient",
 ]
 
 # Closed forms carrying a 1/a factor are ill-conditioned for tiny a
@@ -132,50 +132,22 @@ _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 # ---------------------------------------------------------------------------
-# Constant folding. Subtrees whose operands are all literals collapse to a
-# literal so that structural equality doubles as a canonical form. The
-# literal is the subtree's value under eval_expr, bit for bit; a subtree
-# that does not evaluate stays, and its evaluation reports the failure.
+# Constant folding. A node whose operands (its RateExpr fields) are all
+# literals collapses to a literal, so that structural equality doubles as
+# a canonical form. The literal is the node's value under eval_expr, bit
+# for bit; a node that does not evaluate stays, and its evaluation reports
+# the failure. A node with no operands (a literal, `t`) stays as it is.
+# The parser folds each node it builds; those the antiderivatives build
+# all hold `t`, so none of them would fold.
 
-def _fold(node, *operands):
-    if all(isinstance(x, Const) for x in operands):
+def _fold(node):
+    operands = [x for x in node._values() if isinstance(x, RateExpr)]
+    if operands and all(isinstance(x, Const) for x in operands):
         try:
             return Const(eval_expr(node, 0.0))
         except NonFiniteError:
             pass
     return node
-
-
-def _neg(a):
-    return _fold(Neg(a), a)
-
-
-def _add(a, b):
-    return _fold(Add(a, b), a, b)
-
-
-def _sub(a, b):
-    return _fold(Sub(a, b), a, b)
-
-
-def _mul(a, b):
-    return _fold(Mul(a, b), a, b)
-
-
-def _div(a, b):
-    return _fold(Div(a, b), a, b)
-
-
-def _pow(a, n):
-    if n == 0:
-        return Const(1.0)
-    if n == 1:
-        return a
-    return _fold(Pow(a, n), a)
-
-
-def _func(name, a):
-    return _fold(Func(name, a), a)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +210,7 @@ class _Parser:
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
             op = self.advance()[1]
             rhs = self.term()
-            node = _add(node, rhs) if op == "+" else _sub(node, rhs)
+            node = _fold(Add(node, rhs) if op == "+" else Sub(node, rhs))
         return node
 
     def term(self):
@@ -246,7 +218,7 @@ class _Parser:
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
             op = self.advance()[1]
             rhs = self.factor()
-            node = _mul(node, rhs) if op == "*" else _div(node, rhs)
+            node = _fold(Mul(node, rhs) if op == "*" else Div(node, rhs))
         return node
 
     def factor(self):
@@ -257,7 +229,11 @@ class _Parser:
             if kind != "num" or not _INT_RE.match(value):
                 self.fail(("integer exponent",))
             self.advance()
-            node = _pow(node, int(value))
+            exponent = int(value)
+            if exponent == 0:
+                return Const(1.0)
+            if exponent > 1:
+                node = _fold(Pow(node, exponent))
         return node
 
     def base(self):
@@ -273,7 +249,7 @@ class _Parser:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return _func(value, arg)
+                return _fold(Func(value, arg))
             if value in self.params:
                 return Const(self.params[value])
             raise UnboundParameterError(value)
@@ -284,7 +260,7 @@ class _Parser:
             return node
         if (kind, value) == ("op", "-"):
             self.advance()
-            return _neg(self.base())
+            return _fold(Neg(self.base()))
         self.fail(("number", "name", "'t'", "'('", "'-'"))
 
     def expect(self, op):
@@ -591,7 +567,7 @@ def antiderivative(f, window):
         return QuadratureAntiderivative(f, window)
     total = terms[0]
     for term in terms[1:]:
-        total = _add(total, term)
+        total = Add(total, term)
     return ClosedFormAntiderivative(total)
 
 
@@ -630,6 +606,15 @@ def _coeff_core(f):
         cl, kl = _coeff_core(f.lhs)
         return cl / cr, kl
     return 1.0, f
+
+
+def split_coefficient(f):
+    """(c, core) with f = c * core: core is None when f is constant, and
+    f itself, with c = 1, when `_coeff_core` cannot split it."""
+    try:
+        return _coeff_core(f)
+    except _NoClosedForm:
+        return 1.0, f
 
 
 def _linear(f):
@@ -687,8 +672,8 @@ def _term_antiderivative(sign, term):
     if coeff == 1.0:
         return anti
     if isinstance(anti, Mul) and isinstance(anti.lhs, Const):
-        return _mul(Const(coeff * anti.lhs.value), anti.rhs)
-    return _mul(Const(coeff), anti)
+        return Mul(Const(coeff * anti.lhs.value), anti.rhs)
+    return Mul(Const(coeff), anti)
 
 
 # sin and cos antidifferentiate to each other, exp to itself, up to sign and 1/a.
@@ -707,8 +692,8 @@ def _core_antiderivative(core):
         partner = Func(_PARTNERS[core.name], core.arg)
         at_zero = Const(eval_expr(partner, 0.0))
         if core.name == "sin":
-            return _div(_sub(at_zero, partner), Const(a))
-        return _div(_sub(partner, at_zero), Const(a))
+            return Div(Sub(at_zero, partner), Const(a))
+        return Div(Sub(partner, at_zero), Const(a))
 
     if isinstance(core, Pow) and isinstance(core.base, Func):
         if core.exponent != 2 or core.base.name not in ("sin", "cos"):
@@ -717,9 +702,9 @@ def _core_antiderivative(core):
         if eval_expr(core.base.arg, 0.0) != 0.0:
             raise _NoClosedForm
         # sin^2(a t): t/2 - sin(2 a t)/(4 a); cos^2 flips the sign
-        osc = _div(Func("sin", _mul(Const(2.0 * a), TimeVar())), Const(4.0 * a))
-        half_t = _div(TimeVar(), Const(2.0))
-        return _sub(half_t, osc) if core.base.name == "sin" else _add(half_t, osc)
+        osc = Div(Func("sin", Mul(Const(2.0 * a), TimeVar())), Const(4.0 * a))
+        half_t = Div(TimeVar(), Const(2.0))
+        return Sub(half_t, osc) if core.base.name == "sin" else Add(half_t, osc)
 
     if isinstance(core, Pow):
         # t^n and (a t)^n with integer n >= 2
@@ -729,16 +714,16 @@ def _core_antiderivative(core):
         n = core.exponent
         scale = a ** n / (n + 1)
         power = Pow(TimeVar(), n + 1)
-        return power if scale == 1.0 else _mul(Const(scale), power)
+        return power if scale == 1.0 else Mul(Const(scale), power)
 
     # remaining cores that are affine in t (plain t, or unfolded constants)
     a, b = _linear(core)
     if a == 0.0:
-        return _mul(Const(b), TimeVar())
-    ramp = Pow(TimeVar(), 2) if a == 2.0 else _mul(Const(a / 2.0), Pow(TimeVar(), 2))
+        return Mul(Const(b), TimeVar())
+    ramp = Pow(TimeVar(), 2) if a == 2.0 else Mul(Const(a / 2.0), Pow(TimeVar(), 2))
     if b == 0.0:
         return ramp
-    return _add(ramp, _mul(Const(b), TimeVar()))
+    return Add(ramp, Mul(Const(b), TimeVar()))
 
 
 def _slope(arg):

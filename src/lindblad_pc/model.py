@@ -348,77 +348,27 @@ def phase_state(d, levels, phases=None):
 
 
 # ---------------------------------------------------------------------------
-# Built-in models (three-level V, cascade and Lambda topologies, and the
-# four-level cascade). Level energies follow the usual normalization with
-# the ground or middle level at zero; omega and the epsilons default to 1.
-
-def _get_params(params, numeric, strings=()):
-    params = dict(params or {})
-    out = {}
-    for name, default in numeric.items():
-        out[name] = float(params.pop(name, default))
-    for name, default in strings:
-        out[name] = str(params.pop(name, default))
-    if params:
-        allowed = list(numeric) + [n for n, _ in strings]
-        raise ValueError(f"unknown parameters {sorted(params)}; allowed: {allowed}")
-    return out
-
-
-def _build_v3(params):
-    p = _get_params(params, {"omega": 1.0, "eps1": 1.0, "eps3": 1.0})
-    h = np.diag([p["eps1"], 0.0, p["eps3"]]).astype(complex)
-    w = {"omega": p["omega"]}
-    jumps = [
-        Jump(jump_operator(3, 2, 1), parse_rate_expr("sin(omega*t)^2", w), 1, 2),
-        Jump(jump_operator(3, 2, 3), parse_rate_expr("cos(omega*t)^2", w), 3, 2),
-    ]
-    return LindbladModel(3, h, jumps)
-
-
-def _build_cascade3(params):
-    p = _get_params(params, {"omega": 1.0, "eps": 1.0})
-    h = np.diag([-p["eps"], 0.0, p["eps"]]).astype(complex)
-    w = {"omega": p["omega"]}
-    jumps = [
-        Jump(jump_operator(3, 2, 3), parse_rate_expr("sin(omega*t)^2", w), 3, 2),
-        Jump(jump_operator(3, 1, 2), parse_rate_expr("cos(omega*t)^2", w), 2, 1),
-    ]
-    return LindbladModel(3, h, jumps)
-
-
-def _build_lambda3(params):
-    p = _get_params(
-        params,
-        {"omega": 1.0, "eps1": 1.0, "eps3": 1.0},
-        strings=(("f1", "sin(t)^2"), ("f2", "cos(t)^2")),
-    )
-    h = np.diag([-p["eps1"], 0.0, -p["eps3"]]).astype(complex)
-    numbers = {k: v for k, v in p.items() if k not in ("f1", "f2")}
-    jumps = [
-        Jump(jump_operator(3, 1, 2), parse_rate_expr(p["f1"], numbers), 2, 1),
-        Jump(jump_operator(3, 3, 2), parse_rate_expr(p["f2"], numbers), 2, 3),
-    ]
-    return LindbladModel(3, h, jumps)
-
-
-def _build_cascade4(params):
-    p = _get_params(params, {"omega": 1.0, "eps1": 1.0, "eps2": 1.0})
-    h = np.diag([-p["eps2"], -p["eps1"], p["eps1"], p["eps2"]]).astype(complex)
-    w = {"omega": p["omega"]}
-    jumps = [
-        Jump(jump_operator(4, 3, 4), parse_rate_expr("exp(-omega*t)", w), 4, 3),
-        Jump(jump_operator(4, 2, 3), parse_rate_expr("sin(3*omega*t)^2", w), 3, 2),
-        Jump(jump_operator(4, 1, 2), parse_rate_expr("sin(3*omega*t)^2", w), 2, 1),
-    ]
-    return LindbladModel(4, h, jumps)
-
+# The paper's three-level V, cascade and Lambda systems and its four-level
+# cascade. Each name maps to (parameters, level energies, transitions):
+# - the parameters with their defaults: each number is bound into every
+#   rate, and lambda3's f1 and f2 are rate texts, "{f1}" in a transition;
+# - the level energies from the parameters, ground or middle level at zero;
+# - the level transitions as (source, target, rate text).
 
 _BUILTINS = {
-    "v3": _build_v3,
-    "cascade3": _build_cascade3,
-    "lambda3": _build_lambda3,
-    "cascade4": _build_cascade4,
+    "v3": ({"omega": 1.0, "eps1": 1.0, "eps3": 1.0},
+           lambda p: [p["eps1"], 0.0, p["eps3"]],
+           ((1, 2, "sin(omega*t)^2"), (3, 2, "cos(omega*t)^2"))),
+    "cascade3": ({"omega": 1.0, "eps": 1.0},
+                 lambda p: [-p["eps"], 0.0, p["eps"]],
+                 ((3, 2, "sin(omega*t)^2"), (2, 1, "cos(omega*t)^2"))),
+    "lambda3": ({"omega": 1.0, "eps1": 1.0, "eps3": 1.0, "f1": "sin(t)^2", "f2": "cos(t)^2"},
+                lambda p: [-p["eps1"], 0.0, -p["eps3"]],
+                ((2, 1, "{f1}"), (2, 3, "{f2}"))),
+    "cascade4": ({"omega": 1.0, "eps1": 1.0, "eps2": 1.0},
+                 lambda p: [-p["eps2"], -p["eps1"], p["eps1"], p["eps2"]],
+                 ((4, 3, "exp(-omega*t)"), (3, 2, "sin(3*omega*t)^2"),
+                  (2, 1, "sin(3*omega*t)^2"))),
 }
 
 
@@ -434,8 +384,26 @@ def builtin(name, params=None):
     rate expressions f1 and f2 as strings.
     """
     try:
-        build = _BUILTINS[name]
+        defaults, energies, transitions = _BUILTINS[name]
     except KeyError:
         raise UnknownModelError(
             f"unknown model {name!r}; available: {', '.join(builtin_names())}") from None
-    return build(params)
+    params = dict(params or {})
+    p = {}
+    for key, default in defaults.items():
+        value = params.pop(key, default)
+        if isinstance(default, str):
+            p[key] = str(value)
+            continue
+        try:
+            p[key] = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"params: {key!r} must be a finite number") from None
+    if params:
+        raise ValueError(f"unknown parameters {sorted(params)}; allowed: {list(defaults)}")
+    numbers = {key: value for key, value in p.items() if not isinstance(value, str)}
+    h = np.diag(energies(p)).astype(complex)
+    jumps = [Jump(jump_operator(len(h), target, source),
+                  parse_rate_expr(rate.format_map(p), numbers), source, target)
+             for source, target, rate in transitions]
+    return LindbladModel(len(h), h, jumps)

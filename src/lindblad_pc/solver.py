@@ -47,8 +47,7 @@ CLI's `solve` reads `closed_form_blocks`, through `expm`.
 `verify` reads `flow_blocks` and `oracle_blocks` side by side in one
 pass over the grid: per row block, one `expm_frechet` per group gives
 both exp(B(t)), and so the states, and L(B(t), L(t)), and so the
-residual, where three passes made the states with `expm` and then
-exponentiated B(t) again for the residual; the oracle then yields its
+residual; the oracle then yields its
 dense output on the same points, and the caller keeps only the largest
 distance and residual. The pair's exp(B(t)) is not bit for bit `expm`'s
 (it takes its degree from ||B(t)||_1 alone and sets no exact diagonal on
@@ -58,8 +57,7 @@ triangular blocks), so `verify`'s states agree with `solve`'s to within
 whole trajectory, or take the largest residual, from the same row
 blocks. At the grid bound of the CLI (`cli.MAX_GRID_ENTRIES`, v3 at
 466,033 points; 2-CPU x86-64 host) a `verify` process peaks at 73 MB
-resident, against 247 MB for three passes over whole trajectories and
-106 MB for `solve`, which keeps its CSV text.
+resident, against 106 MB for `solve`, which keeps its CSV text.
 
 The oracle applies L(t) from the generator's table of nonzero entries
 (`rows`, `cols`, `values`), never from the blocks: it shares no code

@@ -41,6 +41,7 @@ from lindblad_pc import (
     unvec,
     vec,
 )
+from lindblad_pc.expr import split_coefficient
 from lindblad_pc.linalg import DEFAULT_REL_TOL
 from lindblad_pc.model import Jump
 from lindblad_pc import commutativity, exponential, linalg, model, solver
@@ -120,9 +121,16 @@ def dense_components(loaded):
 
 
 def dense_criteria(loaded, g):
-    """(functional, integral) from dense mu x mu commutators."""
-    components = dense_components(loaded)
-    return (all(dense_commute(a, b) for a, b in itertools.combinations(components, 2)),
+    """(functional, integral) from dense mu x mu commutators; functional
+    on the components summed by time dependence: the drift with every
+    dissipator of constant rate, and one sum per rate up to a factor."""
+    drift, *dissipators = dense_components(loaded)
+    combined = {None: drift}
+    for jump, dissipator in zip(loaded.jumps, dissipators):
+        c, core = split_coefficient(jump.rate)
+        combined[core] = combined.get(core, 0) + c * dissipator
+    return (all(dense_commute(a, b)
+                for a, b in itertools.combinations(combined.values(), 2)),
             all(dense_commute(generator_at(g, t), integral_at(g, t))
                 for t in default_sample_times()))
 
@@ -309,6 +317,30 @@ class TestGateAgainstDense:
         assert (alone.partial_rank, alone.power_cap, alone.integral, alone.residual_max) == (
             whole.partial_rank, whole.power_cap, whole.integral, whole.residual_max)
         assert np.abs(alone.subspace.projector() - whole.subspace.projector()).max() <= 1e-12
+
+    def test_one_coordinate_blocks_are_not_factored(self, monkeypatch, tmp_path):
+        # their block of Gamma is zero: no SVD, and their vector is 1
+        workloads.build("quadrature-solve", 1, tmp_path)
+        g = assemble(load_model(tmp_path / "inputs" / "quadrature6.json")[0])
+        assert g.groups[0][0].shape == (30, 1)
+        sizes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a: sizes.append(a.shape[-1]) or svd(a))
+        sub = partial_subspace(g)
+        assert sizes == [6]
+        coords, vectors = sub.groups[0]
+        assert np.array_equal(coords, g.groups[0][0])
+        assert vectors.dtype == g.groups[0][1].dtype
+        assert np.all(vectors == 1.0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_classify_reports_the_integral_criterion(self, seed, tmp_path):
+        workloads.build("quadrature-solve", seed, tmp_path)
+        models = [load_model(path)[0] for path in sorted((tmp_path / "inputs").glob("*.json"))]
+        models += [builtin(name, MODEL_PARAMS[name]) for name in MODEL_NAMES]
+        for loaded in models:
+            g = assemble(loaded)
+            assert classify(g).integral == integral_commutativity(g)
 
     def test_classify_builds_no_dense_generator(self, monkeypatch):
         def dense(*args):

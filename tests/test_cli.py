@@ -233,6 +233,9 @@ DEFECTS = {
     "params-infinite": (
         lambda tmp: ["classify", "--builtin", "v3", "--params", "omega=inf"],
         "params: 'omega' must be a finite number"),
+    "params-not-a-number": (
+        lambda tmp: ["classify", "--builtin", "v3", "--params", "omega=abc"],
+        "params: 'omega' must be a finite number"),
     "params-overflowing": (
         lambda tmp: ["classify", "--builtin", "v3", "--params", "omega=1e999"],
         "params: 'omega' must be a finite number"),

@@ -102,33 +102,53 @@ class TestFunctionalCommutativity:
         assert functional_commutativity(single_jump_model()) is True
 
     def test_stops_at_the_first_row_of_pairs_that_fails(self, monkeypatch):
-        # cascade4's drift vanishes on its population block, so the pairs
-        # (0, j) hold, and its dissipators 1 and 2 do not commute: after the
-        # norms of its 4 parts, the commutators of row 0 (3 pairs) and of
-        # row 1 (2 pairs) are formed, and none of row 2
+        # cascade4's two sin^2 jumps are one time dependence, so it has 3
+        # parts; its drift vanishes on its population block, so the pairs
+        # (0, j) hold, and its exp and sin^2 parts do not commute: after the
+        # norms of the 3 parts, the commutators of row 0 (2 pairs) and of
+        # row 1 (1 pair) are formed
         formed = []
         squared_norms = commutativity._squared_norms
         monkeypatch.setattr(commutativity, "_squared_norms",
                             lambda stacks: formed.append(len(stacks[0])) or squared_norms(stacks))
         assert functional_commutativity(make_generator("cascade4")) is False
-        assert formed == [4, 3, 2]
+        assert formed == [3, 2, 1]
 
     @pytest.mark.parametrize("huge_first", [False, True])
     def test_pairs_are_decided_in_order(self, huge_first):
         # two jumps of strength 1e76, whose commutator's norm overflows,
-        # beside the two of a cascade: the first failing pair decides, so
-        # an overflow after it is never reached, and one before it raises
-        def jumps(scale):
-            return [Jump(scale * jump_operator(3, 2, 3), parse_rate_expr("1")),
-                    Jump(scale * jump_operator(3, 1, 2), parse_rate_expr("1"))]
-
-        parts = jumps(1e76) + jumps(1.0) if huge_first else jumps(1.0) + jumps(1e76)
+        # beside the two of a cascade, each at a rate of its own: the first
+        # failing pair decides, so an overflow after it is never reached,
+        # and one before it raises
+        scales = (1e76, 1e76, 1.0, 1.0) if huge_first else (1.0, 1.0, 1e76, 1e76)
+        rates = ("sin(t)^2", "cos(t)^2", "exp(-t)", "1/(1 + t^2)")
+        parts = [Jump(scale * jump_operator(3, target, target + 1), parse_rate_expr(rate))
+                 for scale, target, rate in zip(scales, (2, 1, 2, 1), rates)]
         g = assemble(LindbladModel(3, np.diag([-1.0, 0.0, 1.0]).astype(complex), parts))
         if huge_first:
             with pytest.raises(NonFiniteError, match="commutator norm overflows"):
                 functional_commutativity(g)
         else:
             assert functional_commutativity(g) is False
+
+    @pytest.mark.parametrize("rates, levels", [
+        (("1", "0.5"), (-1.0, 0.0, 1.0)),
+        (("2*exp(-t)", "exp(-t)"), (0.0, 1.0, 3.0)),
+    ])
+    def test_one_time_dependence_commutes(self, rates, levels):
+        # a constant generator, and rates that are constant multiples of one
+        # another: L(t) = A + f(t) B with A and B fixed, so L(t) and L(s)
+        # commute though the two dissipators do not
+        jumps = [Jump(jump_operator(3, 2, 3), parse_rate_expr(rates[0]), 3, 2),
+                 Jump(jump_operator(3, 1, 2), parse_rate_expr(rates[1]), 2, 1)]
+        g = assemble(LindbladModel(3, np.diag(levels).astype(complex), jumps))
+        assert functional_commutativity(g) is True
+
+    def test_two_way_jumps_at_one_rate_commute(self):
+        jumps = [Jump(jump_operator(2, 1, 2), parse_rate_expr("exp(-t)"), 2, 1),
+                 Jump(jump_operator(2, 2, 1), parse_rate_expr("exp(-t)"), 1, 2)]
+        g = assemble(LindbladModel(2, np.zeros((2, 2), dtype=complex), jumps))
+        assert functional_commutativity(g) is True
 
 
 class TestIntegralCommutativity:
@@ -140,6 +160,21 @@ class TestIntegralCommutativity:
 
     def test_constant_generator_commutes_with_integral(self):
         assert integral_commutativity(constant_rate_cascade()) is True
+
+
+def test_classify_runs_the_chain_once_at_the_sample_times_and_once_on_the_grid(monkeypatch):
+    # Gamma and the integral criterion share the pass at the sample times
+    calls = []
+    chain = commutativity._commutator_chain
+
+    def counted(samples, power_cap):
+        calls.append(len(samples.times))
+        return chain(samples, power_cap)
+
+    monkeypatch.setattr(commutativity, "_commutator_chain", counted)
+    report = classify(make_generator("cascade4"))
+    assert report.partial_rank > 0
+    assert calls == [12, 120]
 
 
 class TestGammaOperator:

@@ -23,6 +23,7 @@ from lindblad_pc import (
     unvec,
     vec,
 )
+from lindblad_pc.expr import format_expr
 from lindblad_pc.errors import ModelFileError, NonFiniteError, UnknownModelError
 from lindblad_pc.model import Jump, integral_table, rate_table
 
@@ -234,7 +235,38 @@ class TestIntegralAt:
             assert g.parts[0].integral.value(t) == pytest.approx(expected, abs=1e-13)
 
 
+# Each built-in's H diagonal and its transitions (source, target, rate)
+# at its defaults and at MODEL_PARAMS.
+BUILTIN_LITERALS = {
+    ("v3", False): ([1.0, 0.0, 1.0], [(1, 2, "sin(1*t)^2"), (3, 2, "cos(1*t)^2")]),
+    ("v3", True): ([1.0, 0.0, 2.0], [(1, 2, "sin(1*t)^2"), (3, 2, "cos(1*t)^2")]),
+    ("cascade3", False): ([-1.0, 0.0, 1.0], [(3, 2, "sin(1*t)^2"), (2, 1, "cos(1*t)^2")]),
+    ("cascade3", True): ([-1.0, 0.0, 1.0], [(3, 2, "sin(1*t)^2"), (2, 1, "cos(1*t)^2")]),
+    ("lambda3", False): ([-1.0, 0.0, -1.0], [(2, 1, "sin(t)^2"), (2, 3, "cos(t)^2")]),
+    ("lambda3", True): ([-1.0, 0.0, -2.0], [(2, 1, "sin(t)^2"), (2, 3, "cos(t)^2")]),
+    ("cascade4", False): ([-1.0, -1.0, 1.0, 1.0],
+                          [(4, 3, "exp(-1*t)"), (3, 2, "sin(3*t)^2"), (2, 1, "sin(3*t)^2")]),
+    ("cascade4", True): ([-2.0, -1.0, 1.0, 2.0],
+                         [(4, 3, "exp(-1*t)"), (3, 2, "sin(3*t)^2"), (2, 1, "sin(3*t)^2")]),
+}
+
+
 class TestBuiltin:
+    @pytest.mark.parametrize("name, with_params", list(BUILTIN_LITERALS))
+    def test_levels_and_transitions(self, name, with_params):
+        model = builtin(name, MODEL_PARAMS[name] if with_params else {})
+        diagonal, transitions = BUILTIN_LITERALS[name, with_params]
+        assert np.array_equal(model.hamiltonian, np.diag(diagonal))
+        assert model.hamiltonian.dtype == complex
+        assert [(j.source, j.target, format_expr(j.rate)) for j in model.jumps] == transitions
+        for jump in model.jumps:
+            assert np.array_equal(jump.operator,
+                                  jump_operator(model.dim, jump.target, jump.source))
+
+    def test_non_numeric_parameter_is_named(self):
+        with pytest.raises(ValueError, match="params: 'omega' must be a finite number"):
+            builtin("v3", {"omega": "abc"})
+
     def test_v3_structure(self):
         model = builtin("v3", {"eps1": 1.0, "eps3": 2.0})
         assert model.dim == 3
