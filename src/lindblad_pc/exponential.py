@@ -5,27 +5,47 @@ a stack of them.
 them, shape (..., n, n), so that a generator block is exponentiated at a
 whole chunk of time points in one call.
 
-:func:`expm` is the scaling-and-squaring algorithm of Al-Mohy and Higham
-("A new scaling and squaring algorithm for the matrix exponential", SIAM
-J. Matrix Anal. Appl. 31 (2009) 970-989, Algorithm 5.1), with the Pade
-approximants of Higham (SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193),
-in numpy over a whole stack at once. Each slice gets its own Pade degree
-m in {3, 5, 7, 9, 13} and scaling s from exact 1-norms of its powers, so
-its result does not depend on the rest of the stack. A diagonal slice is
-np.exp of its diagonal, so exp(0) is exactly I. On a triangular slice the
-diagonal and first off-diagonal are set from their exact values after
-each squaring (their Code Fragment 2.1). Only the slices that still need
-a squaring take it.
+Both run one algorithm: the scaling and squaring of Al-Mohy and Higham
+("Computing the Frechet derivative of the matrix exponential, with an
+application to condition number estimation", SIAM J. Matrix Anal. Appl.
+30 (2009) 1639-1657, Algorithm 6.4), with the Pade approximants of
+Higham (SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193), in numpy over
+a whole stack at once. Each slice gets its own Pade degree m in
+{3, 5, 7, 9, 13}, the least with ||A||_1 <= ell_m, or m = 13 and its own
+scaling s, so its result does not depend on the rest of the stack. One
+evaluator forms the [m/m] approximant from the even powers of A and,
+given a direction E, its derivative from theirs, so that the pair costs
+about three exponentials; then the squarings R <- R^2, after
+L <- RL + LR with a direction, run only on the slices that still need
+one. expm(A) is thus, bit for bit, the exponential that
+expm_frechet(A, E) returns in the same dtype, except on two kinds of
+slice, where the exponential alone does more:
 
-The Frechet derivative L(A, E) comes with exp(A) from Algorithm 6.4 of
-Al-Mohy and Higham ("Computing the Frechet derivative of the matrix
-exponential, with an application to condition number estimation", SIAM
-J. Matrix Anal. Appl. 30 (2009) 1639-1657), stacked the same way: the
-Pade approximant of degree m in {3, 5, 7, 9, 13} and its derivative share
-the even powers of A, so the pair costs about three exponentials. Each
-slice gets its own degree from its 1-norm, and at m = 13 its own scaling
-s; the squarings L <- RL + LR, R <- R^2 run only on the slices that
-still need one.
+- a diagonal slice is np.exp of its diagonal, so exp(0) is exactly I;
+- on a triangular slice the diagonal and first off-diagonal are set
+  from their exact values before the first squaring and after each
+  (Al-Mohy and Higham, "A new scaling and squaring algorithm for the
+  matrix exponential", SIAM J. Matrix Anal. Appl. 31 (2009) 970-989,
+  Code Fragment 2.1).
+
+That refinement is the exponential's alone. On the population blocks
+of cascades (level k+1 decays to k, n = 2..8) at times up to 1e6,
+without it expm was up to 5.8e-11 from scipy.linalg.expm in the
+relative 1-norm, and 6.0e-14 with it (3000 draws for each n). Given to
+expm_frechet as well, it moved the pair's exponential 5.8e-11 from that
+of scipy.linalg.expm_frechet, which the tests hold the pair to
+(n = 2..64).
+
+The degree and scaling come from ||A||_1 alone. Algorithm 5.1 of the
+second paper above also bounds the 1-norms of powers of A, so as not to
+scale a strongly non-normal A more than it needs. Without that guard, on
+upper triangular matrices with off-diagonal entries up to 200 or 1e4,
+expm was at most 5.6 eps from 40-digit arithmetic in the relative
+1-norm, where Algorithm 5.1 was within 0.1 eps. No generator block of
+the package's models is of that kind: on the largest block of B(t) of
+v3, lambda3, cascade4 and a driven 8-level cascade, at twelve times up
+to 1e3, expm stays within 0.70 of 2 eps (1 + ||B(t)||_1), the rounding
+bound that :mod:`lindblad_pc.solver` states.
 
 Both work through a stack one slab at a time: as many slices as keep
 the slab's whole working set, its input, its share of the output and
@@ -34,15 +54,14 @@ package's one memory budget for every stacked loop (`linalg._row_slices`).
 A slab is sorted by Pade degree and then by scaling, so each degree is
 one run of it and the slices that still need a squaring are its tail:
 the approximants and the squarings work on views of one sorted copy,
-their sums accumulate in preallocated arrays (ufuncs with out=), the
-slab's share of the output is scratch until the end, and of A^8 only its
-1-norm is kept. The
-caller's input is never written. Each slice takes the same operations
-in the same order whatever slab it falls in, so its result is bit for
-bit the one it gets alone. At its peak a slab of expm holds about 7 to 9
-times its input besides that input and its output, and one of
-expm_frechet about 13 to 14 besides A, E and the two outputs (measured
-under tracemalloc at n = 2..64, every slab of degree 13).
+their sums accumulate in preallocated arrays (ufuncs with out=), and the
+slab's share of the output is scratch until the end. The caller's input
+is never written. Each slice takes the same operations in the same order
+whatever slab it falls in, so its result is bit for bit the one it gets
+alone. At its peak a slab of expm holds about 7 to 8 times its input
+besides that input and its output, and one of expm_frechet about 13 to
+14 besides A, E and the two outputs (measured under tracemalloc at
+n = 3..64, every Pade degree).
 
 Real in, real out: both keep the dtype of their input, float64 or
 complex128 (an integer or bool input is taken as float64), in their
@@ -87,7 +106,7 @@ def expm(a):
         return out
     flat, flat_out = a.reshape(-1, n, n), out.reshape(-1, n, n)
     for rows in _row_slices(flat.shape[0], _slice_bytes(n, a.itemsize)):
-        _expm_slab(flat[rows], flat_out[rows])
+        _slab(flat[rows], None, flat_out[rows], None)
     return out
 
 
@@ -112,18 +131,10 @@ def expm_frechet(a, e):
         return exp_a, frechet
     flat_a, flat_e, flat_exp, flat_frechet = (x.reshape(-1, n, n) for x in (a, e, exp_a, frechet))
     for rows in _row_slices(flat_a.shape[0], _slice_bytes(n, a.itemsize, frechet=True)):
-        _frechet_slab(flat_a[rows], flat_e[rows], flat_exp[rows], flat_frechet[rows])
+        _slab(flat_a[rows], flat_e[rows], flat_exp[rows], flat_frechet[rows])
     return exp_a, frechet
 
 
-# Pade degree m -> theta_m, the largest 1-norm on which the [m/m] Pade
-# approximant of exp has a backward error below 2^-53, and |c_(2m+1)|,
-# the leading coefficient of that error's series (Al-Mohy and Higham
-# 2009, Table 3.1 and eq. (5.1)).
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-          9: 2.097847961257068e0, 13: 4.25}
-_BACKWARD = {3: 1 / 100800, 5: 1 / 10059033600, 7: 1 / 4487938430976000,
-             9: 1 / 5914384781877411840000, 13: 1 / 113250775606021113483283660800000000}
 # Pade degree m -> ell_m, the largest 1-norm of A on which the [m/m] Pade
 # approximant of exp and its Frechet derivative have backward errors
 # below 2^-53 (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 30 (2009)
@@ -146,15 +157,17 @@ _PADE = {
 def _slice_bytes(n, itemsize, frechet=False):
     """Working set of one n x n slice of a slab of expm, or of
     expm_frechet, whose entries take itemsize bytes (16 complex, 8 real).
-    At its peak a slab of expm holds up to 11 arrays of its input's size
-    (the input, its output, A sorted, A^2, A^4, A^6, two sums, the Pade
-    solution and index arrays), and one of expm_frechet up to 18 (A and E,
-    both outputs, A and E sorted, the even powers of A and their
-    derivatives up to the sixth, and four sums); measured under
-    tracemalloc at n = 2..64, on complex and real stacks of every Pade
-    degree. Real 2 x 2 slices reach 12.4 and 18.4, since their per-slice
-    norms, degrees and indices weigh twice what they do against complex
-    ones, and a single real 64 x 64 slice of expm_frechet 18.2."""
+    At its peak a slab of expm holds 9 arrays of its input's size (the
+    input, its output, A sorted, one scratch array, the Pade solution,
+    and A^2, A^4, A^6 with A^8 at m = 9 or with the sum of the terms from
+    A^8 on at m = 13), and one of expm_frechet up to 18 (A and E, both
+    outputs, A and E sorted, the even powers of A and their derivatives
+    up to the sixth, and four sums). Measured under tracemalloc at
+    n = 3..64, on complex and real stacks of every Pade degree: 8.8 to
+    9.6 and 17.1 to 17.7, and a single real 64 x 64 slice of
+    expm_frechet 18.1; 2 x 2 slices reach 9.7 and 17.7 complex, 10.1 and
+    18.4 real, since their per-slice norms, degrees and indices weigh
+    more against them. The factor 11 is above all of these."""
     return (18 if frechet else 11) * itemsize * n * n
 
 
@@ -168,147 +181,98 @@ def _runs(degree):
             if start < stop}
 
 
-def _expm_slab(a, out):
-    """exp of each slice of `a`, shape (k, n, n), into `out`. A diagonal
-    slice (a zero one too) is np.exp of its diagonal; every other slice
-    gets its own Pade degree and scaling, so its result does not depend on
-    the rest of the stack."""
-    nonzero = a != 0
-    np.einsum("kii->ki", nonzero)[...] = False  # off the diagonal
-    general = nonzero.any(axis=(1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        if general.any():
-            upper = ~np.tril(nonzero, -1).any(axis=(1, 2))
-            lower = ~upper & ~np.triu(nonzero, 1).any(axis=(1, 2))
-            _expm_general(a, out, general, upper, lower)
-        else:
-            out[...] = 0
-            np.einsum("kii->ki", out)[...] = np.exp(np.einsum("kii->ki", a))
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("the matrix exponential overflows")
-
-
 def _norm1(a):
     """The 1-norm (largest column sum of moduli) of each slice."""
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
-def _ell(a, norm, m):
-    """ell(A, m) of Al-Mohy and Higham (2009, eq. (5.3)) for each slice:
-    the squarings that degree m needs on top of theta_m, from the exact
-    1-norm of |A|^(2m+1), the largest entry of the row 1^T |A|^(2m+1). The
-    row is formed one row-times-matrix product at a time, with |A| divided
-    by its 1-norm so that no power overflows."""
-    unit = np.abs(a)
-    unit /= norm[:, None, None]
-    row = np.ones((a.shape[0], 1, a.shape[-1]))
-    for _ in range(2 * m + 1):
-        row = row @ unit
-    with np.errstate(divide="ignore"):  # |A|^(2m+1) = 0: ell is 0
-        log2_alpha = (np.log2(_BACKWARD[m]) + np.log2(row.max(axis=(1, 2)))
-                      + 2 * m * np.log2(norm))
-    return np.maximum(0.0, np.ceil((log2_alpha + 53) / (2 * m))).astype(int)
-
-
-def _expm_general(a, out, general, upper, lower):
-    """Algorithm 5.1 of Al-Mohy and Higham (2009), with exact 1-norms, on
-    each slice of `a` flagged `general`, into `out`: pick the Pade degree
-    m and the scaling s, evaluate the [m/m] approximant at 2^-s A, and
-    square the result s times. The other slices are diagonal and get
-    np.exp of their diagonal. `upper` and `lower` flag the triangular
-    slices. The work is done on a copy of the stack sorted by degree and
-    scaling, so that each degree, and the slices that still need a
-    squaring, are one run of it; `out` is scratch until the end."""
-    k = a.shape[0]
+def _slab(a, e, exp_out, frechet_out):
+    """exp(A) of each slice of `a`, shape (k, n, n), into exp_out, and
+    given a direction `e` (not None) L(A, E) into frechet_out, by the
+    algorithm of the module docstring. The work is done on a copy of the
+    slab sorted by degree and scaling, so that each degree, and the slices
+    that still need a squaring, are one run of it; the outputs are scratch
+    until the end."""
+    if e is None:
+        nonzero = a != 0
+        np.einsum("kii->ki", nonzero)[...] = False  # off the diagonal
+        is_diagonal = ~nonzero.any(axis=(1, 2))
+        if is_diagonal.all():
+            with np.errstate(over="ignore"):  # checked below
+                _exp_diagonal(a, exp_out)
+            if not np.all(np.isfinite(exp_out)):
+                raise NonFiniteError("the matrix exponential overflows")
+            return
+        upper = ~np.tril(nonzero, -1).any(axis=(1, 2))
+        lower = ~np.triu(nonzero, 1).any(axis=(1, 2))
+        del nonzero
     norm = _norm1(a)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    d6 = _norm1(a6) ** (1 / 6)
-    eta = np.maximum(_norm1(a4) ** (1 / 4), d6)
-    degree = np.where(general, 13, 0)  # 0: a diagonal slice
-    scaling = np.zeros(k, dtype=int)
-
-    def settle(m):
-        """Degree m for the undecided slices within theta_m with ell = 0."""
-        trial = np.flatnonzero((degree == 13) & (eta <= _THETA[m]))
-        if trial.size:
-            degree[trial[_ell(a[trial], norm[trial], m) == 0]] = m
-
-    settle(3)
-    settle(5)
-    if np.any(degree == 13):
-        d8 = _norm1(np.matmul(a4, a4, out=out)) ** (1 / 8)
-        eta = np.maximum(d6, d8)
-        settle(7)
-        settle(9)
-    rest = np.flatnonzero(degree == 13)
-    if rest.size:
-        both = (a4, a6) if rest.size == k else (a4[rest], a6[rest])
-        d10 = _norm1(np.matmul(*both, out=out[:rest.size])) ** (1 / 10)
-        del both
-        least = np.minimum(eta[rest], np.maximum(d8[rest], d10))
-        if not np.all(np.isfinite(least)):  # a power of A overflows
-            raise NonFiniteError("the matrix exponential overflows")
-        with np.errstate(divide="ignore"):  # least = 0: no scaling
-            s = np.maximum(0.0, np.ceil(np.log2(least / _THETA[13]))).astype(int)
-        scale = 2.0 ** -s
-        scaled = a[rest]
-        scaled *= scale[:, None, None]
-        scaling[rest] = s + _ell(scaled, norm[rest] * scale, 13)
-        del scaled
-
-    # Sorted by degree, then by scaling, the slices of each degree are one
-    # run of the stack, and those that still need a squaring are its tail.
+    if not np.all(np.isfinite(norm)):
+        raise NonFiniteError("the matrix exponential overflows")
+    degree = np.full(a.shape[0], 13)
+    for m in (9, 7, 5, 3):
+        degree[norm <= _ELL[m]] = m
+    if e is None:
+        degree[is_diagonal] = 0
+    scaling = np.zeros(a.shape[0], dtype=int)
+    large = degree == 13
+    scaling[large] = np.maximum(0, np.ceil(np.log2(norm[large] / _ELL[13])))
     order = np.lexsort((scaling, degree))
-    degree, scaling, upper, lower = degree[order], scaling[order], upper[order], lower[order]
+    degree, scaling = degree[order], scaling[order]
     r = np.take(a, order, axis=0)
-    powers = {2: a2, 4: a4, 6: a6}
-    del a2, a4, a6
-    spare = np.empty_like(a)
-    for p, power in powers.items():
-        np.take(power, order, axis=0, out=spare, mode="clip")  # "raise" would buffer out
-        powers[p], spare = spare, power
-    x, y = spare, np.empty_like(a)
-
-    for m, run in _runs(degree).items():
-        if m == 0:
-            exp_diagonal = np.exp(np.einsum("kii->ki", r[run]))
-            r[run] = 0
-            np.einsum("kii->ki", r[run])[...] = exp_diagonal
-            continue
-        if m == 13:
-            scale = 2.0 ** -scaling[run, None, None]
-            r[run] *= scale
-            for p, power in powers.items():
-                power[run] *= scale ** p
-        r[run] = _pade(m, r[run], {p: power[run] for p, power in powers.items()},
-                       x[run], y[run], out[run])
-    del powers, x, y
-
-    # Squaring. On a triangular slice the diagonal and the first
-    # off-diagonal of each power are set from their exact values
-    # (Al-Mohy and Higham 2009, Code Fragment 2.1), before the first
-    # squaring (the diagonal) and after each.
-    diagonal = np.einsum("kii->ki", a)[order]
-    bands = {_superdiagonal: _superdiagonal(a)[order], _subdiagonal: _subdiagonal(a)[order]}
-    triangles = [(np.flatnonzero(triangle & (scaling > 0)), band)
-                 for triangle, band in ((upper, _superdiagonal), (lower, _subdiagonal))]
-    triangles = [(scaled, band) for scaled, band in triangles if scaled.size]
-    for step in range(scaling[-1] + 1):
-        live = slice(np.searchsorted(scaling, step), None)
-        if step:
-            r[live] = np.matmul(r[live], r[live], out=out[live])
-        for scaled, band in triangles:
-            chosen = scaled[scaling[scaled] >= step]
-            scale = 2.0 ** (step - scaling[chosen])[:, None]
-            scaled_diagonal = diagonal[chosen] * scale
-            exp_diagonal = np.exp(scaled_diagonal)
-            np.einsum("kii->ki", r)[chosen] = exp_diagonal
+    l = None if e is None else np.take(e, order, axis=0)
+    scratch = np.empty_like(r) if l is None else frechet_out
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for m, run in _runs(degree).items():
+            if m == 0:
+                _exp_diagonal(r[run], r[run])
+                continue
+            if m == 13:
+                scale = 2.0 ** -scaling[run, None, None]
+                r[run] *= scale
+                if l is not None:
+                    l[run] *= scale
+            _pade(m, r[run], None if l is None else l[run], exp_out[run], scratch[run])
+        del scratch
+        # the exponential's exact diagonal and first off-diagonal of each
+        # triangular slice that is squared
+        triangles = []
+        if e is None:
+            diagonal = np.einsum("kii->ki", a)[order]
+            for triangle, band in ((upper, _superdiagonal), (lower, _subdiagonal)):
+                scaled = np.flatnonzero(triangle[order] & (scaling > 0))
+                if scaled.size:
+                    triangles.append((scaled, band, band(a)[order]))
+        for step in range(scaling[-1] + 1):
+            live = slice(np.searchsorted(scaling, step), None)
             if step:
-                band(r)[chosen] = bands[band][chosen] * scale * _divided_difference(
-                    scaled_diagonal, exp_diagonal)
-    out[order] = r
+                if l is not None:
+                    product = np.matmul(r[live], l[live], out=exp_out[live])
+                    np.add(product, np.matmul(l[live], r[live], out=frechet_out[live]),
+                           out=l[live])
+                r[live] = np.matmul(r[live], r[live], out=exp_out[live])
+            for scaled, band, entries in triangles:
+                chosen = scaled[scaling[scaled] >= step]
+                scale = 2.0 ** (step - scaling[chosen])[:, None]
+                scaled_diagonal = diagonal[chosen] * scale
+                exp_diagonal = np.exp(scaled_diagonal)
+                np.einsum("kii->ki", r)[chosen] = exp_diagonal
+                if step:
+                    band(r)[chosen] = entries[chosen] * scale * _divided_difference(
+                        scaled_diagonal, exp_diagonal)
+    if not (np.all(np.isfinite(r)) and (l is None or np.all(np.isfinite(l)))):
+        raise NonFiniteError("the matrix exponential overflows")
+    exp_out[order] = r
+    if l is not None:
+        frechet_out[order] = l
+
+
+def _exp_diagonal(a, out):
+    """exp of each diagonal slice of `a` into `out` (which may be `a`):
+    np.exp of its diagonal, and zeros off it."""
+    exp_diagonal = np.exp(np.einsum("kii->ki", a))
+    out[...] = 0
+    np.einsum("kii->ki", out)[...] = exp_diagonal
 
 
 def _superdiagonal(x):
@@ -329,146 +293,78 @@ def _divided_difference(x, exp_x):
     return np.where(equal, exp_x[..., :-1], np.diff(exp_x, axis=-1) / np.where(equal, 1, step))
 
 
-def _pade(m, a, powers, x, y, t):
-    """The [m/m] Pade approximant p_m(-A)^-1 p_m(A) of exp(A) on each slice
-    of `a`, from its even powers A^2, A^4 and A^6 (Higham 2005, section 2).
-    The sums are accumulated in x, y and t, arrays of a's shape, term by
-    term in the order of the formulas; `a` is overwritten."""
-    b = _PADE[m]
-    identity = np.eye(a.shape[-1])
-
-    def add(into, c, power, product):
-        """into += c * power, the product formed in `product`."""
-        np.add(into, np.multiply(c, power, out=product), out=into)
-
-    if m == 13:
-        a2, a4, a6 = powers[2], powers[4], powers[6]
-        np.multiply(b[13], a6, out=x)
-        add(x, b[11], a4, t)
-        add(x, b[9], a2, t)
-        np.matmul(a6, x, out=y)
-        for c, power in ((b[7], a6), (b[5], a4), (b[3], a2)):
-            add(y, c, power, t)
-        y += b[1] * identity
-        u = np.matmul(a, y, out=x)
-        np.multiply(b[12], a6, out=y)
-        add(y, b[10], a4, t)
-        add(y, b[8], a2, t)
-        v = np.matmul(a6, y, out=a)
-        for c, power in ((b[6], a6), (b[4], a4), (b[2], a2)):
-            add(v, c, power, t)
-        v += b[0] * identity
-    else:
-        if m == 9:
-            powers = {**powers, 8: np.matmul(powers[4], powers[4], out=x)}
-        even = [powers[p] for p in range(2, m, 2)]
-        np.add(b[1] * identity, np.multiply(b[3], even[0], out=y), out=y)
-        for j, power in enumerate(even[1:], 2):
-            add(y, b[2 * j + 1], power, t)
-        u = np.matmul(a, y, out=t)
-        v = np.add(b[0] * identity, np.multiply(b[2], even[0], out=a), out=a)
-        for j, power in enumerate(even[1:], 2):
-            add(v, b[2 * j], power, y)
-    q = np.subtract(v, u, out=y)
-    try:
-        return np.linalg.solve(q, np.add(v, u, out=v))
-    except np.linalg.LinAlgError:
-        raise NonFiniteError("the matrix exponential has a singular Pade denominator") from None
+def _series(into, coefficients, matrices, temp):
+    """sum_j coefficients[j] matrices[j] into `into`, summed from the
+    highest power down, each product formed in `temp`."""
+    pairs = list(zip(coefficients, matrices))[::-1]
+    np.multiply(*pairs[0], out=into)
+    for c, x in pairs[1:]:
+        into += np.multiply(c, x, out=temp)
+    return into
 
 
-def _frechet_slab(a, e, exp_out, frechet_out):
-    """exp(A) and L(A, E) of each slice pair of `a` and `e`, shape
-    (k, n, n), into exp_out and frechet_out: Algorithm 6.4 of Al-Mohy and
-    Higham's Frechet paper (see the module docstring). Each slice gets its
-    own Pade degree m, the least with ||A||_1 <= ell_m, or m = 13 and its
-    own scaling s, so its result does not depend on the rest of the
-    stack; then L <- RL + LR and R <- R^2 on the slices that still need a
-    squaring. The outputs are scratch until the end."""
-    norm = _norm1(a)
-    if not np.all(np.isfinite(norm)):
-        raise NonFiniteError("the matrix exponential overflows")
-    degree = np.full(a.shape[0], 13)
-    for m in (9, 7, 5, 3):
-        degree[norm <= _ELL[m]] = m
-    scaling = np.zeros(a.shape[0], dtype=int)
-    large = degree == 13
-    scaling[large] = np.maximum(0, np.ceil(np.log2(norm[large] / _ELL[13])))
-    # Sorted by degree, then by scaling, the slices of each degree are one
-    # run of the stack, and those that still need a squaring are its tail.
-    # The scaled slices are overwritten by R and L.
-    order = np.lexsort((scaling, degree))
-    degree, scaling = degree[order], scaling[order]
-    r, l = np.take(a, order, axis=0), np.take(e, order, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for m, run in _runs(degree).items():
-            if m == 13:
-                scale = 2.0 ** -scaling[run, None, None]
-                r[run] *= scale
-                l[run] *= scale
-            _pade_frechet(m, r[run], l[run], exp_out[run], frechet_out[run])
-        for step in range(1, scaling[-1] + 1):
-            live = slice(np.searchsorted(scaling, step), None)
-            product = np.matmul(r[live], l[live], out=exp_out[live])
-            np.add(product, np.matmul(l[live], r[live], out=frechet_out[live]), out=l[live])
-            r[live] = np.matmul(r[live], r[live], out=exp_out[live])
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(l))):
-        raise NonFiniteError("the matrix exponential overflows")
-    exp_out[order] = r
-    frechet_out[order] = l
-
-
-def _pade_frechet(m, a, e, t, lu):
+def _pade(m, a, e, t, lu):
     """The [m/m] Pade approximant R = (V - U)^-1 (U + V) of exp at each
-    slice of `a` and its Frechet derivative L in the direction `e` (the
-    Frechet paper, eqs. (6.11)-(6.13) and Algorithm 6.4), written over `a`
-    and `e`. U = AW and V are polynomials in A^2; their derivatives
-    L_U = A L_W + E W and L_V come from those of the even powers,
-    M_2 = AE + EA and M_2j = A^(2j-2) M_2 + M_(2j-2) A^2; and
-    L = (V - U)^-1 (L_U + L_V + (L_U - L_V) R). The sums are accumulated
-    term by term in the order of the formulas, in t and lu (scratch of a's
-    shape) and in arrays of their own."""
+    slice of `a`, written over `a`, and given a direction `e` (not None)
+    its Frechet derivative L, written over `e` (the Frechet paper,
+    eqs. (6.11)-(6.13) and Algorithm 6.4). U = AW and V are polynomials
+    in A^2; their derivatives L_U = A L_W + E W and L_V come from those of
+    the even powers, M_2 = AE + EA and M_2j = A^(2j-2) M_2 + M_(2j-2) A^2;
+    and L = (V - U)^-1 (L_U + L_V + (L_U - L_V) R). The sums are
+    accumulated term by term in the order of the formulas, in t and lu
+    (scratch of a's shape) and in arrays of their own; without a
+    direction, W, U and V take lu, t and `a` itself, so that the
+    exponential holds no array the pair does not need."""
     b = _PADE[m]
-    powers, derivatives = [a @ a], [np.matmul(a, e)]
-    derivatives[0] += np.matmul(e, a, out=t)
+    frechet = e is not None
+    powers, derivatives = [a @ a], []
+    if frechet:
+        derivatives.append(np.matmul(a, e))
+        derivatives[0] += np.matmul(e, a, out=t)
     for _ in range(2, 4 if m == 13 else (m + 1) // 2):
-        derivatives.append(np.matmul(powers[-1], derivatives[0]))
-        derivatives[-1] += np.matmul(derivatives[-2], powers[0], out=t)
+        if frechet:
+            derivatives.append(np.matmul(powers[-1], derivatives[0]))
+            derivatives[-1] += np.matmul(derivatives[-2], powers[0], out=t)
         powers.append(powers[-1] @ powers[0])
 
-    def series(into, coefficients, matrices):  # summed from the highest power down
-        pairs = list(zip(coefficients, matrices))[::-1]
-        np.multiply(*pairs[0], out=into)
-        for c, x in pairs[1:]:
-            into += np.multiply(c, x, out=t)
-        return into
+    high = np.empty_like(a) if m == 13 else None
+    dhigh = np.empty_like(a) if m == 13 and frechet else None
+    if frechet:
+        p, dp = np.empty_like(a), np.empty_like(a)
+        # the buffers of W, U, V, the scratch of V's sums, and V - U
+        w, u, v, scratch, q = p, e, p, t, a
+    else:
+        w, u, v, scratch, q = lu, t, a, lu, lu
 
-    p, dp = np.empty_like(a), np.empty_like(a)
-    high, dhigh = (np.empty_like(a), np.empty_like(a)) if m == 13 else (None, None)
-
-    def polynomial(c):
-        """sum_j c_j A^2j and its derivative, into p and dp; at m = 13 the
-        terms from A^8 on as A^6 times a polynomial in A^2."""
-        np.add(series(p, c[1:], powers), c[0] * np.eye(a.shape[-1]), out=p)
-        series(dp, c[1:], derivatives)
+    def polynomial(c, into, temp):
+        """sum_j c_j A^2j into `into`, with a direction its derivative into
+        dp; at m = 13 the terms from A^8 on as A^6 times a polynomial in
+        A^2. `temp` is scratch."""
+        np.add(_series(into, c[1:], powers, temp), c[0] * np.eye(a.shape[-1]), out=into)
+        if frechet:
+            _series(dp, c[1:], derivatives, temp)
         if m == 13:
-            series(high, c[4:], powers)
-            np.add(p, np.matmul(powers[2], high, out=t), out=p)
-            np.matmul(powers[2], series(dhigh, c[4:], derivatives), out=t)
-            np.add(t, np.matmul(derivatives[2], high, out=dhigh), out=t)
-            np.add(dp, t, out=dp)
+            _series(high, c[4:], powers, temp)
+            np.add(into, np.matmul(powers[2], high, out=temp), out=into)
+            if frechet:
+                np.matmul(powers[2], _series(dhigh, c[4:], derivatives, temp), out=temp)
+                np.add(temp, np.matmul(derivatives[2], high, out=dhigh), out=temp)
+                np.add(dp, temp, out=dp)
 
-    polynomial(b[1::2])  # W and L_W
-    np.add(np.matmul(a, dp, out=lu), np.matmul(e, p, out=t), out=lu)  # L_U
-    u = np.matmul(a, p, out=e)
-    polynomial(b[0::2])  # V and L_V
+    polynomial(b[1::2], w, t)  # W and L_W
+    if frechet:
+        np.add(np.matmul(a, dp, out=lu), np.matmul(e, p, out=t), out=lu)  # L_U
+    np.matmul(a, w, out=u)
+    polynomial(b[0::2], v, scratch)  # V and L_V
     del powers, derivatives, high, dhigh
-    q = np.subtract(p, u, out=a)
+    np.subtract(v, u, out=q)
     try:
-        r = np.linalg.solve(q, np.add(u, p, out=u))
-        np.matmul(np.subtract(lu, dp, out=t), r, out=p)
-        lu += dp
-        lu += p
-        e[...] = np.linalg.solve(q, lu)
+        r = np.linalg.solve(q, np.add(u, v, out=u))
+        if frechet:
+            np.matmul(np.subtract(lu, dp, out=t), r, out=p)
+            lu += dp
+            lu += p
+            e[...] = np.linalg.solve(q, lu)
     except np.linalg.LinAlgError:
         raise NonFiniteError("the matrix exponential has a singular Pade denominator") from None
     a[...] = r

@@ -583,38 +583,43 @@ def _terms(f, sign=1.0):
 
 
 def _coeff_core(f):
-    """Split a multiplicative term into (constant coefficient, core factor).
-
-    The core is None when the term is constant. More than one non-constant
-    factor, or a non-constant divisor, has no table entry.
-    """
-    if isinstance(f, Const):
-        return f.value, None
-    if isinstance(f, Neg):
-        c, core = _coeff_core(f.arg)
-        return -c, core
-    if isinstance(f, Mul):
-        cl, kl = _coeff_core(f.lhs)
-        cr, kr = _coeff_core(f.rhs)
-        if kl is not None and kr is not None:
-            raise _NoClosedForm
-        return cl * cr, kl if kl is not None else kr
-    if isinstance(f, Div):
-        cr, kr = _coeff_core(f.rhs)
-        if kr is not None or cr == 0.0:
-            raise _NoClosedForm
-        cl, kl = _coeff_core(f.lhs)
-        return cl / cr, kl
-    return 1.0, f
+    """Split a multiplicative term into (constant coefficient, core factor)
+    for the antiderivative table (see :func:`split_coefficient`). More
+    than one non-constant factor, or a non-constant divisor, has no table
+    entry."""
+    c, core = split_coefficient(f)
+    if isinstance(core, (Mul, Div)):
+        raise _NoClosedForm
+    return c, core
 
 
 def split_coefficient(f):
-    """(c, core) with f = c * core: core is None when f is constant, and
-    f itself, with c = 1, when `_coeff_core` cannot split it."""
-    try:
-        return _coeff_core(f)
-    except _NoClosedForm:
-        return 1.0, f
+    """(c, core) with f = c * core, the constant factors of products,
+    negations and quotients peeled off: core is None when f is constant.
+    The non-constant factors of a product stay in its core, and so does a
+    quotient's non-constant divisor, over 1 when the numerator is constant:
+    `0.5/(1 + t^2)` and `0.5*(1/(1 + t^2))` are both 0.5 times
+    `1/(1 + t^2)`. A quotient by zero is its own core."""
+    if isinstance(f, Const):
+        return f.value, None
+    if isinstance(f, Neg):
+        c, core = split_coefficient(f.arg)
+        return -c, core
+    if isinstance(f, Mul):
+        cl, kl = split_coefficient(f.lhs)
+        cr, kr = split_coefficient(f.rhs)
+        if kl is None or kr is None:
+            return cl * cr, kr if kl is None else kl
+        return cl * cr, Mul(kl, kr)
+    if isinstance(f, Div):
+        cl, kl = split_coefficient(f.lhs)
+        cr, kr = split_coefficient(f.rhs)
+        if cr == 0.0:
+            return 1.0, f
+        if kr is None:
+            return cl / cr, kl
+        return cl / cr, Div(Const(1.0) if kl is None else kl, kr)
+    return 1.0, f
 
 
 def _linear(f):

@@ -16,7 +16,7 @@ refer to matrix entries as coordinate = (col - 1) * d + row, 1-based.
 The matrix exponential and its Frechet derivative are in
 :mod:`lindblad_pc.exponential`, which only `solver` imports, so that a
 process that never propagates (`classify`, a refused `verify`, `--help`)
-never compiles them (4.2 ms without a bytecode cache). They cut their
+never compiles them (3.5 ms without a bytecode cache). They cut their
 stacks into slabs with `_row_slices`, as every stacked loop of the
 package does, to the one memory budget SLAB_BYTES defined here.
 

@@ -36,11 +36,11 @@ real ones). Each point's state does not depend on the block it falls in.
 
 A group's stacks take the dtype of its entries (the dtype rule of
 :mod:`lindblad_pc.model`): a real group, such as the populations of a
-level-transition model, is exponentiated and certified in float64. Only
-the closed form's products with the complex initial vector are complex:
-the certificate multiplies its real stacks by the vector's real and
-imaginary parts as one real right-hand side. A stack counts its itemsize
-in the row blocks' budget, so a real group's row blocks hold more points.
+level-transition model, is exponentiated and certified in float64, and
+its stacks multiply the complex initial vector as one real right-hand
+side, the vector's real and imaginary parts side by side (`_times`). A
+stack counts its itemsize in the row blocks' budget, so a real group's
+row blocks hold more points.
 
 Two callers consume the closed form so, one row block at a time. The
 CLI's `solve` reads `closed_form_blocks`, through `expm`.
@@ -49,10 +49,12 @@ pass over the grid: per row block, one `expm_frechet` per group gives
 both exp(B(t)), and so the states, and L(B(t), L(t)), and so the
 residual; the oracle then yields its
 dense output on the same points, and the caller keeps only the largest
-distance and residual. The pair's exp(B(t)) is not bit for bit `expm`'s
-(it takes its degree from ||B(t)||_1 alone and sets no exact diagonal on
-triangular blocks), so `verify`'s states agree with `solve`'s to within
-`Trajectory.rounding`, and exactly on the one-coordinate blocks.
+distance and residual. The pair's exp(B(t)) is `expm`'s, one algorithm
+(see :mod:`lindblad_pc.exponential`), and both multiply the initial
+vector alike, so `verify`'s states are `solve`'s bit for bit, except on
+a triangular block (the population block of a cascade), where `expm`
+alone sets the exact diagonal and first off-diagonal after each
+squaring: there they agree to within `Trajectory.rounding`.
 `propagate_closed_form`, `ode_oracle` and `fedorov_residual` fill the
 whole trajectory, or take the largest residual, from the same row
 blocks. At the grid bound of the CLI (`cli.MAX_GRID_ENTRIES`, v3 at
@@ -139,7 +141,9 @@ def _row_blocks(g, count, frechet=False):
     one slab of :mod:`lindblad_pc.linalg` (SLAB_BYTES). A row block of the
     closed form (`closed_form_blocks`) holds its states and, for its
     largest group, three (points, c, b, b) stacks: B(t) and exp(B(t)), of
-    the group's dtype, and their product with vec(rho0), complex. One of
+    the group's dtype, and a complex one for their product with
+    vec(rho0), which is that large at b = 1 and smaller (`_times`) at
+    b > 1. One of
     `verify`'s one pass (frechet=True:
     `flow_blocks` and `oracle_blocks` side by side) holds up to six arrays
     of states: the closed form's and the oracle's, each as vectors and as
@@ -165,7 +169,8 @@ def _propagate(g, alpha, grid, frechet):
     (see :func:`fedorov_residual`) and zeros when it is not. The group of
     one-coordinate blocks goes through `expm` either way, and with
     `frechet` each other group through one `expm_frechet`, whose exp(B(t))
-    gives the states. Raises NonFiniteError at the first block with a
+    gives the states; either way a group with b > 1 multiplies alpha
+    through `_times`. Raises NonFiniteError at the first block with a
     non-finite state."""
     grid = _check_grid(g, grid)
     table = integral_table(g, grid)
@@ -183,20 +188,36 @@ def _propagate(g, alpha, grid, frechet):
         out = np.empty((rows.stop - rows.start, g.mu), dtype=complex)
         squares = np.zeros(rows.stop - rows.start)
         for coords, terms in g.groups:
-            if frechet and coords.shape[1] > 1:
+            integral = np.tensordot(table[rows], terms, axes=1)
+            if coords.shape[1] == 1:
+                # a sum of products, not matmul, rounds exp(x) * v of a 1 x 1 block as np.exp did
+                out[:, coords] = np.sum(expm(integral) * alpha[coords][:, None, :], axis=-1)
+            elif frechet:
                 out[:, coords], group_squares = _flow_and_residual(
-                    np.tensordot(table[rows], terms, axes=1),
-                    np.tensordot(rates[rows], terms, axes=1), alpha[coords])
+                    integral, np.tensordot(rates[rows], terms, axes=1), alpha[coords])
                 squares += group_squares
             else:
-                # a sum of products, not matmul, rounds exp(x) * v of a 1 x 1 block
-                # as np.exp did; one expression frees each stack before the next
-                out[:, coords] = np.sum(expm(np.tensordot(table[rows], terms, axes=1))
-                                        * alpha[coords][:, None, :], axis=-1)
+                out[:, coords] = _times(expm(integral), alpha[coords]).view(complex)[..., 0]
+            del integral  # before the next group's stack
         if not np.all(np.isfinite(out)):
             raise NonFiniteError("closed-form propagation produced non-finite entries")
         yield Trajectory(times=grid[rows], states=unvec(out, g.dim),
                          rounding=rounding[rows]), squares
+
+
+def _times(stack, alpha):
+    """stack @ alpha for a (points, c, b, b) stack of one group and its
+    share alpha (c, b) of the initial vector, as columns (points, c, b, k).
+    A complex stack multiplies alpha itself (k = 1). A real one multiplies
+    one real right-hand side, alpha's real and imaginary parts side by
+    side (k = 2): the complex alpha would cast the stack to a complex
+    temporary, outside the row block's budget (`_row_blocks`). Either way
+    `.view(complex)[..., 0]` reads the columns as the complex vectors
+    (points, c, b), each (Re, Im) pair of a real product, contiguous, as
+    one number."""
+    if np.isrealobj(stack):
+        return stack @ np.stack([alpha.real, alpha.imag], -1)
+    return stack @ alpha[..., None]
 
 
 def _flow_and_residual(integral, rates, alpha):
@@ -204,20 +225,12 @@ def _flow_and_residual(integral, rates, alpha):
     share alpha (c, b) of the initial vector: exp(B(t)) alpha, shape
     (points, c, b), and the squared norm at each point of the flow
     residual L(B(t), L(t)) alpha - L(t) exp(B(t)) alpha, from one
-    `expm_frechet` in the stacks' dtype (real for a real group).
-
-    A real group's stacks multiply one real right-hand side, alpha's real
-    and imaginary parts side by side (c, b, 2): the complex alpha would
-    cast each stack to a complex temporary, outside the row block's
-    budget (`_row_blocks`)."""
+    `expm_frechet` in the stacks' dtype (real for a real group), whose
+    products with alpha are those of `_times`."""
     flow, derivative = expm_frechet(integral, rates)
-    real = np.isrealobj(flow)
-    rhs = np.stack([alpha.real, alpha.imag], -1) if real else alpha[..., None]
-    states = flow @ rhs
-    residual = derivative @ rhs - rates @ states
-    if real:
-        states = states.view(complex)  # each (Re, Im) pair, contiguous, as one number
-    return states[..., 0], np.sum(linalg._abs2(residual), axis=(1, 2, 3))
+    states = _times(flow, alpha)
+    residual = _times(derivative, alpha) - rates @ states
+    return states.view(complex)[..., 0], np.sum(linalg._abs2(residual), axis=(1, 2, 3))
 
 
 def _whole(g, grid, blocks):
@@ -264,10 +277,10 @@ def flow_blocks(g, alpha, grid):
     over ||alpha|| (see :func:`fedorov_residual`; 0 when alpha is 0).
 
     Each group with b > 1 takes exp(B(t)) from the `expm_frechet` that
-    gives its residual, so its states agree with those of
-    :func:`closed_form_blocks` to within the Trajectory's rounding bound,
-    not bit for bit; the one-coordinate group is exponentiated as there,
-    and its coordinates are equal.
+    gives its residual, so its states are those of
+    :func:`closed_form_blocks` bit for bit, except on a triangular block,
+    where they agree to within the Trajectory's rounding bound (see the
+    module docstring); the one-coordinate group is exponentiated as there.
     """
     alpha = np.asarray(alpha, dtype=complex).reshape(-1)
     norm_alpha = float(np.linalg.norm(alpha))

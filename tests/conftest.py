@@ -32,6 +32,27 @@ def make_generator(name, extra=None):
     return assemble(builtin(name, params))
 
 
+def driven(d):
+    """The d-level cascade of tools/scaling.py with H_12 = H_21 = its
+    DRIVE, as a loaded model: one complex block couples the populations
+    to rho_12 and rho_21."""
+    import json
+    import random
+
+    from lindblad_pc import modelfile
+
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench.workloads import cascade_model
+    from tools.scaling import DRIVE, RATES
+
+    loaded, _ = modelfile.loads_model(json.dumps(
+        cascade_model(d, random.Random(f"scaling:{d}"), RATES)))
+    loaded.hamiltonian[0, 1] = loaded.hamiltonian[1, 0] = DRIVE
+    return loaded
+
+
 def run_capped_cli(*argv, limit=2**30):
     """`python -m lindblad_pc ARGV` in a child process whose address space
     is capped at `limit` bytes; the cap is set in the child only."""

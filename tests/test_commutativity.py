@@ -134,11 +134,13 @@ class TestFunctionalCommutativity:
     @pytest.mark.parametrize("rates, levels", [
         (("1", "0.5"), (-1.0, 0.0, 1.0)),
         (("2*exp(-t)", "exp(-t)"), (0.0, 1.0, 3.0)),
+        (("1/(1 + t^2)", "0.5/(1 + t^2)"), (0.0, 0.0, 0.0)),
+        (("1/(1 + t^2)", "0.5*(1/(1 + t^2))"), (0.0, 0.0, 0.0)),
     ])
     def test_one_time_dependence_commutes(self, rates, levels):
         # a constant generator, and rates that are constant multiples of one
-        # another: L(t) = A + f(t) B with A and B fixed, so L(t) and L(s)
-        # commute though the two dissipators do not
+        # another, a quotient's numerator too: L(t) = A + f(t) B with A and
+        # B fixed, so L(t) and L(s) commute though the two dissipators do not
         jumps = [Jump(jump_operator(3, 2, 3), parse_rate_expr(rates[0]), 3, 2),
                  Jump(jump_operator(3, 1, 2), parse_rate_expr(rates[1]), 2, 1)]
         g = assemble(LindbladModel(3, np.diag(levels).astype(complex), jumps))
