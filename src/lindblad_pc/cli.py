@@ -33,10 +33,18 @@ row block the closed form's, which is computed first.
 
 Exit codes: 0 success, 2 input error, 3 numeric failure or out of memory,
 4 inadmissible initial state without --force, 5 verification failure.
-Exit 2 also refuses, before any work: a `--params` value that is NaN or
-infinite; `--steps` such that steps x d^2 passes MAX_GRID_ENTRIES (the
-message names the largest `--steps` for that d); and a `verify --tol`
-that is not positive and finite.
+Exit 2 also refuses, before any work: an `--rho0`, `--coherences` or
+`--params` entry that does not parse (the message names the flag and the
+entry); a built-in's numeric parameter that is not a finite number
+(`model.builtin` converts and checks each); `--steps` such that
+steps x d^2 passes MAX_GRID_ENTRIES (the message names the largest
+`--steps` for that d); and a `verify --tol` that is not positive and
+finite.
+
+`solve` and `verify` take the same initial-state and grid flags
+(`--rho0`, `--t-max`, `--steps`, `--force`). Without `--rho0` both read
+the model file's `initial_state`; a built-in model has none, so it needs
+`--rho0`.
 
 No subcommand loads scipy: the matrix exponential, its Frechet
 derivative (the flow residual) and the ODE oracle are numpy code in the
@@ -122,9 +130,6 @@ DEFAULT_VERIFY_TOL = 1e-6
 # steps; 2-CPU x86-64 host, one process each) solve peaks at 106 MB
 # resident (121 MB with one coherence pair) and verify at 73 MB.
 MAX_GRID_ENTRIES = 2**22
-T_MAX_HELP = (f"end of the time grid (default {model.HORIZON:g}, at most "
-              f"{model.MAX_T_MAX:g}); rates and sample times are checked on the "
-              f"window [0, max({model.HORIZON:g}, t-max)]")
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -143,6 +148,19 @@ def build_parser():
         p.add_argument("--emit-model", metavar="PATH",
                        help="write the model, once checked, back out as a JSON file")
 
+    def add_run_arguments(p, verb):
+        p.add_argument("--rho0", metavar="SPEC",
+                       help="initial state: diag:a,b,... | pure:k | phase:levels[;phases] | "
+                            "file:PATH (default: the model file's initial_state)")
+        p.add_argument("--t-max", type=float, default=model.HORIZON,
+                       help=f"end of the time grid (default %(default)g, at most "
+                            f"{model.MAX_T_MAX:g}); rates and sample times are checked on "
+                            f"the window [0, max({model.HORIZON:g}, t-max)]")
+        p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                       help="number of grid points including t=0 (default %(default)s)")
+        p.add_argument("--force", action="store_true",
+                       help=f"{verb} even if the state is inadmissible")
+
     classify = sub.add_parser("classify", help="commutativity classification")
     add_model_arguments(classify)
     classify.add_argument("--json", action="store_true", dest="as_json",
@@ -151,51 +169,31 @@ def build_parser():
 
     solve = sub.add_parser("solve", help="closed-form trajectory to CSV")
     add_model_arguments(solve)
-    solve.add_argument("--rho0", metavar="SPEC",
-                       help="initial state: diag:a,b,... | pure:k | "
-                            "phase:levels[;phases] | file:PATH")
-    solve.add_argument("--t-max", type=float, default=model.HORIZON, help=T_MAX_HELP)
-    solve.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                       help="number of grid points including t=0 (default 400)")
+    add_run_arguments(solve, "propagate")
     solve.add_argument("--coherences", nargs="*", default=[], metavar="I,J",
                        help="off-diagonal entries to include, e.g. 1,3 2,1")
     solve.add_argument("--out", metavar="PATH", help="CSV path (default stdout)")
-    solve.add_argument("--force", action="store_true",
-                       help="propagate even if the state is inadmissible")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="closed form vs ODE oracle")
     add_model_arguments(verify)
-    verify.add_argument("--rho0", metavar="SPEC", required=True)
-    verify.add_argument("--t-max", type=float, default=model.HORIZON, help=T_MAX_HELP)
-    verify.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    add_run_arguments(verify, "verify")
     verify.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL,
-                        help="acceptance threshold (default 1e-6)")
-    verify.add_argument("--force", action="store_true",
-                        help="verify even if the state is inadmissible")
+                        help="acceptance threshold (default %(default)s)")
     verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def _parse_params(chunks):
+    """The k=v entries of the --params chunks, comma-separated, as a dict
+    of texts; `model.builtin` converts and checks each value."""
     params = {}
-    for chunk in chunks:
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            name, sep, value = item.partition("=")
-            if not sep or not name:
-                raise ValueError(f"--params entries must look like k=v, got {item!r}")
-            try:
-                number = float(value)
-            except ValueError:
-                params[name] = value  # expression-valued (lambda3 f1/f2)
-                continue
-            if not math.isfinite(number):
-                raise ValueError(f"params: {name!r} must be a finite number")
-            params[name] = number
+    for item in filter(None, (x.strip() for x in ",".join(chunks).split(","))):
+        name, sep, value = item.partition("=")
+        if not sep or not name:
+            raise ValueError(f"--params entries must look like k=v, got {item!r}")
+        params[name] = value
     return params
 
 
@@ -229,20 +227,26 @@ def _parse_rho0(spec, d):
     if not sep:
         raise ValueError(f"--rho0 spec needs a kind prefix, got {spec!r}")
 
+    def number(text, convert=float, what="a number"):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"--rho0 {kind}: {text!r} is not {what}") from None
+
     if kind == "diag":
-        values = [float(x) for x in rest.split(",")]
+        values = [number(x) for x in rest.split(",")]
         if len(values) != d:
             raise ValueError(f"diag: expected {d} entries, got {len(values)}")
         return np.diag(values).astype(complex)
     if kind == "pure":
-        k = int(rest)
+        k = number(rest, int, "an integer")
         if not (1 <= k <= d):
             raise ValueError(f"pure: level {k} outside 1..{d}")
         return model.jump_operator(d, k, k)
     if kind == "phase":
         levels_part, _, phases_part = rest.partition(";")
-        levels = [int(x) for x in levels_part.split(",") if x]
-        phases = [float(x) for x in phases_part.split(",")] if phases_part else None
+        levels = [number(x, int, "an integer") for x in levels_part.split(",") if x]
+        phases = [number(x) for x in phases_part.split(",")] if phases_part else None
         return model.phase_state(d, levels, phases)
     if kind == "file":
         import json
@@ -272,8 +276,10 @@ def _coherence_pairs(items, d):
     """Parse --coherences entries "i,j" into 1-based level pairs within 1..d."""
     pairs = []
     for item in items:
-        i, _, j = item.partition(",")
-        i, j = int(i), int(j)
+        try:
+            i, j = map(int, item.split(","))
+        except ValueError:
+            raise ValueError(f"--coherences entries must look like i,j, got {item!r}") from None
         if not (1 <= i <= d and 1 <= j <= d):
             raise errors.IndexOutOfRangeError(f"levels ({i}, {j}) outside 1..{d}")
         pairs.append((i, j))

@@ -41,10 +41,9 @@ definition up to rounding. ||B(t)^n|| is the Frobenius norm of the whole
 power, the blocks' norms and the one-coordinate blocks' |b|^n together;
 the scaling keeps geometrically growing powers from drowning the
 small-n contributions, leaves every kernel unchanged, and overflows
-where the dense norm does. The rank of M is cut where linalg.null_space
-cuts the dense Gamma: at DEFAULT_REL_TOL times the largest singular
-value over all blocks, and nowhere when that is at most
-linalg.ABSOLUTE_FLOOR.
+where the dense norm does. The rank of M is cut by the rule that cuts
+the dense Gamma in linalg.null_space (`linalg._kernel_cut`), with the
+largest singular value over all blocks as the dense one.
 
 The sample times span the window (0, g.window] that `model.assemble`
 checked the rates on, and end at its end, as the re-check does.
@@ -59,7 +58,7 @@ import numpy as np
 
 from .errors import NonFiniteError, NotADensityMatrixError
 from .expr import split_coefficient
-from .linalg import (ABSOLUTE_FLOOR, DEFAULT_REL_TOL, SubspaceBasis, _abs2, _row_slices,
+from .linalg import (DEFAULT_REL_TOL, SubspaceBasis, _abs2, _kernel_cut, _row_slices,
                      minimal_poly_degree)
 # null_space, generator_at and integral_at are not called here, but
 # perfbench's tracer wraps the names in this module, so they stay bound.
@@ -271,10 +270,10 @@ def _subspace(samples):
     """(M, power cap, integral criterion): M is the kernel of Gamma summed
     over the sample times, as a SubspaceBasis of the generator's blocks.
     Each block keeps the right singular vectors of its block of Gamma
-    whose singular values are at most DEFAULT_REL_TOL times the largest
-    over all blocks (all of them when that is at most ABSOLUTE_FLOOR), and
-    zeros in place of the others. A one-coordinate block is not factored:
-    it gets the SVD of its zero block, the singular value 0 and vector 1."""
+    that `linalg._kernel_cut` keeps against the largest singular value
+    over all blocks, and zeros in place of the others. A one-coordinate
+    block is not factored: it gets the SVD of its zero block, the
+    singular value 0 and vector 1."""
     cap = _power_cap(samples)
     gammas, integral = _gamma(samples, cap)
     if not all(np.all(np.isfinite(x)) for x in gammas if x is not None):
@@ -285,8 +284,7 @@ def _subspace(samples):
     smax = max(float(s.max()) for s, _ in svds)
     groups = []
     for (coords, _), (s, vh) in zip(samples.groups, svds):
-        keep = s <= DEFAULT_REL_TOL * smax if smax > ABSOLUTE_FLOOR else np.ones(s.shape, bool)
-        groups.append((coords, vh.conj().swapaxes(-1, -2) * keep[:, None, :]))
+        groups.append((coords, vh.conj().swapaxes(-1, -2) * _kernel_cut(s, smax)[:, None, :]))
     return SubspaceBasis(sum(c.size for c, _ in samples.groups), tuple(groups)), cap, integral
 
 

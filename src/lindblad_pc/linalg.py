@@ -8,8 +8,13 @@ complex128 (`_as_square_stack` takes an integer or bool stack as
 float64), so that the real blocks of a generator (the dtype rule of
 :mod:`lindblad_pc.model`) take real arithmetic. A SubspaceBasis keeps a
 subspace as its basis vectors on each block of a partition of the
-coordinates, real on a real block. Vectorization stacks columns (column-major order), which is
-the convention under which vec(A X B) = (B^T kron A) vec(X) holds and
+coordinates, real on a real block. A numerical kernel is cut by one
+rule, `_kernel_cut`, for `null_space` and for the admissible subspace of
+:mod:`lindblad_pc.commutativity` alike: a singular value counts as zero
+when it is at most DEFAULT_REL_TOL times the operator's largest, and
+every one does when that largest is at most ABSOLUTE_FLOOR.
+Vectorization stacks columns (column-major order), which is the
+convention under which vec(A X B) = (B^T kron A) vec(X) holds and
 under which the coordinate indices reported elsewhere in the package
 refer to matrix entries as coordinate = (col - 1) * d + row, 1-based.
 
@@ -148,30 +153,34 @@ class SubspaceBasis(NamedTuple):
         return float(np.linalg.norm(v - projected))
 
 
-def null_space(a, rel_tol=DEFAULT_REL_TOL):
-    """Orthonormal basis of the numerical kernel of a square matrix, as a
-    SubspaceBasis of one block.
+def _kernel_cut(s, smax):
+    """Which of the singular values `s` count as zero (a bool array of
+    their shape), for an operator whose largest singular value is smax:
+    those at most DEFAULT_REL_TOL * smax, and all of them when smax itself
+    is at most ABSOLUTE_FLOOR (the operator is numerically zero)."""
+    return s <= DEFAULT_REL_TOL * smax if smax > ABSOLUTE_FLOOR else np.ones(s.shape, bool)
 
-    Keeps the right singular vectors whose singular values satisfy
-    sigma <= rel_tol * sigma_max; if sigma_max itself is at most the
-    absolute floor the whole space is returned.
-    """
+
+def null_space(a):
+    """Orthonormal basis of the numerical kernel of a square matrix, as a
+    SubspaceBasis of one block: the right singular vectors that
+    `_kernel_cut` keeps."""
     a = _as_square(a)
     _require_finite(a, "null_space input")
     _, s, vh = np.linalg.svd(a)
-    if s.size and s[0] > ABSOLUTE_FLOOR:
-        vh = vh[int(np.sum(s > rel_tol * s[0])):]
+    vh = vh[_kernel_cut(s, s.max(initial=0.0))]
     return SubspaceBasis(a.shape[0], ((np.arange(a.shape[0])[None], vh.conj().T[None]),))
 
 
-def minimal_poly_degree(a, rel_tol=DEFAULT_REL_TOL):
+def minimal_poly_degree(a):
     """Degree of the minimal polynomial, determined numerically, of a
     matrix (an int) or of each matrix of a stack, shape (..., n, n) (an
     int array of shape (...)).
 
     Returns the smallest m such that vec(A^m) lies in the span of
     {vec(A^0), ..., vec(A^(m-1))}, decided by the rank of the Gram matrix
-    of the norm-scaled power vectors. The scaling makes the result
+    of the norm-scaled power vectors (its eigenvalues above
+    DEFAULT_REL_TOL times the largest). The scaling makes the result
     invariant under A -> c A. Each slice is decided on its own, and once
     decided takes no further powers. A real stack is decided in real
     arithmetic.
@@ -201,7 +210,7 @@ def minimal_poly_degree(a, rel_tol=DEFAULT_REL_TOL):
         gram[live, :m + 1, m] = column[..., 0]
         gram[live, m, :m + 1] = column[..., 0].conj()
         eigs = np.linalg.eigvalsh(gram[live, :m + 1, :m + 1])
-        rank = np.sum(eigs > rel_tol * eigs[:, -1:], axis=1)
+        rank = np.sum(eigs > DEFAULT_REL_TOL * eigs[:, -1:], axis=1)
         done = zero | (rank <= m)
         degree[live[done]] = m
         live, power = live[~done], power[~done]

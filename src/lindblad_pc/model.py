@@ -11,9 +11,10 @@ dissipator L_k per jump. Because only the scalar rates depend on time,
 the exact integral B(t) = int_0^t L(tau) dtau is assembled from scalar
 antiderivatives; no matrix-valued quadrature is ever needed.
 
-`builtin` and the model-file loader only build a model; `assemble` is
-where it is checked, once per run: the shapes, a Hermitian H, and every
-rate finite and nonnegative on the run's window [0, max(HORIZON,
+`builtin` and the model-file loader only build a model (each refusing a
+parameter that is not a finite number); `assemble` is where it is
+checked, once per run: a finite t_max, the shapes, a Hermitian H, and
+every rate finite and nonnegative on the run's window [0, max(HORIZON,
 t_max)], which the generator keeps as `g.window`. The antiderivatives
 are built on that window, the commutativity sample times span it, and
 the solver refuses a grid that ends past it.
@@ -190,6 +191,8 @@ class GeneratorDecomposition(NamedTuple):
 def assemble(model, t_max=HORIZON):
     """Check the model on the window of a run to t_max (see the module
     docstring) and build its vectorized generator decomposition there."""
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     window = max(HORIZON, t_max)
     d = model.dim
     h = np.asarray(model.hamiltonian, dtype=complex)
@@ -381,7 +384,9 @@ def builtin(name, params=None):
 
     Names: v3, cascade3, lambda3, cascade4. Numeric parameters (omega and
     the level energies) default to 1; lambda3 additionally accepts the
-    rate expressions f1 and f2 as strings.
+    rate expressions f1 and f2 as strings. Each numeric parameter is
+    converted here, from a number or its text, and must be finite: this is
+    the one check of a parameter, the CLI's `--params` included.
     """
     try:
         defaults, energies, transitions = _BUILTINS[name]
@@ -397,8 +402,10 @@ def builtin(name, params=None):
             continue
         try:
             p[key] = float(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"params: {key!r} must be a finite number") from None
+        except (TypeError, ValueError, OverflowError):
+            p[key] = math.nan  # refused below, as a non-finite number is
+        if not math.isfinite(p[key]):
+            raise ValueError(f"params: {key!r} must be a finite number")
     if params:
         raise ValueError(f"unknown parameters {sorted(params)}; allowed: {list(defaults)}")
     numbers = {key: value for key, value in p.items() if not isinstance(value, str)}

@@ -140,10 +140,10 @@ def _row_blocks(g, count, frechet=False):
     as many points (at least one) as keep a row block's own arrays within
     one slab of :mod:`lindblad_pc.linalg` (SLAB_BYTES). A row block of the
     closed form (`closed_form_blocks`) holds its states and, for its
-    largest group, three (points, c, b, b) stacks: B(t) and exp(B(t)), of
-    the group's dtype, and a complex one for their product with
-    vec(rho0), which is that large at b = 1 and smaller (`_times`) at
-    b > 1. One of
+    largest group, two (points, c, b, b) stacks of the group's dtype, B(t)
+    and exp(B(t)), and their product with vec(rho0): 16 b bytes per block
+    and point, (points, c, b, 2) real or (points, c, b, 1) complex
+    (`_times`; at b = 1 the elementwise product). One of
     `verify`'s one pass (frechet=True:
     `flow_blocks` and `oracle_blocks` side by side) holds up to six arrays
     of states: the closed form's and the oracle's, each as vectors and as
@@ -155,9 +155,11 @@ def _row_blocks(g, count, frechet=False):
     `expm` and `expm_frechet` cut each stack into slabs of their own
     working set."""
     states = 6 if frechet else 1
-    largest = max((coords.shape[0] * coords.shape[1] ** 2
-                   * (4 * terms.itemsize if frechet and coords.shape[1] > 1
-                      else 2 * terms.itemsize + 16)
+    # per point, each of the c b coordinates holds a row of b entries of
+    # each stack and, in the closed form, 16 bytes of the product
+    largest = max((coords.size * (4 * coords.shape[1] * terms.itemsize
+                                  if frechet and coords.shape[1] > 1
+                                  else 2 * coords.shape[1] * terms.itemsize + 16)
                    for coords, terms in g.groups), default=0)
     return linalg._row_slices(count, 16 * states * g.mu + largest)
 

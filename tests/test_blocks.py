@@ -47,7 +47,7 @@ from lindblad_pc.model import Jump
 from lindblad_pc import commutativity, exponential, linalg, model, solver
 from lindblad_pc.cli import _use_one_blas_thread
 
-from conftest import MODEL_NAMES, MODEL_PARAMS, assert_oracle_matches_scipy
+from conftest import MODEL_NAMES, MODEL_PARAMS, assert_oracle_matches_scipy, driven
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import workloads  # noqa: E402
@@ -388,8 +388,17 @@ class TestMemory:
         propagate_closed_form(g, rho0, grid)
         fedorov_residual(g, vec(rho0), grid)
         assert max(stacks) <= linalg.SLAB_BYTES
-        # five points per closed-form row block, three per residual one
-        assert len(stacks) == 60 + 100
+        # seven points per closed-form row block, three per residual one
+        assert len(stacks) == 43 + 100
+
+    def test_closed_form_row_blocks_count_the_product_that_times_makes(self):
+        # driven8's largest group is one complex 10 x 10 block. Per point its
+        # stacks B(t) and exp(B(t)) take 3200 bytes, their product with
+        # vec(rho0), (10, 1) complex, 160, and the state 1024: 239 points
+        # per slab
+        g = assemble(driven(8))
+        assert [coords.shape for coords, _ in g.groups][-1] == (1, 10)
+        assert solver._row_blocks(g, 1000)[0] == slice(0, 239)
 
     def test_peak_memory_does_not_grow_with_the_chunk(self):
         # 300 points in one stack would take 19 MiB for the closed form

@@ -106,6 +106,18 @@ def test_verify_admissible_state_passes(capsys, name):
     assert out.splitlines()[-1] == "verdict: PASS"
 
 
+def test_verify_reads_the_model_files_initial_state(capsys, tmp_path):
+    # as solve does: without --rho0, the state the file holds
+    path = str(tmp_path / "m.json")
+    modelfile.dump_model(model.builtin("cascade3", MODEL_PARAMS["cascade3"]), path,
+                         model.phase_state(3, [1, 2], [0.7]))
+    code, out, err = run(capsys, "verify", path, *SHORT_GRID)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.splitlines()[-1] == "verdict: PASS"
+    assert run(capsys, "verify", path, "--rho0", "phase:1,2;0.7", *SHORT_GRID) == (
+        code, out, err)
+
+
 @pytest.mark.parametrize("name", ["cascade3", "lambda3", "cascade4"])
 def test_inadmissible_state_is_refused_unless_forced(capsys, name):
     level = CLASSIFICATION[name][1]
@@ -151,6 +163,19 @@ DEFECTS = {
         lambda tmp: ["solve", "--builtin", "cascade3", "--rho0", "pure:1",
                      "--coherences", "1,7"],
         "levels (1, 7) outside 1..3"),
+    "coherence-not-a-pair": (
+        lambda tmp: ["solve", "--builtin", "cascade3", "--rho0", "pure:1",
+                     "--coherences", "1"],
+        "--coherences entries must look like i,j, got '1'"),
+    "state-diag-not-a-number": (
+        lambda tmp: ["solve", "--builtin", "cascade3", "--rho0", "diag:a,b,c"],
+        "--rho0 diag: 'a' is not a number"),
+    "state-pure-not-an-integer": (
+        lambda tmp: ["solve", "--builtin", "cascade3", "--rho0", "pure:1.5"],
+        "--rho0 pure: '1.5' is not an integer"),
+    "state-phase-not-a-number": (
+        lambda tmp: ["verify", "--builtin", "cascade3", "--rho0", "phase:1,2;x"],
+        "--rho0 phase: 'x' is not a number"),
     "state-file-bad-entry": (
         lambda tmp: ["solve", "--builtin", "cascade3", "--rho0", "file:" + write_json(
             tmp / "rho.json", {"matrix": [[[1, 0, 0], 0, 0], [0, 0, 0], [0, 0, 0]]})],

@@ -267,6 +267,14 @@ class TestBuiltin:
         with pytest.raises(ValueError, match="params: 'omega' must be a finite number"):
             builtin("v3", {"omega": "abc"})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), "inf", "1e999"])
+    def test_non_finite_parameter_is_refused_as_input(self, value):
+        # the message of the CLI's --params, and a ValueError (exit 2), not
+        # a NonFiniteError from the rates it would be bound into
+        with pytest.raises(ValueError, match="params: 'eps1' must be a finite number") as info:
+            builtin("v3", {"eps1": value})
+        assert not isinstance(info.value, ArithmeticError)
+
     def test_v3_structure(self):
         model = builtin("v3", {"eps1": 1.0, "eps3": 2.0})
         assert model.dim == 3
@@ -372,6 +380,10 @@ class TestWindow:
             call(g, 20.5)
         assert np.all(np.isfinite(call(g, 20.0)))
 
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
+    def test_a_non_finite_t_max_is_refused(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            assemble(builtin("v3"), t_max)
 
 
 class TestRateTable:

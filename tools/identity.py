@@ -5,7 +5,8 @@
 
 `record` imports `lindblad_pc` from the package source directory SRC
 (run one process per tree), builds every invocation of every workload
-in `perfbench/workloads.py` for each seed, adds a text `classify` next
+in `perfbench/workloads.py` for each seed (by default 1 and 2, the seeds
+of the identity gates in ROADMAP.md), adds a text `classify` next
 to each `classify --json`, runs each through `lindblad_pc.cli.main` in
 this process with stdout and stderr captured, and writes to OUT.json its
 exit code, stdout, stderr and the CSV it wrote with --out. `--help` is
@@ -133,7 +134,7 @@ def main(argv=None):
     rec = sub.add_parser("record", help="run every invocation against one source tree")
     rec.add_argument("src", help="package source directory (the one holding lindblad_pc)")
     rec.add_argument("out", help="JSON file to write")
-    rec.add_argument("--seeds", type=int, nargs="+", default=[1])
+    rec.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     cmp_ = sub.add_parser("compare", help="compare two records")
     cmp_.add_argument("a")
     cmp_.add_argument("b")
