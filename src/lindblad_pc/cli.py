@@ -35,7 +35,8 @@ Exit codes: 0 success, 2 input error, 3 numeric failure or out of memory,
 4 inadmissible initial state without --force, 5 verification failure.
 Exit 2 also refuses, before any work: an `--rho0`, `--coherences` or
 `--params` entry that does not parse (the message names the flag and the
-entry); a built-in's numeric parameter that is not a finite number
+entry; every `--rho0` refusal names the flag, and its kind once the spec
+has one); a built-in's numeric parameter that is not a finite number
 (`model.builtin` converts and checks each); `--steps` such that
 steps x d^2 passes MAX_GRID_ENTRIES (the message names the largest
 `--steps` for that d); and a `verify --tol` that is not positive and
@@ -223,6 +224,8 @@ def _assemble(args, loaded, initial_state, t_max=model.HORIZON):
 
 
 def _parse_rho0(spec, d):
+    """The density matrix of a --rho0 spec on d levels. Every refusal
+    names the flag, and the spec's kind once it has one."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"--rho0 spec needs a kind prefix, got {spec!r}")
@@ -231,30 +234,33 @@ def _parse_rho0(spec, d):
         try:
             return convert(text)
         except ValueError:
-            raise ValueError(f"--rho0 {kind}: {text!r} is not {what}") from None
+            raise ValueError(f"{text!r} is not {what}") from None
 
-    if kind == "diag":
-        values = [number(x) for x in rest.split(",")]
-        if len(values) != d:
-            raise ValueError(f"diag: expected {d} entries, got {len(values)}")
-        return np.diag(values).astype(complex)
-    if kind == "pure":
-        k = number(rest, int, "an integer")
-        if not (1 <= k <= d):
-            raise ValueError(f"pure: level {k} outside 1..{d}")
-        return model.jump_operator(d, k, k)
-    if kind == "phase":
-        levels_part, _, phases_part = rest.partition(";")
-        levels = [number(x, int, "an integer") for x in levels_part.split(",") if x]
-        phases = [number(x) for x in phases_part.split(",")] if phases_part else None
-        return model.phase_state(d, levels, phases)
-    if kind == "file":
-        import json
+    try:
+        if kind == "diag":
+            values = [number(x) for x in rest.split(",")]
+            if len(values) != d:
+                raise ValueError(f"expected {d} entries, got {len(values)}")
+            return np.diag(values).astype(complex)
+        if kind == "pure":
+            k = number(rest, int, "an integer")
+            if not (1 <= k <= d):
+                raise ValueError(f"level {k} outside 1..{d}")
+            return model.jump_operator(d, k, k)
+        if kind == "phase":
+            levels_part, _, phases_part = rest.partition(";")
+            levels = [number(x, int, "an integer") for x in levels_part.split(",") if x]
+            phases = [number(x) for x in phases_part.split(",")] if phases_part else None
+            return model.phase_state(d, levels, phases)
+        if kind == "file":
+            import json
 
-        from . import modelfile
+            from . import modelfile
 
-        with open(rest, encoding="utf-8") as fh:
-            return modelfile._parse_operator(json.load(fh), d, "state file")
+            with open(rest, encoding="utf-8") as fh:
+                return modelfile._parse_operator(json.load(fh), d, "state file")
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"--rho0 {kind}: {exc}") from None
     raise ValueError(f"unknown --rho0 kind {kind!r}")
 
 

@@ -13,11 +13,11 @@ antiderivatives; no matrix-valued quadrature is ever needed.
 
 `builtin` and the model-file loader only build a model (each refusing a
 parameter that is not a finite number); `assemble` is where it is
-checked, once per run: a finite t_max, the shapes, a Hermitian H, and
-every rate finite and nonnegative on the run's window [0, max(HORIZON,
-t_max)], which the generator keeps as `g.window`. The antiderivatives
-are built on that window, the commutativity sample times span it, and
-the solver refuses a grid that ends past it.
+checked, once per run: a positive finite t_max, the shapes, a Hermitian
+H, and every rate finite and nonnegative on the run's window [0,
+max(HORIZON, t_max)], which the generator keeps as `g.window`. The
+antiderivatives are built on that window, the commutativity sample times
+span it, and the solver refuses a grid that ends past it.
 
 `assemble` stores no part as a d^2 x d^2 matrix, but the values of the
 entries of L_H and every L_k (see `_entries`) on their union nonzero
@@ -191,8 +191,8 @@ class GeneratorDecomposition(NamedTuple):
 def assemble(model, t_max=HORIZON):
     """Check the model on the window of a run to t_max (see the module
     docstring) and build its vectorized generator decomposition there."""
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be {'positive' if t_max <= 0 else 'finite'}, got {t_max}")
     window = max(HORIZON, t_max)
     d = model.dim
     h = np.asarray(model.hamiltonian, dtype=complex)

@@ -49,12 +49,11 @@ pass over the grid: per row block, one `expm_frechet` per group gives
 both exp(B(t)), and so the states, and L(B(t), L(t)), and so the
 residual; the oracle then yields its
 dense output on the same points, and the caller keeps only the largest
-distance and residual. The pair's exp(B(t)) is `expm`'s, one algorithm
-(see :mod:`lindblad_pc.exponential`), and both multiply the initial
-vector alike, so `verify`'s states are `solve`'s bit for bit, except on
-a triangular block (the population block of a cascade), where `expm`
-alone sets the exact diagonal and first off-diagonal after each
-squaring: there they agree to within `Trajectory.rounding`.
+distance and residual. The pair's exp(B(t)) is `expm`'s bit for bit,
+one algorithm (see :mod:`lindblad_pc.exponential`), the exact diagonal
+and first off-diagonal of a triangular block (the population block of a
+cascade) included, and both multiply the initial vector alike, so
+`verify`'s states are `solve`'s bit for bit.
 `propagate_closed_form`, `ode_oracle` and `fedorov_residual` fill the
 whole trajectory, or take the largest residual, from the same row
 blocks. At the grid bound of the CLI (`cli.MAX_GRID_ENTRIES`, v3 at
@@ -279,10 +278,9 @@ def flow_blocks(g, alpha, grid):
     over ||alpha|| (see :func:`fedorov_residual`; 0 when alpha is 0).
 
     Each group with b > 1 takes exp(B(t)) from the `expm_frechet` that
-    gives its residual, so its states are those of
-    :func:`closed_form_blocks` bit for bit, except on a triangular block,
-    where they agree to within the Trajectory's rounding bound (see the
-    module docstring); the one-coordinate group is exponentiated as there.
+    gives its residual, and the one-coordinate group is exponentiated as
+    in :func:`closed_form_blocks`, so the states are that function's bit
+    for bit (see the module docstring).
     """
     alpha = np.asarray(alpha, dtype=complex).reshape(-1)
     norm_alpha = float(np.linalg.norm(alpha))

@@ -176,6 +176,15 @@ DEFECTS = {
     "state-phase-not-a-number": (
         lambda tmp: ["verify", "--builtin", "cascade3", "--rho0", "phase:1,2;x"],
         "--rho0 phase: 'x' is not a number"),
+    "state-diag-wrong-length": (
+        lambda tmp: ["solve", "--builtin", "v3", "--rho0", "diag:1,0"],
+        "error: --rho0 diag: expected 3 entries, got 2"),
+    "state-pure-out-of-range": (
+        lambda tmp: ["solve", "--builtin", "v3", "--rho0", "pure:7"],
+        "error: --rho0 pure: level 7 outside 1..3"),
+    "state-phase-no-levels": (
+        lambda tmp: ["solve", "--builtin", "v3", "--rho0", "phase:;0.5"],
+        "error: --rho0 phase: levels must be a nonempty list of distinct indices"),
     "state-file-bad-entry": (
         lambda tmp: ["solve", "--builtin", "cascade3", "--rho0", "file:" + write_json(
             tmp / "rho.json", {"matrix": [[[1, 0, 0], 0, 0], [0, 0, 0], [0, 0, 0]]})],

@@ -385,6 +385,11 @@ class TestWindow:
         with pytest.raises(ValueError, match="t_max must be finite"):
             assemble(builtin("v3"), t_max)
 
+    @pytest.mark.parametrize("t_max", [0.0, -5.0])
+    def test_a_t_max_that_is_not_positive_is_refused(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            assemble(builtin("v3"), t_max)
+
 
 class TestRateTable:
     """rate_table against its reference, one eval_expr per rate."""

@@ -17,8 +17,9 @@ codes, the verdict lines, the fields that differ, and for a CSV the
 number of differing rows, the largest absolute difference of a cell and
 the largest in units of the last printed digit (a cell is written with
 13 significant digits); for other output, the differing lines. It ends
-with a count of identical invocations and the largest flow residual
-that a passing `verify` printed on each side. It exits 0 when every
+with a count of identical invocations and, on each side, the largest
+`max trace distance` and the largest flow residual (`fedorov residual`)
+that a passing `verify` printed. It exits 0 when every
 invocation is identical and 1 when any differs or the two records hold
 different invocations, so a script can gate on it.
 """
@@ -85,11 +86,12 @@ def _verdicts(r):
     return [line for line in r["stdout"].splitlines() if line.startswith("verdict")]
 
 
-def _passing_residual(records):
-    """The largest flow residual printed by a passing verify."""
+def _passing_largest(records, name):
+    """The largest value of the stdout line `name` printed by a passing
+    verify."""
     values = [float(line.split(":")[1]) for r in records
               if r["argv"][0] == "verify" and r["code"] == 0
-              for line in r["stdout"].splitlines() if line.startswith("fedorov residual")]
+              for line in r["stdout"].splitlines() if line.startswith(name + ":")]
     return max(values, default=float("nan"))
 
 
@@ -123,8 +125,10 @@ def compare(path_a, path_b):
                     f"{x} -> {y}" for x, y in zip(p[key].splitlines(), c[key].splitlines())
                     if x != y)
         print(line)
-    print(f"{identical} of {len(a)} invocations identical; largest flow residual of a "
-          f"passing verify {_passing_residual(a):.3e} -> {_passing_residual(b):.3e}")
+    print(f"{identical} of {len(a)} invocations identical; largest of a passing verify: "
+          + "; ".join(f"{name} {_passing_largest(a, name):.3e} -> "
+                      f"{_passing_largest(b, name):.3e}"
+                      for name in ("max trace distance", "fedorov residual")))
     return 0 if identical == len(a) else 1
 
 
